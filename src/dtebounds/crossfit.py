@@ -120,9 +120,8 @@ def variance_hat(sample: Sample, s_lo_vals, s_hi_vals, t_l: float,
     return sigma2_l, sigma2_u, sigma_lu, diagnostics
 
 
-def _flat_span_diagnostic(y_adj_t, y_adj_c, target, outcome_range,
-                          w1=None, w0=None, which="max"):
-    pts, d = _delta_profile(y_adj_t, y_adj_c, w1, w0)
+def _flat_span_diagnostic(y_adj_t, y_adj_c, target, outcome_range, which):
+    pts, d = kernels.delta_profile(y_adj_t, y_adj_c)
     hit = pts[np.abs(d - target) <= 1e-12]
     if hit.size >= 2:
         span = float(hit.max() - hit.min())
@@ -130,22 +129,6 @@ def _flat_span_diagnostic(y_adj_t, y_adj_c, target, outcome_range,
             return (f"near-flat difference curve: {which} attained on a span "
                     f"of {span:.3g} (uniqueness-of-optimizer diagnostic)")
     return None
-
-
-def _delta_profile(a, b, w1=None, w0=None):
-    vals = np.concatenate([a, b])
-    if w1 is None:
-        w1 = np.full(len(a), 1.0 / len(a))
-    if w0 is None:
-        w0 = np.full(len(b), 1.0 / len(b))
-    signed = np.concatenate([np.asarray(w1), -np.asarray(w0)])
-    order = np.argsort(vals, kind="mergesort")
-    v = vals[order]
-    w = signed[order]
-    keep = np.empty(v.size, dtype=bool)
-    keep[:-1] = v[1:] != v[:-1]
-    keep[-1] = True
-    return v[keep], np.cumsum(w)[keep]
 
 
 def estimate_crossfit(sample: Sample, folds: FoldPlan, model_specs,

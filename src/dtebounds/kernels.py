@@ -1,26 +1,12 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
-
-Backend selection: numba is used when importable unless the environment
-variable ``DTEBOUNDS_NO_NUMBA`` is set to a non-empty value, in which case
-the numpy implementations are used. Both backends are exact (not
-approximations of each other); ``benchmarks/bench_kernels.py`` compares
-their throughput.
+"""Numpy compute kernels: the exact breakpoint scan and the per-row grid
+argmax/argmin of conditional-CDF differences.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = not os.environ.get("DTEBOUNDS_NO_NUMBA")
-if USE_NUMBA:
-    try:
-        from numba import njit, prange
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
 __all__ = [
-    "USE_NUMBA",
+    "delta_profile",
     "scan_extrema",
     "ecdf_at",
     "interp_cdf_argopt",
@@ -32,137 +18,28 @@ __all__ = [
 # Breakpoint scan: exact sup/inf of a weighted two-sample CDF difference.
 # ---------------------------------------------------------------------------
 
-def _scan_extrema_np(values, signed_weights):
-    """Exact extrema of t -> sum(signed_weights * (values <= t)) over all t.
+def delta_profile(a, b, w1=None, w0=None):
+    """The step function t -> W1(t) - W0(t) at every distinct breakpoint,
+    where Wj(t) is the weighted count of sample-j values <= t.
 
-    The function is a right-continuous step function that is 0 left of the
-    smallest breakpoint; the scan evaluates it at every distinct breakpoint.
-    Returns (sup, t_sup, inf, t_inf); sup >= 0 and inf <= 0 always because
-    the value 0 is attained for any t below the support. When the extremum
-    0 is attained only there, the sentinel -inf (sup) or +inf (inf) is
-    returned as its location.
+    The function is right-continuous and 0 left of the smallest breakpoint.
+    With no weights, W1 and W0 are plain ECDFs computed from integer
+    counts, so each value equals mean(a <= t) - mean(b <= t) to the last
+    bit. Otherwise a missing weight vector means 1/len per observation, and
+    the values are cumulative sums of the signed weights over the sorted
+    merged sample, with exact ties collapsed. ``b`` may be empty, which
+    gives the (weighted) CDF of ``a`` alone.
+
+    Returns (breakpoints, difference), breakpoints sorted and distinct.
     """
-    order = np.argsort(values, kind="mergesort")
-    v = values[order]
-    w = signed_weights[order]
-    # collapse exact ties so cumulative sums are true function values
-    keep = np.empty(v.size, dtype=bool)
-    keep[:-1] = v[1:] != v[:-1]
-    keep[-1] = True
-    cum = np.cumsum(w)[keep]
-    pts = v[keep]
-    imax = int(np.argmax(cum))
-    imin = int(np.argmin(cum))
-    sup, inf = float(cum[imax]), float(cum[imin])
-    t_sup = float(pts[imax]) if sup >= 0.0 else -np.inf
-    t_inf = float(pts[imin]) if inf <= 0.0 else np.inf
-    return max(sup, 0.0), t_sup, min(inf, 0.0), t_inf
-
-
-def _scan_extrema_exact_np(a, b):
-    """Unweighted scan via exact counts; bit-identical to evaluating
-    mean(a <= t) - mean(b <= t) at every breakpoint."""
-    u = np.unique(np.concatenate([a, b]))
-    c1 = np.searchsorted(np.sort(a), u, side="right")
-    c0 = np.searchsorted(np.sort(b), u, side="right")
-    d = c1 / a.size - c0 / b.size
-    imax = int(np.argmax(d))
-    imin = int(np.argmin(d))
-    sup, inf = float(d[imax]), float(d[imin])
-    t_sup = float(u[imax]) if sup >= 0.0 else -np.inf
-    t_inf = float(u[imin]) if inf <= 0.0 else np.inf
-    return max(sup, 0.0), t_sup, min(inf, 0.0), t_inf
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _scan_extrema_nb(values, signed_weights):
-        order = np.argsort(values, kind="mergesort")
-        n = values.size
-        bmax = -np.inf
-        bmin = np.inf
-        t_max = np.nan
-        t_min = np.nan
-        cum = 0.0
-        i = 0
-        while i < n:
-            v = values[order[i]]
-            cum += signed_weights[order[i]]
-            while i + 1 < n and values[order[i + 1]] == v:
-                i += 1
-                cum += signed_weights[order[i]]
-            if cum > bmax:
-                bmax = cum
-                t_max = v
-            if cum < bmin:
-                bmin = cum
-                t_min = v
-            i += 1
-        sup = bmax if bmax > 0.0 else 0.0
-        inf = bmin if bmin < 0.0 else 0.0
-        t_sup = t_max if bmax >= 0.0 else -np.inf
-        t_inf = t_min if bmin <= 0.0 else np.inf
-        return sup, t_sup, inf, t_inf
-
-    @njit(cache=True)
-    def _scan_extrema_exact_nb(a_sorted, b_sorted):
-        n1 = float(a_sorted.size)
-        n0 = float(b_sorted.size)
-        i = 0
-        j = 0
-        bmax = -np.inf
-        bmin = np.inf
-        t_max = np.nan
-        t_min = np.nan
-        while i < n1 or j < n0:
-            if j >= n0 or (i < n1 and a_sorted[i] <= b_sorted[j]):
-                v = a_sorted[i]
-            else:
-                v = b_sorted[j]
-            while i < n1 and a_sorted[i] == v:
-                i += 1
-            while j < n0 and b_sorted[j] == v:
-                j += 1
-            d = i / n1 - j / n0
-            if d > bmax:
-                bmax = d
-                t_max = v
-            if d < bmin:
-                bmin = d
-                t_min = v
-        sup = bmax if bmax > 0.0 else 0.0
-        inf = bmin if bmin < 0.0 else 0.0
-        t_sup = t_max if bmax >= 0.0 else -np.inf
-        t_inf = t_min if bmin <= 0.0 else np.inf
-        return sup, t_sup, inf, t_inf
-
-
-def scan_extrema(a, b, w1=None, w0=None):
-    """Exact sup/inf over t of W1(t) - W0(t), where Wj(t) is the weighted
-    count of sample-j values <= t.
-
-    Parameters
-    ----------
-    a, b : ndarray
-        Treated-arm and control-arm (adjusted) values.
-    w1, w0 : ndarray or None
-        Per-observation positive weights. None means 1/len for each
-        observation (plain ECDFs); this path is computed from integer
-        counts and matches brute-force evaluation to the last bit.
-
-    Returns
-    -------
-    (sup, t_sup, inf, t_inf) : floats
-        sup >= 0, inf <= 0. Sentinels -inf/+inf mark extrema attained only
-        off-support.
-    """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if w1 is None and w0 is None:
-        if USE_NUMBA:
-            return _scan_extrema_exact_nb(np.sort(a), np.sort(b))
-        return _scan_extrema_exact_np(a, b)
+        pts = np.unique(np.concatenate([a, b]))
+        d = np.searchsorted(np.sort(a), pts, side="right") / a.size
+        if b.size:
+            d -= np.searchsorted(np.sort(b), pts, side="right") / b.size
+        return pts, d
     if w1 is None:
         w1 = np.full(a.size, 1.0 / a.size)
     if w0 is None:
@@ -170,9 +47,41 @@ def scan_extrema(a, b, w1=None, w0=None):
     values = np.concatenate([a, b])
     signed = np.concatenate([np.asarray(w1, dtype=np.float64),
                              -np.asarray(w0, dtype=np.float64)])
-    if USE_NUMBA:
-        return _scan_extrema_nb(values, signed)
-    return _scan_extrema_np(values, signed)
+    order = np.argsort(values, kind="mergesort")
+    v = values[order]
+    keep = np.empty(v.size, dtype=bool)
+    keep[:-1] = v[1:] != v[:-1]
+    keep[-1] = True
+    return v[keep], np.cumsum(signed[order])[keep]
+
+
+def scan_extrema(a, b, w1=None, w0=None):
+    """Exact sup/inf over t of W1(t) - W0(t), read off ``delta_profile``.
+
+    Parameters
+    ----------
+    a, b : ndarray
+        Treated-arm and control-arm (adjusted) values.
+    w1, w0 : ndarray or None
+        Per-observation positive weights. None means 1/len for each
+        observation (plain ECDFs); with both None the scan is computed from
+        integer counts and matches brute-force evaluation to the last bit.
+
+    Returns
+    -------
+    (sup, t_sup, inf, t_inf) : floats
+        sup >= 0 and inf <= 0, because the value 0 is attained for any t
+        below the support; t_sup and t_inf are the smallest optimizing
+        breakpoints. When the extremum 0 is attained only off-support, the
+        sentinel -inf (sup) or +inf (inf) marks its location.
+    """
+    pts, d = delta_profile(a, b, w1, w0)
+    imax = int(np.argmax(d))
+    imin = int(np.argmin(d))
+    sup, inf = float(d[imax]), float(d[imin])
+    t_sup = float(pts[imax]) if sup >= 0.0 else -np.inf
+    t_inf = float(pts[imin]) if inf <= 0.0 else np.inf
+    return max(sup, 0.0), t_sup, min(inf, 0.0), t_inf
 
 
 def ecdf_at(sample_sorted, t):
@@ -212,7 +121,18 @@ def interp_cdf_row(q, taus, t):
     return out
 
 
-def _interp_cdf_argopt_np(q1, q0, taus, grid):
+def interp_cdf_argopt(q1, q0, taus, grid):
+    """Per-row argmax and argmin over ``grid`` of F1(t|x) - F0(t|x), where
+    each conditional CDF is the linear interpolation of per-row sorted
+    quantile predictions ``q1``/``q0`` at levels ``taus``.
+
+    Ties are broken toward the smallest grid point; the grid must be sorted.
+    Returns (s_lower, s_upper), each of length q1.shape[0].
+    """
+    q1 = np.asarray(q1, dtype=np.float64)
+    q0 = np.asarray(q0, dtype=np.float64)
+    taus = np.asarray(taus, dtype=np.float64)
+    grid = np.asarray(grid, dtype=np.float64)
     n = q1.shape[0]
     s_lo = np.empty(n)
     s_hi = np.empty(n)
@@ -223,157 +143,23 @@ def _interp_cdf_argopt_np(q1, q0, taus, grid):
     return s_lo, s_hi
 
 
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _interp_one(q, taus, t):
-        m = q.size
-        lo = np.searchsorted(q, t, side="right") - 1
-        if lo < 0:
-            return 0.0
-        hi = np.searchsorted(q, t, side="left")
-        if hi >= m:
-            return 1.0
-        if q[lo] == t:
-            return 0.5 * (taus[hi] + taus[lo])
-        frac = (t - q[lo]) / (q[hi] - q[lo])
-        return taus[lo] + frac * (taus[hi] - taus[lo])
-
-    @njit(cache=True)
-    def _interp_cdf_walk(q, taus, grid, out):
-        # two-pointer piecewise-linear CDF over a sorted grid
-        m = q.size
-        g = grid.size
-        lo = -1
-        for j in range(g):
-            t = grid[j]
-            while lo + 1 < m and q[lo + 1] <= t:
-                lo += 1
-            if lo < 0:
-                out[j] = 0.0
-                continue
-            if q[lo] == t:
-                hi = lo
-                while hi - 1 >= 0 and q[hi - 1] == t:
-                    hi -= 1
-                out[j] = 0.5 * (taus[hi] + taus[lo])
-                continue
-            if lo + 1 >= m:
-                out[j] = 1.0
-                continue
-            frac = (t - q[lo]) / (q[lo + 1] - q[lo])
-            out[j] = taus[lo] + frac * (taus[lo + 1] - taus[lo])
-
-    @njit(cache=True, parallel=True)
-    def _interp_cdf_argopt_nb(q1, q0, taus, grid):
-        n = q1.shape[0]
-        g = grid.size
-        s_lo = np.empty(n)
-        s_hi = np.empty(n)
-        for i in prange(n):
-            f1 = np.empty(g)
-            f0 = np.empty(g)
-            _interp_cdf_walk(q1[i], taus, grid, f1)
-            _interp_cdf_walk(q0[i], taus, grid, f0)
-            best_lo = -np.inf
-            best_hi = np.inf
-            arg_lo = grid[0]
-            arg_hi = grid[0]
-            for j in range(g):
-                d = f1[j] - f0[j]
-                if d > best_lo:
-                    best_lo = d
-                    arg_lo = grid[j]
-                if d < best_hi:
-                    best_hi = d
-                    arg_hi = grid[j]
-            s_lo[i] = arg_lo
-            s_hi[i] = arg_hi
-        return s_lo, s_hi
-
-
-def interp_cdf_argopt(q1, q0, taus, grid):
-    """Per-row argmax and argmin over ``grid`` of F1(t|x) - F0(t|x), where
-    each conditional CDF is the linear interpolation of per-row sorted
-    quantile predictions ``q1``/``q0`` at levels ``taus``.
-
-    Ties are broken toward the smallest grid point; the grid must be sorted.
-    Returns (s_lower, s_upper), each of length q1.shape[0].
-    """
-    q1 = np.ascontiguousarray(q1, dtype=np.float64)
-    q0 = np.ascontiguousarray(q0, dtype=np.float64)
-    taus = np.ascontiguousarray(taus, dtype=np.float64)
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
-    if USE_NUMBA:
-        return _interp_cdf_argopt_nb(q1, q0, taus, grid)
-    return _interp_cdf_argopt_np(q1, q0, taus, grid)
-
-
-def _shift_cdf_argopt_np(mu1, mu0, r1_sorted, r0_sorted, grid):
-    n = mu1.size
-    s_lo = np.empty(n)
-    s_hi = np.empty(n)
-    n1 = r1_sorted.size
-    n0 = r0_sorted.size
-    for i in range(n):
-        f1 = np.searchsorted(r1_sorted, grid - mu1[i], side="right") / n1
-        f0 = np.searchsorted(r0_sorted, grid - mu0[i], side="right") / n0
-        d = f1 - f0
-        s_lo[i] = grid[int(np.argmax(d))]
-        s_hi[i] = grid[int(np.argmin(d))]
-    return s_lo, s_hi
-
-
-if USE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _shift_cdf_argopt_nb(mu1, mu0, r1_sorted, r0_sorted, grid):
-        # grid and residuals are sorted: two-pointer walk per row
-        n = mu1.size
-        g = grid.size
-        m1 = r1_sorted.size
-        m0 = r0_sorted.size
-        inv1 = 1.0 / m1
-        inv0 = 1.0 / m0
-        s_lo = np.empty(n)
-        s_hi = np.empty(n)
-        for i in prange(n):
-            best_lo = -np.inf
-            best_hi = np.inf
-            arg_lo = grid[0]
-            arg_hi = grid[0]
-            j1 = 0
-            j0 = 0
-            for j in range(g):
-                t1 = grid[j] - mu1[i]
-                t0 = grid[j] - mu0[i]
-                while j1 < m1 and r1_sorted[j1] <= t1:
-                    j1 += 1
-                while j0 < m0 and r0_sorted[j0] <= t0:
-                    j0 += 1
-                d = j1 * inv1 - j0 * inv0
-                if d > best_lo:
-                    best_lo = d
-                    arg_lo = grid[j]
-                if d < best_hi:
-                    best_hi = d
-                    arg_hi = grid[j]
-            s_lo[i] = arg_lo
-            s_hi[i] = arg_hi
-        return s_lo, s_hi
-
-
 def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     """Per-row argmax/argmin over ``grid`` of Fe1(t - mu1) - Fe0(t - mu0),
     the location-shift conditional CDF difference built from residual ECDFs.
 
     Ties break toward the smallest grid point; grid must be sorted.
     """
-    mu1 = np.ascontiguousarray(mu1, dtype=np.float64)
-    mu0 = np.ascontiguousarray(mu0, dtype=np.float64)
+    mu1 = np.asarray(mu1, dtype=np.float64)
+    mu0 = np.asarray(mu0, dtype=np.float64)
     r1 = np.sort(np.asarray(resid1, dtype=np.float64))
     r0 = np.sort(np.asarray(resid0, dtype=np.float64))
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
-    if USE_NUMBA:
-        return _shift_cdf_argopt_nb(mu1, mu0, r1, r0, grid)
-    return _shift_cdf_argopt_np(mu1, mu0, r1, r0, grid)
+    grid = np.asarray(grid, dtype=np.float64)
+    n = mu1.size
+    s_lo = np.empty(n)
+    s_hi = np.empty(n)
+    for i in range(n):
+        d = (np.searchsorted(r1, grid - mu1[i], side="right") / r1.size
+             - np.searchsorted(r0, grid - mu0[i], side="right") / r0.size)
+        s_lo[i] = grid[int(np.argmax(d))]
+        s_hi[i] = grid[int(np.argmin(d))]
+    return s_lo, s_hi

@@ -43,24 +43,18 @@ class StepCdf:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             raise DegenerateDesignError("cannot build a CDF from an empty arm")
+        empty = np.empty(0)
         if weights is None:
-            weights = np.full(values.size, 1.0 / values.size)
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if np.any(weights <= 0):
-                raise ValueError("weights must be positive")
-            if normalize:
-                weights = weights / weights.sum()
-        order = np.argsort(values, kind="mergesort")
-        v = values[order]
-        w = weights[order]
-        keep = np.empty(v.size, dtype=bool)
-        keep[:-1] = v[1:] != v[:-1]
-        keep[-1] = True
-        cum = np.cumsum(w)[keep]
+            return cls(*kernels.delta_profile(values, empty))
+        weights = np.asarray(weights, dtype=np.float64)
+        if np.any(weights <= 0):
+            raise ValueError("weights must be positive")
+        if normalize:
+            weights = weights / weights.sum()
+        pts, cum = kernels.delta_profile(values, empty, weights, empty)
         if normalize:
             cum[-1] = 1.0  # close cumulative rounding
-        return cls(breakpoints=v[keep], heights=cum)
+        return cls(breakpoints=pts, heights=cum)
 
     def __post_init__(self):
         if np.any(np.diff(self.heights) < -1e-12):
@@ -162,6 +156,7 @@ def makarov_bounds(sample: Sample) -> BoundsEstimate:
 
 
 def dump_curve(curve: DeltaCurve) -> np.ndarray:
-    """(t, delta(t)) rows at every merged breakpoint, for external plotting."""
-    t = curve.merged_breakpoints
-    return np.column_stack([t, curve.delta(t)])
+    """(t, delta(t)) rows at every merged breakpoint, for external plotting;
+    the values are the ones ``sup_delta`` and ``inf_delta`` scan."""
+    return np.column_stack(kernels.delta_profile(curve._vals1, curve._vals0,
+                                                 curve._w1, curve._w0))

@@ -144,22 +144,25 @@ class TestAnalyze:
 
 class TestBoundsCurve:
     def test_dump_matches_report(self, data_csv, tmp_path):
-        out = tmp_path / "curve"
-        code = run_cli("bounds-curve", "--input", data_csv, "--y-col", "y",
-                       "--d-col", "d", "--x-prefix", "x",
-                       "--models", "constant", "--output", str(out))
-        assert code == 0
-        lines = (tmp_path / "curve.curve.txt").read_text().splitlines()
-        header = [ln for ln in lines if ln.startswith("#")]
-        rows = np.array([[float(v) for v in ln.split()]
-                         for ln in lines if not ln.startswith("#")])
-        theta_l = float(header[1].split("=")[1].split(" at ")[0])
-        assert rows[:, 1].max() == pytest.approx(max(theta_l, 0.0))
-        # constant model: curve equals the unadjusted two-sample difference
         from dtebounds import build_curve, load_csv
         s = load_csv(data_csv, "y", "d", x_prefix="x")
-        curve = build_curve(s)
-        np.testing.assert_allclose(rows[:, 0], curve.merged_breakpoints)
+        out = tmp_path / "curve"
+        for models in ("constant", "knn_loc_shift:k=10"):
+            code = run_cli("bounds-curve", "--input", data_csv, "--y-col",
+                           "y", "--d-col", "d", "--x-prefix", "x",
+                           "--models", models, "--output", str(out))
+            assert code == 0
+            lines = (tmp_path / "curve.curve.txt").read_text().splitlines()
+            header = [ln for ln in lines if ln.startswith("#")]
+            rows = np.array([[float(v) for v in ln.split()]
+                             for ln in lines if not ln.startswith("#")])
+            theta_l = float(header[1].split("=")[1].split(" at ")[0])
+            # the dump is the profile the bound is scanned from
+            assert rows[:, 1].max() == theta_l
+            if models == "constant":
+                # curve equals the unadjusted two-sample difference
+                np.testing.assert_array_equal(
+                    rows[:, 0], build_curve(s).merged_breakpoints)
 
     def test_empty_arm_exits_2(self, tmp_path):
         path = tmp_path / "onearm.csv"

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtebounds import kernels
+from dtebounds.condcdf import GridSpec, fit_arm_model
+from dtebounds.simulate import DgpSpec, draw_dgp
+from dtebounds.stepfun import StepCdf
 
 
 def brute_force_extrema(a, b, w1=None, w0=None, extra_points=()):
@@ -87,23 +92,6 @@ def test_scan_sentinels_for_unnormalized_weights():
     assert inf == 0.0 and t_inf == np.inf
 
 
-def test_backends_agree():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        a = np.round(rng.normal(size=rng.integers(2, 50)), 1)
-        b = np.round(rng.normal(size=rng.integers(2, 50)), 1)
-        res_pub = kernels.scan_extrema(a, b)
-        res_np = kernels._scan_extrema_exact_np(a, b)
-        assert res_pub == pytest.approx(res_np, abs=0)
-        w1 = rng.random(a.size) + 0.05
-        w0 = rng.random(b.size) + 0.05
-        res_pub = kernels.scan_extrema(a, b, w1, w0)
-        vals = np.concatenate([a, b])
-        signed = np.concatenate([w1, -w0])
-        res_np = kernels._scan_extrema_np(vals, signed)
-        assert res_pub == pytest.approx(res_np, abs=1e-12)
-
-
 def test_interp_cdf_row_contract():
     q = np.array([1.0, 2.0, 2.0, 3.0])
     taus = np.array([0.0, 1 / 3, 2 / 3, 1.0])
@@ -129,40 +117,102 @@ def test_interp_cdf_row_is_monotone():
         assert out.min() >= 0 and out.max() <= 1
 
 
+def _fitted_pairs(spec, draws=10):
+    """Arm models fitted on half of a simulation draw with outcomes rounded
+    to force ties, the covariates of 20 held-out rows, and a rounded grid
+    that hits predicted quantiles exactly."""
+    for seed in range(draws):
+        sample, _ = draw_dgp(DgpSpec(), 120, seed=seed)
+        y = np.round(sample.y, 1)
+        fit, ev = np.arange(60), np.arange(60, 80)
+        d = sample.d[fit]
+        m1 = fit_arm_model(y[fit][d == 1], sample.x[fit][d == 1], spec, seed)
+        m0 = fit_arm_model(y[fit][d == 0], sample.x[fit][d == 0], spec, seed)
+        grid = np.round(GridSpec(size=800).build(
+            y.min(), y.max(), np.random.default_rng(seed)), 1)
+        yield m1, m0, sample.x[ev], grid
+
+
+def _dense_argopt(m1, m0, x, grid):
+    # the generic path of extract_adjusters: full CDF matrices, row argopt
+    d = m1.cdf_matrix(grid, x) - m0.cdf_matrix(grid, x)
+    return grid[np.argmax(d, axis=1)], grid[np.argmin(d, axis=1)]
+
+
 def test_interp_argopt_matches_plain_argmax():
-    rng = np.random.default_rng(11)
-    taus = np.linspace(0, 1, 101)
-    grid = np.sort(rng.normal(size=500) * 3)
-    q1 = np.sort(rng.normal(loc=0.5, size=(20, 101)), axis=1)
-    q0 = np.sort(rng.normal(size=(20, 101)), axis=1)
-    s_lo, s_hi = kernels.interp_cdf_argopt(q1, q0, taus, grid)
-    ref_lo, ref_hi = kernels._interp_cdf_argopt_np(q1, q0, taus, grid)
-    np.testing.assert_array_equal(s_lo, ref_lo)
-    np.testing.assert_array_equal(s_hi, ref_hi)
+    for m1, m0, x, grid in _fitted_pairs("knn_quantile:k=8"):
+        s_lo, s_hi = kernels.interp_cdf_argopt(
+            m1.predict_quantiles(x), m0.predict_quantiles(x), m1.taus, grid)
+        ref_lo, ref_hi = _dense_argopt(m1, m0, x, grid)
+        np.testing.assert_array_equal(s_lo, ref_lo)
+        np.testing.assert_array_equal(s_hi, ref_hi)
 
 
 def test_shift_argopt_matches_reference():
-    rng = np.random.default_rng(13)
-    grid = np.sort(rng.normal(size=400) * 3)
-    mu1 = rng.normal(size=25)
-    mu0 = rng.normal(size=25)
-    r1 = rng.normal(size=80)
-    r0 = rng.normal(size=70)
-    s_lo, s_hi = kernels.shift_cdf_argopt(mu1, mu0, r1, r0, grid)
-    ref_lo, ref_hi = kernels._shift_cdf_argopt_np(mu1, mu0, np.sort(r1),
-                                                  np.sort(r0), grid)
-    np.testing.assert_array_equal(s_lo, ref_lo)
-    np.testing.assert_array_equal(s_hi, ref_hi)
+    for spec in ("knn_loc_shift:k=8", "ridge_loc_shift"):
+        for m1, m0, x, grid in _fitted_pairs(spec):
+            s_lo, s_hi = kernels.shift_cdf_argopt(
+                m1.predict_mu(x), m0.predict_mu(x), m1.residuals,
+                m0.residuals, grid)
+            ref_lo, ref_hi = _dense_argopt(m1, m0, x, grid)
+            np.testing.assert_array_equal(s_lo, ref_lo)
+            np.testing.assert_array_equal(s_hi, ref_hi)
 
 
-def test_env_flag_selects_numpy_backend():
-    import subprocess
-    import sys
+# tied samples: half-integers in a narrow range, so most values repeat
+_tied = st.lists(st.integers(-6, 6).map(lambda k: k / 2), min_size=1,
+                 max_size=30).map(np.array)
 
-    code = ("import os; os.environ['DTEBOUNDS_NO_NUMBA']='1'; "
-            "from dtebounds import kernels; "
-            "assert not kernels.USE_NUMBA; "
-            "import numpy as np; "
-            "r = kernels.scan_extrema(np.array([0., 1.]), np.array([0.5])); "
-            "assert r[0] == 0.5")
-    subprocess.run([sys.executable, "-c", code], check=True)
+
+def _weights(size):
+    return st.lists(st.floats(0.1, 10.0), min_size=size,
+                    max_size=size).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_tied, b=_tied)
+def test_profile_unweighted_equals_indicator_means(a, b):
+    pts, d = kernels.delta_profile(a, b)
+    np.testing.assert_array_equal(pts, np.unique(np.concatenate([a, b])))
+    direct = np.array([np.mean(a <= t) - np.mean(b <= t) for t in pts])
+    np.testing.assert_array_equal(d, direct)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), a=_tied, b=_tied, weighted=st.booleans())
+def test_scan_reads_profile_extrema(data, a, b, weighted):
+    # raw (unnormalized) weights let the curve stay off zero on support,
+    # which exercises the off-support sentinels
+    w1 = data.draw(_weights(a.size)) if weighted else None
+    w0 = data.draw(_weights(b.size)) if weighted else None
+    pts, d = kernels.delta_profile(a, b, w1, w0)
+    if weighted:
+        direct = np.array([np.sum(w1 * (a <= t)) - np.sum(w0 * (b <= t))
+                           for t in pts])
+        np.testing.assert_allclose(d, direct, rtol=0, atol=1e-9)
+    sup, t_sup, inf, t_inf = kernels.scan_extrema(a, b, w1, w0)
+    assert sup == max(d.max(), 0.0)
+    assert inf == min(d.min(), 0.0)
+    assert t_sup == (pts[d == d.max()][0] if d.max() >= 0 else -np.inf)
+    assert t_inf == (pts[d == d.min()][0] if d.min() <= 0 else np.inf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), a=_tied)
+def test_step_cdf_heights_are_one_arm_profile(data, a):
+    empty = np.empty(0)
+    f = StepCdf.from_values(a)
+    np.testing.assert_array_equal(f.breakpoints, np.unique(a))
+    np.testing.assert_array_equal(
+        f.heights, [np.mean(a <= t) for t in f.breakpoints])
+    np.testing.assert_array_equal(f.heights,
+                                  kernels.delta_profile(a, empty)[1])
+    w = data.draw(_weights(a.size))
+    f = StepCdf.from_values(a, w, normalize=False)
+    np.testing.assert_array_equal(
+        f.heights, kernels.delta_profile(a, empty, w, empty)[1])
+    f = StepCdf.from_values(a, w)
+    np.testing.assert_array_equal(
+        f.heights[:-1], kernels.delta_profile(a, empty, w / w.sum(),
+                                              empty)[1][:-1])
+    assert f.heights[-1] == 1.0

@@ -165,7 +165,7 @@ def test_dump_curve_consistency():
     rows = dump_curve(curve)
     _, sup = sup_delta(curve)
     assert rows.shape[1] == 2
-    assert rows[:, 1].max() == pytest.approx(sup, abs=1e-12)
+    assert rows[:, 1].max() == sup
 
 
 def test_ipw_weight_mode():
