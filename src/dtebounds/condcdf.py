@@ -26,6 +26,7 @@ __all__ = [
     "parse_model_spec",
     "fit_arm_model",
     "extract_adjusters",
+    "fit_adjusters",
     "select_model",
 ]
 
@@ -278,51 +279,84 @@ def extract_adjusters(m1: ConditionalCdfModel, m0: ConditionalCdfModel,
             Adjuster(values=s_hi, label="fitted_U"))
 
 
-def _inner_bound(train: Sample, spec: str, side: str, cv_folds: int,
-                 seed: int, grid_spec: GridSpec) -> float:
-    """Cross-validated pooled bound inside the training data only."""
+def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
+                  grid: np.ndarray, seed: int = 0):
+    """Fit each distinct spec's arm models on ``train`` once, then evaluate
+    per row set the lower-side values of spec_l's pair and the upper-side
+    values of spec_u's pair.
+
+    Returns one (s_lower, s_upper) pair of arrays per row set. When the two
+    specs agree, one extraction yields both sides.
+    """
+    treated = train.d == 1
+    fitted = {}
+    for spec in dict.fromkeys((spec_l, spec_u)):
+        fitted[spec] = (
+            fit_arm_model(train.y[treated], train.x[treated], spec, seed),
+            fit_arm_model(train.y[~treated], train.x[~treated], spec, seed))
+    out = []
+    for x_rows in row_sets:
+        s_lo, s_hi = extract_adjusters(*fitted[spec_l], x_rows, grid)
+        if spec_u != spec_l:
+            _, s_hi = extract_adjusters(*fitted[spec_u], x_rows, grid)
+        out.append((s_lo.values, s_hi.values))
+    return out
+
+
+def _inner_bounds(train: Sample, spec: str, cv_folds: int, seed: int,
+                  grid_spec: GridSpec) -> tuple[float, float]:
+    """Cross-validated pooled (lower, upper) bounds inside the training data
+    only; each fold's arm models are fitted and extracted once for both
+    sides."""
     plan = make_folds(train, cv_folds, seed)
     rng = np.random.default_rng(seed)
     grid = grid_spec.build(train.y_lo, train.y_hi, rng)
-    adj = np.empty(train.n)
+    adj_lo = np.empty(train.n)
+    adj_hi = np.empty(train.n)
     for k in range(1, cv_folds + 1):
-        oof = train.subset(plan.complement(k))
-        m1 = fit_arm_model(oof.y[oof.d == 1], oof.x[oof.d == 1], spec, seed)
-        m0 = fit_arm_model(oof.y[oof.d == 0], oof.x[oof.d == 0], spec, seed)
         members = plan.members(k)
-        s_lo, s_hi = extract_adjusters(m1, m0, train.x[members], grid)
-        adj[members] = s_lo.values if side == "L" else s_hi.values
-    y_adj = train.y - adj
-    sup, _, inf, _ = kernels.scan_extrema(y_adj[train.d == 1],
-                                          y_adj[train.d == 0])
-    return sup if side == "L" else 1.0 + inf
+        [(lo, hi)] = fit_adjusters(train.subset(plan.complement(k)), spec,
+                                   spec, [train.x[members]], grid, seed)
+        adj_lo[members] = lo
+        adj_hi[members] = hi
+    treated = train.d == 1
+    y_lo = train.y - adj_lo
+    y_hi = train.y - adj_hi
+    sup, _, _, _ = kernels.scan_extrema(y_lo[treated], y_lo[~treated])
+    _, _, inf, _ = kernels.scan_extrema(y_hi[treated], y_hi[~treated])
+    return sup, 1.0 + inf
 
 
-def select_model(candidates, train: Sample, side: str, cv_folds: int = 5,
-                 seed: int = 0, grid_spec: GridSpec = GridSpec()) -> str:
-    """Pick the candidate spec whose inner cross-validated bound is best:
-    largest lower bound (side 'L') or smallest upper bound (side 'U').
+def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
+                 grid_spec: GridSpec = GridSpec()) -> tuple[str, str]:
+    """Pick per side the candidate spec whose inner cross-validated bound is
+    best: (spec with the largest lower bound, spec with the smallest upper
+    bound).
 
-    Held-out data never enters; candidates that fail to fit are excluded,
-    and if all fail the constant model is returned with a warning.
+    One inner cross-validation per candidate scores it for both sides. Per
+    side, the first candidate with a strictly better score wins. Held-out
+    data never enters; candidates that fail to fit are excluded with one
+    warning each, and a side with no surviving candidate falls back to the
+    constant model with a warning. A single candidate is returned for both
+    sides without scoring.
     """
-    if side not in ("L", "U"):
-        raise ConfigError("side must be 'L' or 'U'")
     if not candidates:
         raise ConfigError("need at least one candidate model spec")
     if len(candidates) == 1:
-        return candidates[0]
-    best_spec, best_val = None, -np.inf
+        return candidates[0], candidates[0]
+    best_l = best_u = None
+    score_l = score_u = -np.inf
     for spec in candidates:
         try:
-            val = _inner_bound(train, spec, side, cv_folds, seed, grid_spec)
+            val_l, val_u = _inner_bounds(train, spec, cv_folds, seed,
+                                         grid_spec)
         except Exception as exc:  # noqa: BLE001 - robustness contract
             warnings.warn(f"candidate {spec!r} failed during selection: {exc}")
             continue
-        score = val if side == "L" else -val
-        if score > best_val:
-            best_val, best_spec = score, spec
-    if best_spec is None:
+        if val_l > score_l:
+            score_l, best_l = val_l, spec
+        if -val_u > score_u:
+            score_u, best_u = -val_u, spec
+    if best_l is None or best_u is None:
         warnings.warn("all candidate models failed; using constant model")
-        return "constant"
-    return best_spec
+    return best_l or "constant", best_u or "constant"

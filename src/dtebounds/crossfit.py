@@ -11,7 +11,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import kernels
-from .condcdf import GridSpec, extract_adjusters, fit_arm_model, select_model
+from .condcdf import GridSpec, fit_adjusters, select_model
 from .data import (
     Adjuster,
     ConfigError,
@@ -62,24 +62,15 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
         try:
             oof = sample.subset(folds.complement(k))
             if len(specs) > 1:
-                spec_l = select_model(specs, oof, "L", select_folds, seed + k,
-                                      grid_spec)
-                spec_u = select_model(specs, oof, "U", select_folds, seed + k,
-                                      grid_spec)
+                spec_l, spec_u = select_model(specs, oof, select_folds,
+                                              seed + k, grid_spec)
             else:
                 spec_l = spec_u = specs[0]
-            fitted = {}
-            for spec in {spec_l, spec_u}:
-                m1 = fit_arm_model(oof.y[oof.d == 1], oof.x[oof.d == 1],
-                                   spec, seed + k)
-                m0 = fit_arm_model(oof.y[oof.d == 0], oof.x[oof.d == 0],
-                                   spec, seed + k)
-                fitted[spec] = (m1, m0)
             members = folds.members(k)
-            lo_k, _ = extract_adjusters(*fitted[spec_l], sample.x[members], grid)
-            _, hi_k = extract_adjusters(*fitted[spec_u], sample.x[members], grid)
-            s_lo[members] = lo_k.values
-            s_hi[members] = hi_k.values
+            [(lo_k, hi_k)] = fit_adjusters(oof, spec_l, spec_u,
+                                           [sample.x[members]], grid, seed + k)
+            s_lo[members] = lo_k
+            s_hi[members] = hi_k
             chosen.append((spec_l, spec_u))
         except Exception as exc:
             raise EstimationError(f"fold {k}: {exc}") from exc

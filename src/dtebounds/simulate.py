@@ -14,14 +14,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crossfit import (
+    EstimationError,
     estimate_crossfit,
     one_sided_cis,
     sjls_report,
     variant_fold_t,
     variant_known_propensity,
 )
-from .data import Adjuster, ConfigError, PropensityModel, Sample, make_folds
+from .data import (
+    Adjuster,
+    ConfigError,
+    DegenerateDesignError,
+    PropensityModel,
+    Sample,
+    make_folds,
+)
 from .splitfit import estimate_split, make_split
+from .stoye import EstimationFailure
 
 __all__ = [
     "DgpSpec",
@@ -317,18 +326,20 @@ def _run_cell(cell: McCell, spec: DgpSpec, alpha: float, theta0: float,
             lo_raw, length = _run_estimator(cell.estimator, sample, adjusters,
                                             specs, alpha, seed_r, k_folds,
                                             aux_fraction, spec_p.treat_prob)
-        except Exception:
+        except (ConfigError, DegenerateDesignError, EstimationError,
+                EstimationFailure):
             failures += 1
             continue
         rej0 += lo_raw > 0.0
         rej_t0 += lo_raw > theta0
         tot_len += length
         done += 1
-    done = max(done, 1)
+    # with no completed replication there is no rate to report
+    denom = done or float("nan")
     return {"n": cell.n, "p": cell.p, "model": cell.model,
             "estimator": cell.estimator,
-            "reject_zero": rej0 / done, "reject_theta0": rej_t0 / done,
-            "avg_length": tot_len / done, "replications": done,
+            "reject_zero": rej0 / denom, "reject_theta0": rej_t0 / denom,
+            "avg_length": tot_len / denom, "replications": done,
             "failures": failures}
 
 
@@ -378,8 +389,10 @@ def run_table(spec: DgpSpec, cells, replications: int = 1000,
 
     Rejections use the lower one-sided interval: of zero (power) and of the
     true target value (size). Replications use counter-based streams
-    derived from (seed, cell index, replication index); per-replication
-    failures are recorded per cell, never fatal.
+    derived from (seed, cell index, replication index). A replication
+    that fails with one of the package's domain errors is counted in the
+    cell's ``failures`` and skipped; any other exception propagates. A cell
+    with no completed replication reports NaN rates.
     """
     if replications < 1:
         raise ConfigError("need at least one replication")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .condcdf import GridSpec, extract_adjusters, fit_arm_model, select_model
+from .condcdf import GridSpec, fit_adjusters, select_model
 from .data import Adjuster, ConfigError, DegenerateDesignError, Sample
 from .reports import BoundsEstimate, IntervalReport, clip_unit
 
@@ -101,22 +101,14 @@ def estimate_split(sample: Sample, plan: SplitPlan, model_specs,
         spec_l = spec_u = "user"
     else:
         aux = sample.subset(plan.aux)
-        specs = list(model_specs)
-        spec_l = select_model(specs, aux, "L", select_folds, seed, grid_spec)
-        spec_u = select_model(specs, aux, "U", select_folds, seed, grid_spec)
+        spec_l, spec_u = select_model(list(model_specs), aux, select_folds,
+                                      seed, grid_spec)
         rng = np.random.default_rng(seed)
         grid = grid_spec.build(aux.y_lo, aux.y_hi, rng)
-        fitted = {}
-        for spec in {spec_l, spec_u}:
-            m1 = fit_arm_model(aux.y[aux.d == 1], aux.x[aux.d == 1], spec, seed)
-            m0 = fit_arm_model(aux.y[aux.d == 0], aux.x[aux.d == 0], spec, seed)
-            fitted[spec] = (m1, m0)
-        sL_t, sU_t = _eval_both(fitted, spec_l, spec_u,
-                                sample.x[plan.main_treated], grid)
-        sL_c, sU_c = _eval_both(fitted, spec_l, spec_u,
-                                sample.x[plan.main_control], grid)
-        s_lo_main_t, s_hi_main_t = sL_t, sU_t
-        s_lo_main_c, s_hi_main_c = sL_c, sU_c
+        (s_lo_main_t, s_hi_main_t), (s_lo_main_c, s_hi_main_c) = fit_adjusters(
+            aux, spec_l, spec_u,
+            [sample.x[plan.main_treated], sample.x[plan.main_control]],
+            grid, seed)
 
     y_t = sample.y[plan.main_treated]
     y_c = sample.y[plan.main_control]
@@ -154,14 +146,6 @@ def estimate_split(sample: Sample, plan: SplitPlan, model_specs,
               "model_l": spec_l, "model_u": spec_u},
         diagnostics=diagnostics,
     )
-
-
-def _eval_both(fitted, spec_l, spec_u, x_rows, grid):
-    m1l, m0l = fitted[spec_l]
-    s_lo, _ = extract_adjusters(m1l, m0l, x_rows, grid)
-    m1u, m0u = fitted[spec_u]
-    _, s_hi = extract_adjusters(m1u, m0u, x_rows, grid)
-    return s_lo.values, s_hi.values
 
 
 def _dkw_p_lower_zero(excess: float, n1: int, n0: int) -> float:

@@ -7,7 +7,7 @@ no grids or smoothing are involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,19 +69,14 @@ class StepCdf:
 
 @dataclass(frozen=True)
 class DeltaCurve:
-    """The treated-minus-control adjusted CDF difference t -> F1(t) - F0(t)."""
+    """The treated-minus-control adjusted CDF difference t -> F1(t) - F0(t),
+    held as the adjusted arm values (and normalized weights, if any) that
+    the exact scan reads."""
 
-    f1: StepCdf
-    f0: StepCdf
-    merged_breakpoints: np.ndarray
-    # raw inputs kept for the exact scan
-    _vals1: np.ndarray = field(repr=False)
-    _vals0: np.ndarray = field(repr=False)
-    _w1: np.ndarray | None = field(repr=False, default=None)
-    _w0: np.ndarray | None = field(repr=False, default=None)
-
-    def delta(self, t):
-        return self.f1(t) - self.f0(t)
+    vals1: np.ndarray
+    vals0: np.ndarray
+    w1: np.ndarray | None = None
+    w0: np.ndarray | None = None
 
 
 def build_curve(sample: Sample, adjuster: Adjuster | None = None,
@@ -105,24 +100,17 @@ def build_curve(sample: Sample, adjuster: Adjuster | None = None,
     if vals1.size == 0 or vals0.size == 0:
         raise DegenerateDesignError("both treatment arms must be nonempty")
     if weight_mode == "none":
-        w1 = w0 = None
-        f1 = StepCdf.from_values(vals1)
-        f0 = StepCdf.from_values(vals0)
-    elif weight_mode == "ipw-normalized":
+        return DeltaCurve(vals1, vals0)
+    if weight_mode == "ipw-normalized":
         if p_of_x is None:
             raise ValueError("ipw mode requires propensity values")
         p = np.asarray(p_of_x, dtype=np.float64)
         w1 = 1.0 / p[t_mask]
         w0 = 1.0 / (1.0 - p[~t_mask])
-        w1 = w1 / w1.sum()
-        w0 = w0 / w0.sum()
-        f1 = StepCdf.from_values(vals1, w1, normalize=True)
-        f0 = StepCdf.from_values(vals0, w0, normalize=True)
-    else:
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
-    merged = np.unique(np.concatenate([vals1, vals0]))
-    return DeltaCurve(f1=f1, f0=f0, merged_breakpoints=merged,
-                      _vals1=vals1, _vals0=vals0, _w1=w1, _w0=w0)
+        if np.any(w1 <= 0) or np.any(w0 <= 0):
+            raise ValueError("weights must be positive")
+        return DeltaCurve(vals1, vals0, w1 / w1.sum(), w0 / w0.sum())
+    raise ValueError(f"unknown weight_mode {weight_mode!r}")
 
 
 def sup_delta(curve: DeltaCurve) -> tuple[float, float]:
@@ -132,16 +120,16 @@ def sup_delta(curve: DeltaCurve) -> tuple[float, float]:
     support. t_star is the smallest maximizing breakpoint, or -inf when the
     max 0 is attained only off-support.
     """
-    sup, t_sup, _, _ = kernels.scan_extrema(curve._vals1, curve._vals0,
-                                            curve._w1, curve._w0)
+    sup, t_sup, _, _ = kernels.scan_extrema(curve.vals1, curve.vals0,
+                                            curve.w1, curve.w0)
     return t_sup, sup
 
 
 def inf_delta(curve: DeltaCurve) -> tuple[float, float]:
     """Exact min over t; value <= 0, t_star smallest minimizing breakpoint
     or +inf sentinel. The implied upper bound is 1 + value."""
-    _, _, inf, t_inf = kernels.scan_extrema(curve._vals1, curve._vals0,
-                                            curve._w1, curve._w0)
+    _, _, inf, t_inf = kernels.scan_extrema(curve.vals1, curve.vals0,
+                                            curve.w1, curve.w0)
     return t_inf, inf
 
 
@@ -158,5 +146,5 @@ def makarov_bounds(sample: Sample) -> BoundsEstimate:
 def dump_curve(curve: DeltaCurve) -> np.ndarray:
     """(t, delta(t)) rows at every merged breakpoint, for external plotting;
     the values are the ones ``sup_delta`` and ``inf_delta`` scan."""
-    return np.column_stack(kernels.delta_profile(curve._vals1, curve._vals0,
-                                                 curve._w1, curve._w0))
+    return np.column_stack(kernels.delta_profile(curve.vals1, curve.vals0,
+                                                 curve.w1, curve.w0))

@@ -144,7 +144,7 @@ class TestAnalyze:
 
 class TestBoundsCurve:
     def test_dump_matches_report(self, data_csv, tmp_path):
-        from dtebounds import build_curve, load_csv
+        from dtebounds import build_curve, dump_curve, load_csv
         s = load_csv(data_csv, "y", "d", x_prefix="x")
         out = tmp_path / "curve"
         for models in ("constant", "knn_loc_shift:k=10"):
@@ -161,8 +161,9 @@ class TestBoundsCurve:
             assert rows[:, 1].max() == theta_l
             if models == "constant":
                 # curve equals the unadjusted two-sample difference
-                np.testing.assert_array_equal(
-                    rows[:, 0], build_curve(s).merged_breakpoints)
+                np.testing.assert_array_equal(rows[:, 0], np.unique(s.y))
+                np.testing.assert_array_equal(rows,
+                                              dump_curve(build_curve(s)))
 
     def test_empty_arm_exits_2(self, tmp_path):
         path = tmp_path / "onearm.csv"

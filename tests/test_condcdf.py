@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from dtebounds.condcdf import (
     parse_model_spec,
     select_model,
 )
-from dtebounds.data import ConfigError, Sample
+from dtebounds.crossfit import crossfit_adjusters
+from dtebounds.data import ConfigError, Sample, make_folds
+from dtebounds.splitfit import estimate_split, make_split
 
 
 def test_constant_model_is_ecdf():
@@ -161,36 +165,98 @@ class TestGridSpec:
         assert g[0] < 0.0 < 1.0 < g[-1]
 
 
-class TestSelectModel:
-    def make_sample(self, n=120, seed=0):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(n, 2))
-        d = np.array([1, 0] * (n // 2))
-        y = 2.0 * x[:, 0] + d * 1.0 + 0.3 * rng.normal(size=n)
-        return Sample(y, d, x)
+def make_sample(n=120, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    d = np.array([1, 0] * (n // 2))
+    y = 2.0 * x[:, 0] + d * 1.0 + 0.3 * rng.normal(size=n)
+    return Sample(y, d, x)
 
+
+class TestSelectModel:
     def test_single_candidate_passthrough(self):
-        s = self.make_sample()
-        assert select_model(["constant"], s, "L") == "constant"
+        s = make_sample()
+        assert select_model(["constant"], s) == ("constant", "constant")
 
     def test_informative_model_beats_constant(self):
         # the outcome is driven by x0, so a covariate model attains a larger
         # inner lower bound than the constant model
-        s = self.make_sample(n=300, seed=3)
-        best = select_model(["constant", "knn_loc_shift:k=15"], s, "L",
-                            cv_folds=4, seed=1)
-        assert best == "knn_loc_shift:k=15"
+        s = make_sample(n=300, seed=3)
+        spec_l, _ = select_model(["constant", "knn_loc_shift:k=15"], s,
+                                 cv_folds=4, seed=1)
+        assert spec_l == "knn_loc_shift:k=15"
+
+    def test_ties_keep_first_candidate(self):
+        # two spellings of one model score identically on both sides; the
+        # first one listed wins each side
+        s = make_sample()
+        a, b = "ridge_loc_shift", "ridge_loc_shift:lambda=auto"
+        assert select_model([a, b], s, cv_folds=4, seed=1) == (a, a)
+        assert select_model([b, a], s, cv_folds=4, seed=1) == (b, b)
 
     def test_failing_candidate_excluded(self):
-        s = self.make_sample()
-        with pytest.warns(UserWarning, match="failed during selection"):
-            best = select_model(["knn_loc_shift:k=500", "constant"], s, "L",
+        s = make_sample()
+        failing = ["knn_loc_shift:k=500", "knn_quantile:k=500"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            best = select_model([failing[0], "constant", failing[1]], s,
                                 cv_folds=4, seed=1)
-        assert best == "constant"
+        msgs = [str(w.message) for w in caught]
+        # one warning per failing candidate, not one per side
+        assert len(msgs) == 2
+        for spec, msg in zip(failing, msgs):
+            assert msg.startswith(f"candidate {spec!r} failed during selection")
+        assert best == ("constant", "constant")
 
-    def test_bad_side_errors(self):
-        with pytest.raises(ConfigError):
-            select_model(["constant"], self.make_sample(), "X")
+    def test_all_candidates_failing_fall_back_to_constant(self):
+        s = make_sample()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            best = select_model(["knn_loc_shift:k=500", "bogus_model"], s,
+                                cv_folds=4, seed=1)
+        msgs = [str(w.message) for w in caught]
+        assert len(msgs) == 3
+        assert msgs[2] == "all candidate models failed; using constant model"
+        assert best == ("constant", "constant")
+
+
+class TestExtractionCount:
+    """Each fitted pair is extracted once per row set, for both sides."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from dtebounds import condcdf
+        seen = []
+        original = condcdf.extract_adjusters
+
+        def counting(*args, **kwargs):
+            seen.append(len(np.atleast_2d(args[2])))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(condcdf, "extract_adjusters", counting)
+        return seen
+
+    def test_crossfit_one_model(self, calls):
+        s = make_sample(n=200)
+        folds = make_folds(s, 4, seed=0)
+        crossfit_adjusters(s, folds, ["knn_loc_shift:k=10"], seed=0,
+                           grid_spec=GridSpec("linear", 50))
+        assert len(calls) == folds.k_folds
+        assert sum(calls) == s.n
+
+    def test_split_one_model(self, calls):
+        s = make_sample(n=200)
+        plan = make_split(s, 0.5, seed=0)
+        estimate_split(s, plan, ["knn_loc_shift:k=10"], seed=0,
+                       grid_spec=GridSpec("linear", 50))
+        # treated main rows, then control main rows
+        assert calls == [plan.main_treated.size, plan.main_control.size]
+
+    def test_selection_scores_both_sides_in_one_pass(self, calls):
+        s = make_sample(n=200)
+        select_model(["constant", "knn_loc_shift:k=10"], s, cv_folds=4,
+                     seed=0, grid_spec=GridSpec("linear", 50))
+        assert len(calls) == 2 * 4
 
 
 def test_location_shift_dgp_recovers_shape_up_to_constant():

@@ -174,7 +174,23 @@ class TestRunTable:
         # failing replications are counted, the run completes
         rep = run_table(spec, [McCell(8, 20, "none", "cross-fit")],
                         replications=6, seed=5, theta0=0.428)
-        assert rep.rows[0]["failures"] + rep.rows[0]["replications"] >= 6
+        row = rep.rows[0]
+        assert row["failures"] + row["replications"] == 6
+        assert (row["replications"], row["failures"]) == (0, 6)
+        # no completed replication: no rate, rather than a fabricated 0.0
+        for key in ("reject_zero", "reject_theta0", "avg_length"):
+            assert np.isnan(row[key])
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        import dtebounds.simulate as sim
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug in an estimator")
+
+        monkeypatch.setattr(sim, "estimate_crossfit", broken)
+        with pytest.raises(TypeError, match="bug in an estimator"):
+            run_table(DgpSpec(), [McCell(100, 20, "none", "cross-fit")],
+                      replications=2, seed=5, theta0=0.428)
 
     def test_csv_shape(self):
         spec = DgpSpec()

@@ -48,24 +48,23 @@ class TestBuildCurve:
     def test_hand_enumerated_curve(self):
         # treated adjusted {0.1, 0.9}, control {0.5}
         s = sample_from_arms([0.1, 0.9], [0.5])
-        curve = build_curve(s)
-        np.testing.assert_allclose(curve.merged_breakpoints, [0.1, 0.5, 0.9])
-        np.testing.assert_allclose(curve.delta(np.array([0.1, 0.5, 0.9])),
-                                   [0.5, -0.5, 0.0])
+        rows = dump_curve(build_curve(s))
+        np.testing.assert_allclose(rows[:, 0], [0.1, 0.5, 0.9])
+        np.testing.assert_allclose(rows[:, 1], [0.5, -0.5, 0.0])
 
     def test_zero_adjuster_reduces_to_plain(self):
         rng = np.random.default_rng(4)
         s = sample_from_arms(rng.normal(size=9), rng.normal(size=7))
         c0 = build_curve(s)
         c1 = build_curve(s, Adjuster.zero(s.n))
-        np.testing.assert_array_equal(c0.merged_breakpoints,
-                                      c1.merged_breakpoints)
+        np.testing.assert_array_equal(dump_curve(c0), dump_curve(c1))
 
     def test_identical_arms_flat(self):
         vals = [0.3, 1.2, 2.2]
         s = sample_from_arms(vals, vals)
-        curve = build_curve(s)
-        np.testing.assert_allclose(curve.delta(curve.merged_breakpoints), 0.0)
+        rows = dump_curve(build_curve(s))
+        np.testing.assert_allclose(rows[:, 0], vals)
+        np.testing.assert_allclose(rows[:, 1], 0.0)
 
     def test_adjuster_length_mismatch(self):
         s = sample_from_arms([1.0], [2.0])
@@ -178,8 +177,10 @@ def test_ipw_weight_mode():
     c_ipw = build_curve(s, weight_mode="ipw-normalized", p_of_x=p)
     c_plain = build_curve(s)
     # constant propensity: normalized IPW weights collapse to plain ECDFs
-    t = c_plain.merged_breakpoints
-    np.testing.assert_allclose(c_ipw.delta(t), c_plain.delta(t), atol=1e-12)
+    rows_ipw = dump_curve(c_ipw)
+    rows_plain = dump_curve(c_plain)
+    np.testing.assert_array_equal(rows_ipw[:, 0], rows_plain[:, 0])
+    np.testing.assert_allclose(rows_ipw[:, 1], rows_plain[:, 1], atol=1e-12)
 
 
 def test_ipw_weight_mode_varying_propensity():
@@ -190,7 +191,10 @@ def test_ipw_weight_mode_varying_propensity():
     p = np.array([0.25, 0.5, 0.5, 0.75])
     curve = build_curve(s, weight_mode="ipw-normalized", p_of_x=p)
     # treated weights 1/p normalized: (4, 2)/6; control 1/(1-p): (2, 4)/6
-    assert curve.f1(1.0) == pytest.approx(4 / 6)
-    assert curve.f1(2.0) == pytest.approx(1.0)
-    assert curve.f0(3.0) == pytest.approx(2 / 6)
-    assert curve.delta(3.0) == pytest.approx(1.0 - 2 / 6)
+    f1 = StepCdf.from_values(curve.vals1, curve.w1)
+    f0 = StepCdf.from_values(curve.vals0, curve.w0)
+    assert f1(1.0) == pytest.approx(4 / 6)
+    assert f1(2.0) == pytest.approx(1.0)
+    assert f0(3.0) == pytest.approx(2 / 6)
+    rows = dump_curve(curve)
+    assert rows[rows[:, 0] == 3.0, 1] == pytest.approx([1.0 - 2 / 6])
