@@ -4,6 +4,7 @@ in randomized experiments, via covariate-adjusted two-sample CDF comparisons.
 
 from .condcdf import GridSpec, extract_adjusters, fit_arm_model, select_model
 from .crossfit import (
+    estimate,
     estimate_crossfit,
     one_sided_cis,
     sjls_estimate,
@@ -54,11 +55,11 @@ __all__ = [
     "DegenerateDesignError", "DeltaCurve", "DgpSpec", "FoldPlan", "GridSpec",
     "IntervalReport", "McCell", "PropensityModel", "Sample", "SplitPlan",
     "StepCdf", "StoyeInterval", "build_curve", "dkw_critical", "draw_dgp",
-    "dump_curve", "estimate_crossfit", "estimate_split", "extract_adjusters",
-    "fit_arm_model", "h_threshold", "inf_delta", "load_csv", "make_folds",
-    "make_split", "makarov_bounds", "one_sided_cis", "oracle_adjuster",
-    "oracle_theta0", "run_table", "select_model", "shift_for_delta",
-    "sjls_estimate", "sjls_report", "squash_outcomes", "stoye_ci",
-    "sup_delta", "variance_hat", "variant_fold_t", "variant_group_propensity",
-    "variant_known_propensity",
+    "dump_curve", "estimate", "estimate_crossfit", "estimate_split",
+    "extract_adjusters", "fit_arm_model", "h_threshold", "inf_delta",
+    "load_csv", "makarov_bounds", "make_folds", "make_split", "one_sided_cis",
+    "oracle_adjuster", "oracle_theta0", "run_table", "select_model",
+    "shift_for_delta", "sjls_estimate", "sjls_report", "squash_outcomes",
+    "stoye_ci", "sup_delta", "variance_hat", "variant_fold_t",
+    "variant_group_propensity", "variant_known_propensity",
 ]

@@ -14,16 +14,7 @@ import sys
 import numpy as np
 
 from .condcdf import GridSpec
-from .crossfit import (
-    EstimationError,
-    crossfit_adjusters,
-    estimate_crossfit,
-    one_sided_cis,
-    sjls_report,
-    variant_fold_t,
-    variant_group_propensity,
-    variant_known_propensity,
-)
+from .crossfit import METHODS, EstimationError, crossfit_adjusters, estimate
 from .data import (
     ConfigError,
     CsvParseError,
@@ -34,13 +25,9 @@ from .data import (
     shift_for_delta,
     squash_outcomes,
 )
-from .splitfit import estimate_split, make_split
 from .simulate import DgpSpec, McCell, run_table
-from .stepfun import build_curve, dump_curve, inf_delta, sup_delta
+from .stepfun import build_curve, dump_curve, scan_bounds
 from .stoye import EstimationFailure, H_RULES
-
-METHODS = ("cross-fit", "sample-split", "sjls", "cross-fit-group",
-           "cross-fit-ipw", "cross-fit-foldt")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -261,54 +248,11 @@ def _propensity(cfg: dict, sample) -> PropensityModel:
 
 def _run_analysis(cfg: dict):
     sample = _load_sample(cfg)
-    method = cfg["method"]
-    alpha = cfg["alpha"]
-    seed = cfg["seed"]
-    grid_spec = _grid_spec(cfg)
-    models = _model_list(cfg)
     rules = [cfg["h_rule"]] + [r for r in H_RULES if r != cfg["h_rule"]]
-    external = _external_adjusters(cfg, sample.n)
-    if method == "sample-split":
-        plan = make_split(sample, cfg["aux_fraction"], seed)
-        return sample, estimate_split(sample, plan, models, alpha=alpha,
-                                      seed=seed, grid_spec=grid_spec,
-                                      adjusters=external)
-    folds = make_folds(sample, cfg["k_folds"], seed)
-    if method == "cross-fit":
-        est = estimate_crossfit(sample, folds, models, seed=seed,
-                                grid_spec=grid_spec, adjusters=external)
-        return sample, one_sided_cis(est, alpha, sample.n, method=method,
-                                     h_rules=rules)
-    if method == "sjls":
-        prop = _propensity(cfg, sample)
-        if external is None:
-            s_lo, s_hi, _ = crossfit_adjusters(sample, folds, models, seed,
-                                               grid_spec)
-        else:
-            s_lo, s_hi = external
-        return sample, sjls_report(sample, s_lo, s_hi, prop, alpha)
-    if method == "cross-fit-ipw":
-        prop = _propensity(cfg, sample)
-        est = variant_known_propensity(sample, folds, models, prop,
-                                       seed=seed, grid_spec=grid_spec,
-                                       adjusters=external)
-        return sample, one_sided_cis(est, alpha, sample.n, method=method,
-                                     h_rules=rules)
-    if method == "cross-fit-group":
-        prop = _propensity(cfg, sample)
-        folds = make_folds(sample, cfg["k_folds"], seed,
-                           group_of=prop.group_of)
-        est = variant_group_propensity(sample, folds, models, prop,
-                                       seed=seed, grid_spec=grid_spec,
-                                       adjusters=external)
-        return sample, one_sided_cis(est, alpha, sample.n, method=method,
-                                     h_rules=rules)
-    if method == "cross-fit-foldt":
-        est = variant_fold_t(sample, folds, models, seed=seed,
-                             grid_spec=grid_spec, adjusters=external)
-        return sample, one_sided_cis(est, alpha, sample.n, method=method,
-                                     h_rules=rules)
-    raise ConfigError(f"method: unhandled {method!r}")
+    return estimate(sample, cfg["method"], _model_list(cfg), cfg["alpha"],
+                    cfg["seed"], cfg["k_folds"], cfg["aux_fraction"],
+                    _grid_spec(cfg), _propensity(cfg, sample),
+                    _external_adjusters(cfg, sample.n), rules)
 
 
 def _render_text(rep, cfg: dict) -> str:
@@ -342,7 +286,7 @@ def _render_text(rep, cfg: dict) -> str:
 
 
 def cmd_analyze(cfg: dict) -> int:
-    sample, rep = _run_analysis(cfg)
+    rep = _run_analysis(cfg)
     payload = {"config": _echo(cfg), "report": rep.to_dict()}
     _write_output(cfg, payload, _render_text(rep, cfg))
     return EXIT_OK
@@ -350,16 +294,12 @@ def cmd_analyze(cfg: dict) -> int:
 
 def cmd_bounds_curve(cfg: dict) -> int:
     sample = _load_sample(cfg)
-    models = _model_list(cfg)
     seed = cfg["seed"]
-    grid_spec = _grid_spec(cfg)
     folds = make_folds(sample, cfg["k_folds"], seed)
-    s_lo, s_hi, _ = crossfit_adjusters(sample, folds, models, seed, grid_spec)
-    curve = build_curve(sample, s_lo)
-    t_l, sup = sup_delta(curve)
-    curve_u = build_curve(sample, s_hi)
-    t_u, inf = inf_delta(curve_u)
-    rows = dump_curve(curve)
+    s_lo, s_hi, _ = crossfit_adjusters(sample, folds, _model_list(cfg), seed,
+                                       _grid_spec(cfg))
+    sup, t_l, inf, t_u = scan_bounds(sample, s_lo.values, s_hi.values)
+    rows = dump_curve(build_curve(sample, s_lo))
     header = (f"# adjusted CDF-difference curve (lower side)\n"
               f"# theta_l={float(sup)!r} at t_l={float(t_l)!r}\n"
               f"# theta_u={float(1 + inf)!r} at t_u={float(t_u)!r}\n"

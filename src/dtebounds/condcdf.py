@@ -16,6 +16,7 @@ import numpy as np
 
 from . import kernels
 from .data import Adjuster, ConfigError, Sample, make_folds
+from .stepfun import scan_bounds
 
 __all__ = [
     "GridSpec",
@@ -319,11 +320,7 @@ def _inner_bounds(train: Sample, spec: str, cv_folds: int, seed: int,
                                    spec, [train.x[members]], grid, seed)
         adj_lo[members] = lo
         adj_hi[members] = hi
-    treated = train.d == 1
-    y_lo = train.y - adj_lo
-    y_hi = train.y - adj_hi
-    sup, _, _, _ = kernels.scan_extrema(y_lo[treated], y_lo[~treated])
-    _, _, inf, _ = kernels.scan_extrema(y_hi[treated], y_hi[~treated])
+    sup, _, inf, _ = scan_bounds(train, adj_lo, adj_hi)
     return sup, 1.0 + inf
 
 

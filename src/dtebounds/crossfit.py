@@ -3,7 +3,8 @@
 Adjustment functions are fit out-of-fold and the pooled indicator curves
 are scanned exactly. Asymptotic intervals come from the normal limit of
 the pooled estimators; the two-sided construction with pretesting lives in
-``stoye``.
+``stoye``. ``estimate`` runs any of the package's methods on a sample and
+returns its interval report.
 """
 from __future__ import annotations
 
@@ -18,13 +19,18 @@ from .data import (
     FoldPlan,
     PropensityModel,
     Sample,
+    make_folds,
 )
 from .reports import BoundsEstimate, IntervalReport, clip_unit
-from .stoye import stoye_ci
+from .splitfit import estimate_split, make_split
+from .stepfun import scan_bounds
+from .stoye import H_RULES, stoye_ci
 
 __all__ = [
+    "METHODS",
     "EstimationError",
     "crossfit_adjusters",
+    "estimate",
     "estimate_crossfit",
     "variance_hat",
     "one_sided_cis",
@@ -35,6 +41,9 @@ __all__ = [
     "variant_fold_t",
     "ipw_excess_variance",
 ]
+
+METHODS = ("cross-fit", "sample-split", "sjls", "cross-fit-group",
+           "cross-fit-ipw", "cross-fit-foldt")
 
 FLAT_SPAN_FRACTION = 0.1
 
@@ -83,39 +92,63 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
             Adjuster(values=s_hi, label="fitted_U"), meta)
 
 
+def _adjuster_values(sample, folds, model_specs, seed, grid_spec, adjusters,
+                     select_folds=5):
+    """Cross-fitted (s_lower, s_upper, meta), or the given fixed pair."""
+    if adjusters is not None:
+        return (*adjusters, {"models_per_fold": [("user", "user")]})
+    return crossfit_adjusters(sample, folds, model_specs, seed, grid_spec,
+                              select_folds)
+
+
+def _indicator(sample: Sample, s, t: float):
+    """The 0/1 indicator of each unit's adjusted outcome at threshold t."""
+    return (sample.y <= np.asarray(s) + t).astype(np.float64)
+
+
 def variance_hat(sample: Sample, s_lo_vals, s_hi_vals, t_l: float,
-                 t_u: float):
-    """Indicator variance/covariance triple at the plugged optimizers,
-    combined across arms with the in-sample treated share.
+                 t_u: float, group_of=None):
+    """Indicator variance/covariance triple at the plugged optimizers.
+
+    Within each group the per-arm indicator (co)variances are divided by
+    the group's treated or control share; the groups are combined with
+    their squared sample shares. Without ``group_of`` the whole sample is
+    one group, so the arms are combined with the in-sample treated share.
 
     Returns (sigma2_l, sigma2_u, sigma_lu, diagnostics).
     """
-    z_l = (sample.y <= np.asarray(s_lo_vals) + t_l).astype(np.float64)
-    z_u = (sample.y <= np.asarray(s_hi_vals) + t_u).astype(np.float64)
-    pi_hat = sample.n1 / sample.n
+    z_l = _indicator(sample, s_lo_vals, t_l)
+    z_u = _indicator(sample, s_hi_vals, t_u)
+    g = np.zeros(sample.n) if group_of is None else np.asarray(group_of)
+    total = 0.0
     diagnostics = []
-    parts = {}
-    for arm in (1, 0):
-        sel = sample.d == arm
-        zl, zu = z_l[sel], z_u[sel]
-        v_l = float(zl.var())
-        v_u = float(zu.var())
-        c_lu = float(((zl - zl.mean()) * (zu - zu.mean())).mean())
-        if v_l == 0.0 or v_u == 0.0:
-            diagnostics.append(
-                f"arm {arm}: degenerate indicator variance at the optimizer")
-        parts[arm] = (v_l, v_u, c_lu)
-    sigma2_l = parts[1][0] / pi_hat + parts[0][0] / (1 - pi_hat)
-    sigma2_u = parts[1][1] / pi_hat + parts[0][1] / (1 - pi_hat)
-    sigma_lu = parts[1][2] / pi_hat + parts[0][2] / (1 - pi_hat)
+    for gv in np.unique(g):
+        sel = g == gv
+        p1 = sample.d[sel].mean()
+        term = 0.0
+        for arm, share in ((1, p1), (0, 1.0 - p1)):
+            cell = sel & (sample.d == arm)
+            zl = z_l[cell] - z_l[cell].mean()
+            zu = z_u[cell] - z_u[cell].mean()
+            v = np.array([(zl * zl).mean(), (zu * zu).mean(),
+                          (zl * zu).mean()])
+            if v[0] == 0.0 or v[1] == 0.0:
+                diagnostics.append(f"arm {arm}: degenerate indicator "
+                                   "variance at the optimizer")
+            term = term + v / share
+        total = total + sel.mean() ** 2 * term
+    sigma2_l, sigma2_u, sigma_lu = (float(v) for v in total)
     return sigma2_l, sigma2_u, sigma_lu, diagnostics
 
 
-def _flat_span_diagnostic(y_adj_t, y_adj_c, target, outcome_range, which):
-    pts, d = kernels.delta_profile(y_adj_t, y_adj_c)
+def _flat_span_diagnostic(sample, s_vals, target, which):
+    y_adj = sample.y - s_vals
+    t_mask = sample.d == 1
+    pts, d = kernels.delta_profile(y_adj[t_mask], y_adj[~t_mask])
     hit = pts[np.abs(d - target) <= 1e-12]
     if hit.size >= 2:
         span = float(hit.max() - hit.min())
+        outcome_range = sample.y_hi - sample.y_lo
         if span > FLAT_SPAN_FRACTION * max(outcome_range, 1e-12):
             return (f"near-flat difference curve: {which} attained on a span "
                     f"of {span:.3g} (uniqueness-of-optimizer diagnostic)")
@@ -131,30 +164,19 @@ def estimate_crossfit(sample: Sample, folds: FoldPlan, model_specs,
     ``adjusters`` bypasses model fitting with fixed per-unit adjustment
     values (e.g. simulation oracles or externally fitted learners).
     """
-    if adjusters is None:
-        s_lo, s_hi, meta = crossfit_adjusters(sample, folds, model_specs,
-                                              seed, grid_spec, select_folds)
-    else:
-        s_lo, s_hi = adjusters
-        meta = {"models_per_fold": [("user", "user")]}
-    y_lo = sample.y - s_lo.values
-    y_hi = sample.y - s_hi.values
-    t_mask = sample.d == 1
-    sup, t_l, _, _ = kernels.scan_extrema(y_lo[t_mask], y_lo[~t_mask])
-    _, _, inf, t_u = kernels.scan_extrema(y_hi[t_mask], y_hi[~t_mask])
-    theta_l, theta_u = sup, 1.0 + inf
+    s_lo, s_hi, meta = _adjuster_values(sample, folds, model_specs, seed,
+                                        grid_spec, adjusters, select_folds)
+    sup, t_l, inf, t_u = scan_bounds(sample, s_lo.values, s_hi.values)
     sigma2_l, sigma2_u, sigma_lu, diags = variance_hat(
         sample, s_lo.values, s_hi.values, t_l, t_u)
-    rng_span = sample.y_hi - sample.y_lo
-    for arrs, target, which in ((y_lo, sup, "max"), (y_hi, inf, "min")):
-        msg = _flat_span_diagnostic(arrs[t_mask], arrs[~t_mask], target,
-                                    rng_span, which=which)
+    for s, target, which in ((s_lo, sup, "max"), (s_hi, inf, "min")):
+        msg = _flat_span_diagnostic(sample, s.values, target, which)
         if msg:
             diags.append(msg)
     if "adjuster_sd_l" in meta:
         diags.append(f"per-fold adjuster sd: L={meta['adjuster_sd_l']:.4g} "
                      f"U={meta['adjuster_sd_u']:.4g}")
-    return BoundsEstimate(theta_l=theta_l, theta_u=theta_u, t_l=t_l, t_u=t_u,
+    return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
                           sigma2_l=sigma2_l, sigma2_u=sigma2_u,
                           sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
                           n=sample.n, diagnostics=diags)
@@ -173,14 +195,14 @@ def _p_upper_one(theta_u, se):
 
 
 def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
-                  method: str = "cross-fit", h_rules=("stoye", "logn",
-                                                      "qloglog"),
-                  with_stoye: bool = True) -> IntervalReport:
+                  method: str = "cross-fit",
+                  h_rules=H_RULES) -> IntervalReport:
     """One-sided normal intervals plus the pretested two-sided interval
     under each threshold rule.
 
     The one-sided pair uses z_alpha; p-values test a zero lower bound and
-    a unit upper bound.
+    a unit upper bound. With no threshold rules (``h_rules=()``) the
+    two-sided interval is the pair of one-sided endpoints.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
@@ -195,7 +217,7 @@ def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
         diags.append("zero variance: degenerate p-values")
     by_rule = {}
     stoye_default = None
-    if with_stoye and 0.0 < alpha < 0.5:
+    if 0.0 < alpha < 0.5:
         for rule in h_rules:
             si = stoye_ci(est, alpha, n, h_rule=rule)
             by_rule[rule] = (si.lo, si.hi)
@@ -204,7 +226,6 @@ def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
     if stoye_default is not None:
         two_raw = (stoye_default.lo, stoye_default.hi)
         crossed = stoye_default.empty
-        two = (clip_unit(two_raw[0]), clip_unit(max(*two_raw)))
         crit = {"z_alpha": z_a, "c_l": stoye_default.c_l,
                 "c_u": stoye_default.c_u, "lambda": stoye_default.lam,
                 "h_n": stoye_default.h_n}
@@ -213,8 +234,8 @@ def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
     else:
         two_raw = (lo_raw, hi_raw)
         crossed = two_raw[0] > two_raw[1]
-        two = (clip_unit(two_raw[0]), clip_unit(max(*two_raw)))
         crit = {"z_alpha": z_a}
+    two = (clip_unit(two_raw[0]), clip_unit(max(*two_raw)))
     return IntervalReport(
         method=method,
         alpha=alpha,
@@ -252,10 +273,19 @@ def _propensity_values(sample: Sample, propensity: PropensityModel):
         "known_function mode)")
 
 
-def _ipw_delta_at(sample: Sample, s_vals, t: float, p):
-    z = (sample.y <= np.asarray(s_vals) + t).astype(np.float64)
+def _ipw_mean(sample: Sample, p, z) -> float:
+    """Raw inverse-propensity weighted treated-minus-control mean of z."""
     w = np.where(sample.d == 1, 1.0 / p, -1.0 / (1.0 - p))
     return float(np.mean(w * z))
+
+
+def _ipw_sigma(sample: Sample, p, z_l, z_u, m_l: float, m_u: float):
+    """(sigma2_l, sigma2_u, sigma_lu) of the weighted means m_l and m_u of
+    the indicators z_l and z_u, from their weighted second moments."""
+    w2 = sample.d / p**2 + (1 - sample.d) / (1 - p) ** 2
+    return (float(np.mean(w2 * z_l) - m_l**2),
+            float(np.mean(w2 * z_u) - m_u**2),
+            float(np.mean(w2 * z_l * z_u) - m_l * m_u))
 
 
 def sjls_estimate(sample: Sample, s_lo: Adjuster,
@@ -268,34 +298,23 @@ def sjls_estimate(sample: Sample, s_lo: Adjuster,
     the same weighting (see variant_known_propensity).
     """
     p = _propensity_values(sample, propensity)
-    return _ipw_delta_at(sample, s_lo.values, 0.0, p)
-
-
-def _ipw_variance_at(sample: Sample, s_vals, t: float, p, delta_val: float):
-    z = (sample.y <= np.asarray(s_vals) + t).astype(np.float64)
-    m2 = np.mean((sample.d / p**2 + (1 - sample.d) / (1 - p) ** 2) * z)
-    return float(m2 - delta_val**2)
+    return _ipw_mean(sample, p, _indicator(sample, s_lo.values, 0.0))
 
 
 def sjls_report(sample: Sample, s_lo: Adjuster, s_hi: Adjuster,
                 propensity: PropensityModel, alpha: float = 0.05) -> IntervalReport:
     """Interval report for the t=0 comparison estimator on both sides."""
     p = _propensity_values(sample, propensity)
-    d_l = _ipw_delta_at(sample, s_lo.values, 0.0, p)
-    d_u = _ipw_delta_at(sample, s_hi.values, 0.0, p)
-    theta_l, theta_u = d_l, 1.0 + d_u
-    sigma2_l = _ipw_variance_at(sample, s_lo.values, 0.0, p, d_l)
-    sigma2_u = _ipw_variance_at(sample, s_hi.values, 0.0, p, d_u)
-    z_l = (sample.y <= s_lo.values).astype(np.float64)
-    z_u = (sample.y <= s_hi.values).astype(np.float64)
-    m2 = np.mean((sample.d / p**2 + (1 - sample.d) / (1 - p) ** 2) * z_l * z_u)
-    sigma_lu = float(m2 - d_l * d_u)
-    est = BoundsEstimate(theta_l=theta_l, theta_u=theta_u, t_l=0.0, t_u=0.0,
+    z_l = _indicator(sample, s_lo.values, 0.0)
+    z_u = _indicator(sample, s_hi.values, 0.0)
+    d_l = _ipw_mean(sample, p, z_l)
+    d_u = _ipw_mean(sample, p, z_u)
+    sigma2_l, sigma2_u, sigma_lu = _ipw_sigma(sample, p, z_l, z_u, d_l, d_u)
+    est = BoundsEstimate(theta_l=d_l, theta_u=1.0 + d_u, t_l=0.0, t_u=0.0,
                          sigma2_l=sigma2_l, sigma2_u=sigma2_u,
                          sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
                          n=sample.n)
-    return one_sided_cis(est, alpha, sample.n, method="sjls",
-                         with_stoye=False)
+    return one_sided_cis(est, alpha, sample.n, method="sjls", h_rules=())
 
 
 def variant_known_propensity(sample: Sample, folds: FoldPlan, model_specs,
@@ -305,30 +324,19 @@ def variant_known_propensity(sample: Sample, folds: FoldPlan, model_specs,
     """Scanned estimator under the raw (un-normalized) known-propensity
     weighting; estimates can leave [0,1] and are reported unclipped."""
     p = _propensity_values(sample, propensity)
-    if adjusters is None:
-        s_lo, s_hi, _ = crossfit_adjusters(sample, folds, model_specs, seed,
-                                           grid_spec)
-    else:
-        s_lo, s_hi = adjusters
-    t_mask = sample.d == 1
+    s_lo, s_hi, _ = _adjuster_values(sample, folds, model_specs, seed,
+                                     grid_spec, adjusters)
     n = sample.n
-    w1 = 1.0 / (n * p[t_mask])
-    w0 = 1.0 / (n * (1.0 - p[~t_mask]))
-    y_lo = sample.y - s_lo.values
-    y_hi = sample.y - s_hi.values
-    sup, t_l, _, _ = kernels.scan_extrema(y_lo[t_mask], y_lo[~t_mask], w1, w0)
-    _, _, inf, t_u = kernels.scan_extrema(y_hi[t_mask], y_hi[~t_mask], w1, w0)
+    w = np.where(sample.d == 1, 1.0 / (n * p), 1.0 / (n * (1.0 - p)))
+    sup, t_l, inf, t_u = scan_bounds(sample, s_lo.values, s_hi.values, w)
     # t = 0 lies in the scanned domain; evaluating it explicitly guards the
     # exact dominance over the t=0 comparison estimator against float-path
     # differences between the cumulative scan and the direct mean
-    sup = max(sup, _ipw_delta_at(sample, s_lo.values, 0.0, p))
-    inf = min(inf, _ipw_delta_at(sample, s_hi.values, 0.0, p))
-    sigma2_l = _ipw_variance_at(sample, s_lo.values, t_l, p, sup)
-    sigma2_u = _ipw_variance_at(sample, s_hi.values, t_u, p, inf)
-    z_l = (sample.y <= s_lo.values + t_l).astype(np.float64)
-    z_u = (sample.y <= s_hi.values + t_u).astype(np.float64)
-    m2 = np.mean((sample.d / p**2 + (1 - sample.d) / (1 - p) ** 2) * z_l * z_u)
-    sigma_lu = float(m2 - sup * inf)
+    sup = max(sup, _ipw_mean(sample, p, _indicator(sample, s_lo.values, 0.0)))
+    inf = min(inf, _ipw_mean(sample, p, _indicator(sample, s_hi.values, 0.0)))
+    sigma2_l, sigma2_u, sigma_lu = _ipw_sigma(
+        sample, p, _indicator(sample, s_lo.values, t_l),
+        _indicator(sample, s_hi.values, t_u), sup, inf)
     return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
                           sigma2_l=sigma2_l, sigma2_u=sigma2_u,
                           sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
@@ -358,47 +366,17 @@ def variant_group_propensity(sample: Sample, folds: FoldPlan, model_specs,
         raise ConfigError("group indices must cover the sample")
     propensity.validate_groups(sample.d)
     groups = np.unique(g)
-    g_bar = groups.size
-    if adjusters is None:
-        s_lo, s_hi, _ = crossfit_adjusters(sample, folds, model_specs, seed,
-                                           grid_spec)
-    else:
-        s_lo, s_hi = adjusters
+    s_lo, s_hi, _ = _adjuster_values(sample, folds, model_specs, seed,
+                                     grid_spec, adjusters)
     t_mask = sample.d == 1
     w = np.empty(sample.n)
     for gv in groups:
-        for arm, mask in ((1, t_mask), (0, ~t_mask)):
+        for mask in (t_mask, ~t_mask):
             cell = (g == gv) & mask
-            w[cell] = 1.0 / (g_bar * cell.sum())
-    y_lo = sample.y - s_lo.values
-    y_hi = sample.y - s_hi.values
-    sup, t_l, _, _ = kernels.scan_extrema(y_lo[t_mask], y_lo[~t_mask],
-                                          w[t_mask], w[~t_mask])
-    _, _, inf, t_u = kernels.scan_extrema(y_hi[t_mask], y_hi[~t_mask],
-                                          w[t_mask], w[~t_mask])
-    z_l = (sample.y <= s_lo.values + t_l).astype(np.float64)
-    z_u = (sample.y <= s_hi.values + t_u).astype(np.float64)
-    sigma2_l = sigma2_u = sigma_lu = 0.0
-    for gv in groups:
-        sel = g == gv
-        pi_g = sel.mean()
-        p1 = sample.d[sel].mean()
-        p0 = 1.0 - p1
-        for zl_or, zu_or, acc in ((z_l, z_l, "l"), (z_u, z_u, "u"),
-                                  (z_l, z_u, "lu")):
-            v1 = float(((zl_or[sel & t_mask] - zl_or[sel & t_mask].mean())
-                        * (zu_or[sel & t_mask] - zu_or[sel & t_mask].mean())
-                        ).mean())
-            v0 = float(((zl_or[sel & ~t_mask] - zl_or[sel & ~t_mask].mean())
-                        * (zu_or[sel & ~t_mask] - zu_or[sel & ~t_mask].mean())
-                        ).mean())
-            term = pi_g**2 * (v1 / p1 + v0 / p0)
-            if acc == "l":
-                sigma2_l += term
-            elif acc == "u":
-                sigma2_u += term
-            else:
-                sigma_lu += term
+            w[cell] = 1.0 / (groups.size * cell.sum())
+    sup, t_l, inf, t_u = scan_bounds(sample, s_lo.values, s_hi.values, w)
+    sigma2_l, sigma2_u, sigma_lu, _ = variance_hat(
+        sample, s_lo.values, s_hi.values, t_l, t_u, group_of=g)
     return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
                           sigma2_l=sigma2_l, sigma2_u=sigma2_u,
                           sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
@@ -411,33 +389,22 @@ def variant_fold_t(sample: Sample, folds: FoldPlan, model_specs,
     """Optimization-free variant: each fold's location is learned
     out-of-fold and absorbed into the adjustment function, and the pooled
     indicator difference is evaluated at t = 0."""
-    if adjusters is None:
-        s_lo, s_hi, _ = crossfit_adjusters(sample, folds, model_specs, seed,
-                                           grid_spec)
-    else:
-        s_lo, s_hi = adjusters
+    s_lo, s_hi, _ = _adjuster_values(sample, folds, model_specs, seed,
+                                     grid_spec, adjusters)
     s_lo_t = s_lo.values.copy()
     s_hi_t = s_hi.values.copy()
     for k in range(1, folds.k_folds + 1):
         oof = folds.complement(k)
-        members = folds.members(k)
         d_oof = sample.d[oof]
-        y_lo_oof = sample.y[oof] - s_lo.values[oof]
-        y_hi_oof = sample.y[oof] - s_hi.values[oof]
-        if (d_oof == 1).sum() == 0 or (d_oof == 0).sum() == 0:
+        if d_oof.all() or not d_oof.any():
             raise EstimationError(f"fold {k}: out-of-fold arm empty")
-        _, t_k_l, _, _ = kernels.scan_extrema(y_lo_oof[d_oof == 1],
-                                              y_lo_oof[d_oof == 0])
-        _, _, _, t_k_u = kernels.scan_extrema(y_hi_oof[d_oof == 1],
-                                              y_hi_oof[d_oof == 0])
-        if not np.isfinite(t_k_l):
-            t_k_l = 0.0
-        if not np.isfinite(t_k_u):
-            t_k_u = 0.0
-        s_lo_t[members] += t_k_l
-        s_hi_t[members] += t_k_u
-    z_l = (sample.y <= s_lo_t).astype(np.float64)
-    z_u = (sample.y <= s_hi_t).astype(np.float64)
+        _, t_k_l, _, t_k_u = scan_bounds(sample.subset(oof), s_lo.values[oof],
+                                         s_hi.values[oof])
+        members = folds.members(k)
+        s_lo_t[members] += t_k_l if np.isfinite(t_k_l) else 0.0
+        s_hi_t[members] += t_k_u if np.isfinite(t_k_u) else 0.0
+    z_l = _indicator(sample, s_lo_t, 0.0)
+    z_u = _indicator(sample, s_hi_t, 0.0)
     t_mask = sample.d == 1
     theta_l = float(z_l[t_mask].mean() - z_l[~t_mask].mean())
     theta_u = 1.0 + float(z_u[t_mask].mean() - z_u[~t_mask].mean())
@@ -447,3 +414,58 @@ def variant_fold_t(sample: Sample, folds: FoldPlan, model_specs,
                           sigma2_l=sigma2_l, sigma2_u=sigma2_u,
                           sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
                           n=sample.n, diagnostics=diags)
+
+
+# ---------------------------------------------------------------------------
+# One entry point for every method.
+# ---------------------------------------------------------------------------
+
+def estimate(sample: Sample, method: str, model_specs, alpha: float = 0.05,
+             seed: int = 0, k_folds: int = 5, aux_fraction: float = 0.5,
+             grid_spec: GridSpec = GridSpec(),
+             propensity: PropensityModel = PropensityModel(),
+             adjusters: tuple[Adjuster, Adjuster] | None = None,
+             h_rules=H_RULES) -> IntervalReport:
+    """Run one of ``METHODS`` on ``sample`` and return its interval report.
+
+    ``sample-split`` splits with ``aux_fraction`` and reports DKW
+    intervals; the other methods cross-fit over ``k_folds`` folds (strata
+    are group x arm cells for ``cross-fit-group``). ``sjls`` and
+    ``cross-fit-ipw`` read a known ``propensity``, ``cross-fit-group`` its
+    groups. ``adjusters`` replaces model fitting with fixed per-unit values.
+    The z-interval methods report a pretested two-sided interval per rule
+    in ``h_rules``, the first being the headline one; with no rules the
+    two-sided interval is the one-sided pair.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"method: {method!r} is not one of "
+                          f"{', '.join(METHODS)}")
+    if method == "sample-split":
+        return estimate_split(sample, make_split(sample, aux_fraction, seed),
+                              model_specs, alpha=alpha, seed=seed,
+                              grid_spec=grid_spec, adjusters=adjusters)
+    if method == "sjls":
+        # fixed adjusters need no fold plan
+        folds = None if adjusters is not None else make_folds(sample, k_folds,
+                                                              seed)
+        s_lo, s_hi, _ = _adjuster_values(sample, folds, model_specs, seed,
+                                         grid_spec, adjusters)
+        return sjls_report(sample, s_lo, s_hi, propensity, alpha)
+    if method == "cross-fit-group":
+        folds = make_folds(sample, k_folds, seed,
+                           group_of=propensity.group_of)
+        est = variant_group_propensity(sample, folds, model_specs, propensity,
+                                       seed, grid_spec, adjusters)
+    else:
+        folds = make_folds(sample, k_folds, seed)
+        if method == "cross-fit":
+            est = estimate_crossfit(sample, folds, model_specs, seed,
+                                    grid_spec, adjusters)
+        elif method == "cross-fit-ipw":
+            est = variant_known_propensity(sample, folds, model_specs,
+                                           propensity, seed, grid_spec,
+                                           adjusters)
+        else:
+            est = variant_fold_t(sample, folds, model_specs, seed, grid_spec,
+                                 adjusters)
+    return one_sided_cis(est, alpha, sample.n, method=method, h_rules=h_rules)

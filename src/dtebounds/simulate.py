@@ -13,23 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossfit import (
-    EstimationError,
-    estimate_crossfit,
-    one_sided_cis,
-    sjls_report,
-    variant_fold_t,
-    variant_known_propensity,
-)
+from .crossfit import METHODS, EstimationError, estimate
 from .data import (
     Adjuster,
     ConfigError,
     DegenerateDesignError,
     PropensityModel,
     Sample,
-    make_folds,
 )
-from .splitfit import estimate_split, make_split
 from .stoye import EstimationFailure
 
 __all__ = [
@@ -46,8 +37,8 @@ __all__ = [
 ]
 
 MODELS = ("none", "oracle")  # plus any conditional-CDF model spec string
-ESTIMATORS = ("cross-fit", "sample-split", "sjls", "cross-fit-ipw",
-              "cross-fit-foldt")
+# every method but the group one, which the design has no groups for
+ESTIMATORS = tuple(m for m in METHODS if m != "cross-fit-group")
 
 
 @dataclass(frozen=True)
@@ -346,37 +337,15 @@ def _run_cell(cell: McCell, spec: DgpSpec, alpha: float, theta0: float,
 def _run_estimator(estimator, sample, adjusters, specs, alpha, seed, k_folds,
                    aux_fraction, true_pi):
     """Returns (raw lower one-sided endpoint, reported interval length)."""
+    prop = PropensityModel()
+    if estimator in ("sjls", "cross-fit-ipw"):
+        prop = PropensityModel(mode="constant_known", pi=true_pi)
+    rep = estimate(sample, estimator, specs or [], alpha, seed, k_folds,
+                   aux_fraction, propensity=prop, adjusters=adjusters,
+                   h_rules=())
     if estimator == "sample-split":
-        plan = make_split(sample, aux_fraction, seed)
-        rep = estimate_split(sample, plan, specs or [], alpha=alpha,
-                             seed=seed, adjusters=adjusters)
         # length of the two-sided (half-alpha) interval
         return rep.lower_onesided_raw, rep.two_sided_length
-    if estimator == "sjls":
-        prop = PropensityModel(mode="constant_known", pi=true_pi)
-        if adjusters is None:
-            folds = make_folds(sample, k_folds, seed)
-            from .crossfit import crossfit_adjusters
-            s_lo, s_hi, _ = crossfit_adjusters(sample, folds, specs, seed)
-        else:
-            s_lo, s_hi = adjusters
-        rep = sjls_report(sample, s_lo, s_hi, prop, alpha)
-        return rep.lower_onesided_raw, rep.onesided_pair_length
-    folds = make_folds(sample, k_folds, seed)
-    if estimator == "cross-fit":
-        est = estimate_crossfit(sample, folds, specs or [], seed=seed,
-                                adjusters=adjusters)
-    elif estimator == "cross-fit-ipw":
-        prop = PropensityModel(mode="constant_known", pi=true_pi)
-        est = variant_known_propensity(sample, folds, specs or [], prop,
-                                       seed=seed, adjusters=adjusters)
-    elif estimator == "cross-fit-foldt":
-        est = variant_fold_t(sample, folds, specs or [], seed=seed,
-                             adjusters=adjusters)
-    else:
-        raise ConfigError(f"unknown estimator {estimator!r}")
-    rep = one_sided_cis(est, alpha, sample.n, method=estimator,
-                        with_stoye=False)
     return rep.lower_onesided_raw, rep.onesided_pair_length
 
 

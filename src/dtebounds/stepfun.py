@@ -21,6 +21,7 @@ __all__ = [
     "build_curve",
     "sup_delta",
     "inf_delta",
+    "scan_bounds",
     "makarov_bounds",
     "dump_curve",
 ]
@@ -133,12 +134,30 @@ def inf_delta(curve: DeltaCurve) -> tuple[float, float]:
     return t_inf, inf
 
 
+def scan_bounds(sample: Sample, s_lo, s_hi, weights=None):
+    """Exact optimizers of both adjusted difference curves: the max over t
+    of the curve of y - s_lo and the min over t of the curve of y - s_hi.
+
+    ``weights`` holds one positive weight per unit (None: plain ECDFs).
+    Returns (sup, t_l, inf, t_u) with the conventions of ``sup_delta`` and
+    ``inf_delta``; the bounds are sup and 1 + inf.
+    """
+    t_mask = sample.d == 1
+    w1 = w0 = None
+    if weights is not None:
+        w1, w0 = weights[t_mask], weights[~t_mask]
+    y_lo = sample.y - s_lo
+    y_hi = sample.y - s_hi
+    sup, t_l, _, _ = kernels.scan_extrema(y_lo[t_mask], y_lo[~t_mask], w1, w0)
+    _, _, inf, t_u = kernels.scan_extrema(y_hi[t_mask], y_hi[~t_mask], w1, w0)
+    return sup, t_l, inf, t_u
+
+
 def makarov_bounds(sample: Sample) -> BoundsEstimate:
     """Unadjusted bounds on P(Y(1) - Y(0) <= 0) from the two observed arms;
     equivalent to the adjusted machinery with a zero adjustment term."""
-    curve = build_curve(sample)
-    t_l, sup = sup_delta(curve)
-    t_u, inf = inf_delta(curve)
+    zero = np.zeros(sample.n)
+    sup, t_l, inf, t_u = scan_bounds(sample, zero, zero)
     return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
                           pi_hat=sample.n1 / sample.n, n=sample.n)
 

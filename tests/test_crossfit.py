@@ -102,18 +102,18 @@ class TestOneSidedCis:
         est = BoundsEstimate(theta_l=0.108, theta_u=0.95, t_l=0, t_u=0,
                              sigma2_l=sigma**2, sigma2_u=sigma**2,
                              sigma_lu=0.0, pi_hat=0.5, n=n)
-        rep = one_sided_cis(est, 0.05, with_stoye=False)
+        rep = one_sided_cis(est, 0.05, h_rules=())
         assert rep.p_lower_zero < 1e-3
         assert rep.p_lower_zero == pytest.approx(norm.sf(3.6), rel=1e-10)
 
     def test_zero_estimate_gives_half(self):
         est = self.base_est(theta_l=0.0)
-        rep = one_sided_cis(est, 0.05, with_stoye=False)
+        rep = one_sided_cis(est, 0.05, h_rules=())
         assert rep.p_lower_zero == pytest.approx(0.5)
 
     def test_z_alpha_value(self):
         est = self.base_est()
-        rep = one_sided_cis(est, 0.05, with_stoye=False)
+        rep = one_sided_cis(est, 0.05, h_rules=())
         assert rep.crit["z_alpha"] == pytest.approx(1.6449, abs=1e-4)
         expected = est.theta_l - rep.crit["z_alpha"] * est.sigma_l / np.sqrt(est.n)
         assert rep.lower_onesided_raw == pytest.approx(expected)
@@ -125,7 +125,7 @@ class TestOneSidedCis:
         est = BoundsEstimate(theta_l=0.1, theta_u=0.946, t_l=0, t_u=0,
                              sigma2_l=sig**2, sigma2_u=sig**2, sigma_lu=0.0,
                              pi_hat=0.5, n=n)
-        rep = one_sided_cis(est, 0.05, with_stoye=False)
+        rep = one_sided_cis(est, 0.05, h_rules=())
         assert rep.p_upper_one == pytest.approx(norm.cdf((0.946 - 1) / 0.028),
                                                 rel=1e-10)
 
@@ -327,7 +327,7 @@ class TestFoldTVariant:
             folds = make_folds(s, 4, seed=int(rng.integers(2**31)))
             adv = Adjuster(values=rng.normal(size=160))
             ft = variant_fold_t(s, folds, [], adjusters=(adv, adv))
-            rep = one_sided_cis(ft, 0.1, with_stoye=False)
+            rep = one_sided_cis(ft, 0.1, h_rules=())
             cover += (rep.lower_onesided_raw <= theta
                       <= rep.upper_onesided_raw)
         assert cover / reps >= 0.85

@@ -182,12 +182,12 @@ class TestRunTable:
             assert np.isnan(row[key])
 
     def test_programming_errors_propagate(self, monkeypatch):
-        import dtebounds.simulate as sim
+        import dtebounds.crossfit as cf
 
         def broken(*args, **kwargs):
             raise TypeError("bug in an estimator")
 
-        monkeypatch.setattr(sim, "estimate_crossfit", broken)
+        monkeypatch.setattr(cf, "estimate_crossfit", broken)
         with pytest.raises(TypeError, match="bug in an estimator"):
             run_table(DgpSpec(), [McCell(100, 20, "none", "cross-fit")],
                       replications=2, seed=5, theta0=0.428)
