@@ -102,8 +102,12 @@ def _adjuster_values(sample, folds, model_specs, seed, grid_spec, adjusters,
 
 
 def _indicator(sample: Sample, s, t: float):
-    """The 0/1 indicator of each unit's adjusted outcome at threshold t."""
-    return (sample.y <= np.asarray(s) + t).astype(np.float64)
+    """The 0/1 indicator of each unit's adjusted outcome at threshold t.
+
+    It compares y - s with t, exactly as the scan does, so the indicator
+    means at a scanned optimizer reproduce the scanned value bit for bit.
+    """
+    return ((sample.y - np.asarray(s)) <= t).astype(np.float64)
 
 
 def variance_hat(sample: Sample, s_lo_vals, s_hi_vals, t_l: float,

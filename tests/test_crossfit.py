@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from dtebounds.crossfit import (
     EstimationError,
+    _indicator,
     estimate_crossfit,
     ipw_excess_variance,
     one_sided_cis,
@@ -87,6 +90,31 @@ class TestVarianceHat:
             b = rng.normal(size=s.n)
             s2l, s2u, slu, _ = variance_hat(s, a, b, 0.1, -0.2)
             assert abs(slu) <= np.sqrt(s2l * s2u) + 1e-12
+
+
+TENTHS = st.integers(-30, 30).map(lambda v: v / 10)
+ADJUSTER = st.one_of(TENTHS, st.floats(-5.0, 5.0))
+
+
+class TestIndicatorConvention:
+    """Every indicator counts y - s <= t, the comparison the scan makes, so
+    the indicator means at the reported optimizers reproduce the bounds
+    exactly, for any adjusters and with ties."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(TENTHS, st.integers(0, 1), ADJUSTER, ADJUSTER),
+                    min_size=2, max_size=60))
+    def test_indicator_means_reproduce_theta(self, rows):
+        y, d, s_lo, s_hi = (np.array(col) for col in zip(*rows))
+        d[:2] = (0, 1)
+        s = Sample(y, d, np.zeros((y.size, 1)))
+        est = estimate_crossfit(s, None, [], adjusters=(Adjuster(s_lo),
+                                                        Adjuster(s_hi)))
+        t = s.d == 1
+        z_l = _indicator(s, s_lo, est.t_l)
+        z_u = _indicator(s, s_hi, est.t_u)
+        assert z_l[t].mean() - z_l[~t].mean() == est.theta_l
+        assert 1.0 + (z_u[t].mean() - z_u[~t].mean()) == est.theta_u
 
 
 class TestOneSidedCis:
