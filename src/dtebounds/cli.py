@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -193,11 +194,31 @@ def _read_column(path: str, col: str) -> np.ndarray:
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(reader, [])]
         if col not in header:
             raise ConfigError(f"column {col!r} not found in {path}")
         j = header.index(col)
-        return np.array([row[j].strip() for row in reader])
+        out = []
+        for rownum, row in enumerate(reader, start=1):
+            if len(row) <= j:
+                raise CsvParseError(f"{path}: row {rownum}: no {col!r} field")
+            out.append(row[j].strip())
+        return np.array(out)
+
+
+def _read_numbers(path: str, col: str) -> np.ndarray:
+    """A numeric column; a cell that is not a finite number raises
+    CsvParseError naming its row (1-based, excluding the header)."""
+    raw = _read_column(path, col)
+    for rownum, val in enumerate(raw, start=1):
+        try:
+            ok = math.isfinite(float(val))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise CsvParseError(f"{path}: row {rownum}: {col!r} value "
+                                f"{str(val)!r} is not a finite number")
+    return raw.astype(float)
 
 
 def _load_sample(cfg: dict):
@@ -219,8 +240,8 @@ def _external_adjusters(cfg: dict, n: int):
         return None
     from .data import Adjuster
 
-    s_l = _read_column(cfg["adjuster_file"], "s_l").astype(float)
-    s_u = _read_column(cfg["adjuster_file"], "s_u").astype(float)
+    s_l = _read_numbers(cfg["adjuster_file"], "s_l")
+    s_u = _read_numbers(cfg["adjuster_file"], "s_u")
     if s_l.size != n:
         raise ConfigError(
             f"adjuster_file: expected {n} rows, got {s_l.size}")
@@ -235,7 +256,7 @@ def _propensity(cfg: dict, sample) -> PropensityModel:
     if mode == "known_function":
         if not cfg.get("propensity.col"):
             raise ConfigError("propensity.col: required for known_function")
-        vals = _read_column(cfg["input"], cfg["propensity.col"]).astype(float)
+        vals = _read_numbers(cfg["input"], cfg["propensity.col"])
         return PropensityModel(mode=mode, p_of_x=vals)
     if mode == "group":
         if not cfg.get("group.col"):
@@ -322,7 +343,8 @@ def cmd_simulate(cfg: dict) -> int:
             if not line or line.lower().startswith("n,"):
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 4:
+            if len(parts) != 4 or not (parts[0].isdigit()
+                                       and parts[1].isdigit()):
                 raise ConfigError(
                     f"{cfg['cells']}:{lineno}: expected n,p,model,estimator")
             cells.append(McCell(int(parts[0]), int(parts[1]), parts[2],

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import Adjuster, ConfigError, Sample, make_folds
+from .data import (
+    Adjuster,
+    ConfigError,
+    DegenerateDesignError,
+    Sample,
+    make_folds,
+)
 from .stepfun import scan_bounds
 
 __all__ = [
@@ -32,6 +38,9 @@ __all__ = [
 ]
 
 TAU_GRID = np.round(np.linspace(0.0, 1.0, 101), 2)
+MODEL_NAMES = ("constant", "knn_loc_shift", "ridge_loc_shift", "knn_quantile")
+# the ways a model can fail to fit its data; anything else is a bug
+FIT_ERRORS = (ConfigError, DegenerateDesignError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -210,7 +219,8 @@ def fit_arm_model(y, x, spec: str, seed: int = 0) -> ConditionalCdfModel:
     """Fit one arm's conditional CDF model from outcomes y and covariates x.
 
     Degenerate (constant) covariates trigger a fallback to the constant
-    model with a warning; an oversized k is an error.
+    model with a warning; an oversized k or a non-numeric parameter is a
+    ConfigError.
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -223,22 +233,25 @@ def fit_arm_model(y, x, spec: str, seed: int = 0) -> ConditionalCdfModel:
         warnings.warn(f"constant covariates: falling back to constant model"
                       f" (requested {spec!r})")
         return ConstantCdfModel(y)
-    k_default = math.ceil(math.sqrt(y.size))
+    try:
+        k = int(params.get("k", math.ceil(math.sqrt(y.size))))
+        lam = params.get("lambda", "auto")
+        lam = None if lam == "auto" else float(lam)
+    except ValueError:
+        raise ConfigError(f"malformed model spec {spec!r}") from None
+    if k < 1:
+        raise ConfigError(f"k={k} must be positive")
     if name == "knn_loc_shift":
-        k = int(params.get("k", k_default))
         if k > y.size:
             raise ConfigError(f"k={k} exceeds arm size {y.size}")
         reg = _KnnMean(x, y, k)
         resid = y - reg.predict(x)
         return LocationShiftModel(reg, resid)
     if name == "ridge_loc_shift":
-        lam_raw = params.get("lambda", "auto")
-        lam = None if lam_raw == "auto" else float(lam_raw)
         reg = _Ridge(x, y, lam)
         resid = y - reg.predict(x)
         return LocationShiftModel(reg, resid)
     if name == "knn_quantile":
-        k = int(params.get("k", k_default))
         return QuantileGridModel(y, x, k)
     raise ConfigError(f"unknown model spec {spec!r}")
 
@@ -332,10 +345,10 @@ def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
 
     One inner cross-validation per candidate scores it for both sides. Per
     side, the first candidate with a strictly better score wins. Held-out
-    data never enters; candidates that fail to fit are excluded with one
-    warning each, and a side with no surviving candidate falls back to the
-    constant model with a warning. A single candidate is returned for both
-    sides without scoring.
+    data never enters; candidates that fail to fit (one of ``FIT_ERRORS``)
+    are excluded with one warning each, and a side with no surviving
+    candidate falls back to the constant model with a warning. A single
+    candidate is returned for both sides without scoring.
     """
     if not candidates:
         raise ConfigError("need at least one candidate model spec")
@@ -347,7 +360,7 @@ def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
         try:
             val_l, val_u = _inner_bounds(train, spec, cv_folds, seed,
                                          grid_spec)
-        except Exception as exc:  # noqa: BLE001 - robustness contract
+        except FIT_ERRORS as exc:
             warnings.warn(f"candidate {spec!r} failed during selection: {exc}")
             continue
         if val_l > score_l:

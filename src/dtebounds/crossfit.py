@@ -12,7 +12,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import kernels
-from .condcdf import GridSpec, fit_adjusters, select_model
+from .condcdf import FIT_ERRORS, GridSpec, fit_adjusters, select_model
 from .data import (
     Adjuster,
     ConfigError,
@@ -59,7 +59,9 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
     the held-out fold rows.
 
     Returns (s_lower, s_upper, meta); meta records the model spec chosen
-    per fold and the per-fold adjuster dispersion diagnostic.
+    per fold and the per-fold adjuster dispersion diagnostic. A fold whose
+    fit fails with one of ``FIT_ERRORS`` raises EstimationError naming the
+    fold; any other exception propagates unchanged.
     """
     specs = list(model_specs)
     s_lo = np.empty(sample.n)
@@ -81,7 +83,7 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
             s_lo[members] = lo_k
             s_hi[members] = hi_k
             chosen.append((spec_l, spec_u))
-        except Exception as exc:
+        except FIT_ERRORS as exc:
             raise EstimationError(f"fold {k}: {exc}") from exc
     meta = {
         "models_per_fold": chosen,
@@ -141,7 +143,7 @@ def variance_hat(sample: Sample, s_lo_vals, s_hi_vals, t_l: float,
                                    "variance at the optimizer")
             term = term + v / share
         total = total + sel.mean() ** 2 * term
-    sigma2_l, sigma2_u, sigma_lu = (float(v) for v in total)
+    sigma2_l, sigma2_u, sigma_lu = map(float, total)
     return sigma2_l, sigma2_u, sigma_lu, diagnostics
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .condcdf import MODEL_NAMES, parse_model_spec
 from .crossfit import METHODS, EstimationError, estimate
 from .data import (
     Adjuster,
@@ -334,6 +335,18 @@ def _run_cell(cell: McCell, spec: DgpSpec, alpha: float, theta0: float,
             "failures": failures}
 
 
+def _check_cell(cell: McCell):
+    """Reject a cell whose estimator or model name would fail every
+    replication."""
+    if cell.estimator not in ESTIMATORS:
+        raise ConfigError(f"{cell.label()}: estimator must be one of "
+                          f"{', '.join(ESTIMATORS)}")
+    if (cell.model not in MODELS
+            and parse_model_spec(cell.model)[0] not in MODEL_NAMES):
+        raise ConfigError(f"{cell.label()}: model must be one of "
+                          f"{', '.join(MODELS + MODEL_NAMES)}")
+
+
 def _run_estimator(estimator, sample, adjusters, specs, alpha, seed, k_folds,
                    aux_fraction, true_pi):
     """Returns (raw lower one-sided endpoint, reported interval length)."""
@@ -358,14 +371,18 @@ def run_table(spec: DgpSpec, cells, replications: int = 1000,
 
     Rejections use the lower one-sided interval: of zero (power) and of the
     true target value (size). Replications use counter-based streams
-    derived from (seed, cell index, replication index). A replication
-    that fails with one of the package's domain errors is counted in the
-    cell's ``failures`` and skipped; any other exception propagates. A cell
-    with no completed replication reports NaN rates.
+    derived from (seed, cell index, replication index). A cell with an
+    unknown estimator or model name raises ConfigError before any
+    replication runs. A replication that fails with one of the package's
+    domain errors is counted in the cell's ``failures`` and skipped; any
+    other exception propagates. A cell with no completed replication
+    reports NaN rates.
     """
     if replications < 1:
         raise ConfigError("need at least one replication")
     cells = [c if isinstance(c, McCell) else McCell(*c) for c in cells]
+    for cell in cells:
+        _check_cell(cell)
     if theta0 is None:
         theta0 = oracle_theta0(spec, reps=max(theta0_reps, 1_000_000),
                                seed=seed + 1)

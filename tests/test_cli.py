@@ -215,6 +215,17 @@ class TestSimulate:
     def test_missing_cells_config_error(self):
         assert run_cli("simulate", "--reps", "2") == 2
 
+    @pytest.mark.parametrize("line", ["100,20,none,crossfit",
+                                      "100,20,knn_loc_shif:k=5,cross-fit",
+                                      "1OO,20,none,cross-fit"])
+    def test_bad_cell_exits_2(self, tmp_path, capsys, line):
+        cells = tmp_path / "cells.csv"
+        cells.write_text("100,20,none,cross-fit\n" + line + "\n")
+        code = run_cli("simulate", "--cells", str(cells), "--reps", "2",
+                       "--theta0-reps", "1000000")
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestExternalAdjusters:
     def test_adjuster_file_bypasses_models(self, data_csv, tmp_path):
@@ -244,6 +255,40 @@ class TestExternalAdjusters:
             Adjuster(values=s_l), Adjuster(values=s_u)))
         assert payload["report"]["estimate"]["theta_l"] == est.theta_l
         assert payload["report"]["estimate"]["theta_u"] == est.theta_u
+
+    @pytest.mark.parametrize("bad", ["0.5,abc", "0.5,nan", "0.5,inf", "0.5,",
+                                     "0.5", ""])
+    def test_bad_adjuster_value_names_row(self, data_csv, tmp_path, capsys,
+                                          bad):
+        adjfile = tmp_path / "adj.csv"
+        rows = ["0.0,0.0"] * 160
+        rows[6] = bad
+        adjfile.write_text("s_l,s_u\n" + "\n".join(rows) + "\n")
+        code = run_cli("analyze", "--input", data_csv, "--x-prefix", "x",
+                       "--adjuster-file", str(adjfile))
+        assert code == 2
+        assert "row 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["high", "nan"])
+    def test_bad_propensity_value_names_row(self, data_csv, tmp_path, capsys,
+                                            bad):
+        lines = open(data_csv).read().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + f",{bad}"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli("analyze", "--input", str(path), "--x-prefix", "x",
+                       "--method", "cross-fit-ipw",
+                       "--propensity-mode", "known_function",
+                       "--propensity-col", "pscore")
+        assert code == 2
+        assert "row 3" in capsys.readouterr().err
+
+    def test_empty_adjuster_file_is_config_error(self, data_csv, tmp_path):
+        adjfile = tmp_path / "adj.csv"
+        adjfile.write_text("")
+        code = run_cli("analyze", "--input", data_csv, "--x-prefix", "x",
+                       "--adjuster-file", str(adjfile))
+        assert code == 2
 
     def test_wrong_length_is_config_error(self, data_csv, tmp_path):
         adjfile = tmp_path / "adj.csv"

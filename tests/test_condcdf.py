@@ -219,6 +219,25 @@ class TestSelectModel:
         assert msgs[2] == "all candidate models failed; using constant model"
         assert best == ("constant", "constant")
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        # only the ways a model can fail to fit are excluded with a warning
+        from dtebounds import condcdf
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a learner")
+
+        monkeypatch.setattr(condcdf, "fit_arm_model", broken)
+        with pytest.raises(TypeError, match="bug in a learner"):
+            select_model(["ridge_loc_shift", "knn_loc_shift:k=10"],
+                         make_sample(), cv_folds=4, seed=1)
+
+    def test_malformed_parameter_is_a_fit_failure(self):
+        s = make_sample()
+        for spec in ("knn_loc_shift:k=ten", "knn_quantile:k=0",
+                     "ridge_loc_shift:lambda=big"):
+            with pytest.raises(ConfigError, match=r"k=0|malformed"):
+                fit_arm_model(s.y, s.x, spec)
+
 
 class TestExtractionCount:
     """Each fitted pair is extracted once per row set, for both sides."""

@@ -192,6 +192,35 @@ class TestRunTable:
             run_table(DgpSpec(), [McCell(100, 20, "none", "cross-fit")],
                       replications=2, seed=5, theta0=0.428)
 
+    def test_learner_programming_errors_propagate(self, monkeypatch):
+        from dtebounds import condcdf
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a learner")
+
+        monkeypatch.setattr(condcdf, "fit_arm_model", broken)
+        with pytest.raises(TypeError, match="bug in a learner"):
+            run_table(DgpSpec(), [McCell(100, 20, "knn_loc_shift:k=10",
+                                         "cross-fit")],
+                      replications=3, seed=5, theta0=0.428)
+
+    @pytest.mark.parametrize("cell", [
+        McCell(100, 20, "none", "crossfit"),
+        McCell(100, 20, "knn_loc_shif:k=5", "cross-fit"),
+        McCell(100, 20, "none", "cross-fit-group"),
+    ])
+    def test_bad_cell_rejected_before_any_replication(self, monkeypatch,
+                                                      cell):
+        import dtebounds.simulate as sim
+
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(sim, "draw_dgp", no_replication)
+        with pytest.raises(ConfigError, match=cell.label()):
+            run_table(DgpSpec(), [McCell(100, 20, "none", "cross-fit"), cell],
+                      replications=2, seed=5, theta0=0.428)
+
     def test_csv_shape(self):
         spec = DgpSpec()
         cells = [McCell(n, p, m, e)
