@@ -143,23 +143,87 @@ def interp_cdf_argopt(q1, q0, taus, grid):
     return s_lo, s_hi
 
 
+# events per block of rows in ``shift_cdf_argopt``: bounds its temporaries
+# (~0.5 MB per array) and keeps them in cache
+_SHIFT_BLOCK_EVENTS = 1 << 16
+
+
 def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     """Per-row argmax/argmin over ``grid`` of Fe1(t - mu1) - Fe0(t - mu0),
     the location-shift conditional CDF difference built from residual ECDFs.
 
-    Ties break toward the smallest grid point; grid must be sorted.
+    Ties break toward the smallest grid point; grid must be sorted. The
+    value at grid index j is ``c1/m1 - c0/m0`` with cj the number of arm-j
+    residuals r satisfying r <= fl(grid[j] - mu). Row by row, c1 only steps
+    up where a treated residual enters the count and c0 where a control
+    residual does, so the first maximizer is index 0 or a treated entry
+    index, and the first minimizer index 0 or a control entry index. Only
+    those candidates are evaluated, with the same expression, so the result
+    equals the argmax/argmin over every grid point, ties included.
     """
     mu1 = np.asarray(mu1, dtype=np.float64)
     mu0 = np.asarray(mu0, dtype=np.float64)
     r1 = np.sort(np.asarray(resid1, dtype=np.float64))
     r0 = np.sort(np.asarray(resid0, dtype=np.float64))
     grid = np.asarray(grid, dtype=np.float64)
-    n = mu1.size
+    n, m1, m0 = mu1.size, r1.size, r0.size
     s_lo = np.empty(n)
     s_hi = np.empty(n)
-    for i in range(n):
-        d = (np.searchsorted(r1, grid - mu1[i], side="right") / r1.size
-             - np.searchsorted(r0, grid - mu0[i], side="right") / r0.size)
-        s_lo[i] = grid[int(np.argmax(d))]
-        s_hi[i] = grid[int(np.argmin(d))]
+    step = max(1, _SHIFT_BLOCK_EVENTS // (m1 + m0))
+    for a in range(0, n, step):
+        rows = slice(a, a + step)
+        j1 = _entry_index(grid, mu1[rows], r1)
+        j0 = _entry_index(grid, mu0[rows], r0)
+        s_lo[rows] = grid[_first_argmax(j1, j0, m1, m0, grid.size)]
+        # fl(a - b) == -fl(b - a), so the argmin of c1/m1 - c0/m0 is the
+        # argmax of c0/m0 - c1/m1, first index included
+        s_hi[rows] = grid[_first_argmax(j0, j1, m0, m1, grid.size)]
     return s_lo, s_hi
+
+
+def _entry_index(grid, mu, r):
+    """J[i, k], the first grid index j with fl(grid[j] - mu[i]) >= r[k]
+    (len(grid) if none): residual k counts in row i from index J[i, k] on.
+    ``r`` is sorted, so each row of J is sorted.
+    """
+    g, m = grid.size, r.size
+    j = np.searchsorted(grid, r + mu[:, None])
+    # the guess compares grid with fl(r + mu); repair it against the
+    # comparison the count makes, jumping whole runs of tied grid values
+    flat = j.reshape(-1)
+    pos = np.arange(flat.size)
+    jp, mu_p, r_p = j, mu[:, None], r
+    while True:
+        down = (jp > 0) & (grid[jp - 1] - mu_p >= r_p)
+        up = (jp < g) & (grid[np.minimum(jp, g - 1)] - mu_p < r_p)
+        fix = (down | up).reshape(-1)
+        if not fix.any():
+            return j
+        pos, down, up = pos[fix], down.reshape(-1)[fix], up.reshape(-1)[fix]
+        jp = flat[pos]
+        jp[down] = np.searchsorted(grid, grid[jp[down] - 1], side="left")
+        jp[up] = np.searchsorted(grid, grid[jp[up]], side="right")
+        flat[pos] = jp
+        mu_p, r_p = mu[pos // m], r[pos % m]
+
+
+def _first_argmax(j_up, j_down, m_up, m_down, g):
+    """Per row, the first grid index in [0, g) maximizing
+    c_up/m_up - c_down/m_down, where c_x counts the entry indices of
+    ``j_x``'s row that are <= the grid index.
+    """
+    rows = np.arange(j_up.shape[0])
+    # merge each row's entries; at a tied index the down entries sort
+    # first, so a run holding any up entry ends with one, and that entry's
+    # running counts are the counts at its index
+    key = np.sort(np.concatenate([2 * j_up + 1, 2 * j_down], axis=1), axis=1)
+    j = key >> 1
+    cand = (key & 1).astype(bool)
+    c_up = np.cumsum(cand, axis=1)
+    c_down = np.arange(1, key.shape[1] + 1) - c_up
+    cand[:, :-1] &= j[:, 1:] != j[:, :-1]
+    cand &= j < g
+    d = np.where(cand, c_up / m_up - c_down / m_down, -np.inf)
+    k = np.argmax(d, axis=1)
+    d0 = (j_up == 0).sum(axis=1) / m_up - (j_down == 0).sum(axis=1) / m_down
+    return np.where(d[rows, k] > d0, j[rows, k], 0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtebounds import kernels
@@ -157,6 +157,64 @@ def test_shift_argopt_matches_reference():
             ref_lo, ref_hi = _dense_argopt(m1, m0, x, grid)
             np.testing.assert_array_equal(s_lo, ref_lo)
             np.testing.assert_array_equal(s_hi, ref_hi)
+
+
+def _dense_shift_argopt(mu1, mu0, resid1, resid0, grid):
+    """Reference: the difference evaluated at every grid point, row by row."""
+    r1 = np.sort(resid1)
+    r0 = np.sort(resid0)
+    n = mu1.size
+    s_lo = np.empty(n)
+    s_hi = np.empty(n)
+    for i in range(n):
+        d = (np.searchsorted(r1, grid - mu1[i], side="right") / r1.size
+             - np.searchsorted(r0, grid - mu0[i], side="right") / r0.size)
+        s_lo[i] = grid[int(np.argmax(d))]
+        s_hi[i] = grid[int(np.argmin(d))]
+    return s_lo, s_hi
+
+
+@st.composite
+def _shift_inputs(draw):
+    """Row means, residuals and a sorted grid on a lattice of step h, so
+    that values tie, with grid points placed at fl(r + mu), or one ulp off
+    it, for drawn (row, residual) pairs: there the guess fl(r + mu) and the
+    count's comparison fl(grid - mu) >= r can disagree either way. Residual
+    counts run from 1 to 60, and a small grid makes m at least g/4."""
+    h = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0]))
+    lattice = st.integers(-8, 8).map(lambda k: k * h)
+    n = draw(st.integers(1, 5))
+    g = draw(st.integers(1, 8) | st.integers(1, 60))
+    mu1, mu0 = (np.array(draw(st.lists(lattice, min_size=n, max_size=n)))
+                for _ in range(2))
+    r1, r0 = (np.array(draw(st.lists(lattice, min_size=1, max_size=60)))
+              for _ in range(2))
+    pts = []
+    for i, treated, k, ulp in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.booleans(), st.integers(0, 59),
+            st.sampled_from([-np.inf, 0.0, np.inf])), max_size=g)):
+        r, mu = (r1, mu1) if treated else (r0, mu0)
+        x = r[k % r.size] + mu[i]
+        pts.append(x if ulp == 0.0 else np.nextafter(x, ulp))
+    pts += draw(st.lists(lattice, min_size=1, max_size=g))
+    return mu1, mu0, r1, r0, np.sort(np.array(pts[:g]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=_shift_inputs())
+# fl(-0.8 + -0.4) is a grid point, but fl(grid[0] + 0.4) < -0.8: the
+# residual first counts at index 1
+@example(inputs=(np.array([-0.4]), np.array([0.0]), np.array([-0.8]),
+                 np.array([0.5]), np.array([-1.2000000000000002, 0.0])))
+# grid[0] < fl(-0.8 + 0.4), but fl(grid[0] - 0.4) >= -0.8: the residual
+# already counts at index 0
+@example(inputs=(np.array([0.4]), np.array([0.0]), np.array([-0.8]),
+                 np.array([2.0]), np.array([-0.4000000000000001, 1.0])))
+def test_shift_argopt_matches_dense_loop(inputs):
+    s_lo, s_hi = kernels.shift_cdf_argopt(*inputs)
+    ref_lo, ref_hi = _dense_shift_argopt(*inputs)
+    assert s_lo.tobytes() == ref_lo.tobytes()
+    assert s_hi.tobytes() == ref_hi.tobytes()
 
 
 # tied samples: half-integers in a narrow range, so most values repeat
