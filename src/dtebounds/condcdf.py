@@ -193,8 +193,17 @@ class _Ridge:
         return self.y_mean + xs @ self.coef
 
 
+# query rows per distance chunk: bounds the (rows, n_train, p) difference
+# tensor, which for all rows at once is ~100 MB at n=2000
+_KNN_CHUNK = 32
+
+
 def _knn_indices(train_x, query_x, k):
-    d2 = ((query_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.empty((query_x.shape[0], train_x.shape[0]))
+    for a in range(0, query_x.shape[0], _KNN_CHUNK):
+        q = query_x[a:a + _KNN_CHUNK]
+        d2[a:a + _KNN_CHUNK] = ((q[:, None, :] - train_x[None, :, :])
+                                ** 2).sum(axis=2)
     if k >= train_x.shape[0]:
         return np.argsort(d2, axis=1)
     part = np.argpartition(d2, k - 1, axis=1)[:, :k]

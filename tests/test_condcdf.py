@@ -7,6 +7,7 @@ from dtebounds.condcdf import (
     ConstantCdfModel,
     GridSpec,
     QuantileGridModel,
+    _knn_indices,
     extract_adjusters,
     fit_arm_model,
     parse_model_spec,
@@ -76,6 +77,32 @@ def test_monotone_cdfs_across_variants():
             a, b = m.eval_cdf(t1, xq), m.eval_cdf(t2, xq)
             assert a <= b + 1e-12
             assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
+
+
+def _knn_single_broadcast(train_x, query_x, k):
+    # reference: every distance from one (q, n_train, p) broadcast
+    d2 = ((query_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    if k >= train_x.shape[0]:
+        return np.argsort(d2, axis=1)
+    return np.argpartition(d2, k - 1, axis=1)[:, :k]
+
+
+@pytest.mark.parametrize("q", [1, 33, 70])
+@pytest.mark.parametrize("k", [7, 90, 120])  # k >= n_train sorts every row
+@pytest.mark.parametrize("discrete", [False, True])
+def test_knn_indices_match_single_broadcast(q, k, discrete):
+    # discrete: one covariate with 4 levels, so every row ties, as in the
+    # finite-sample coverage check; else rounded covariates, so that some
+    # distances tie and a change of expression reorders neighbours
+    rng = np.random.default_rng(q)
+    if discrete:
+        train = rng.integers(0, 4, size=(90, 1)).astype(float)
+        query = rng.integers(0, 4, size=(q, 1)).astype(float)
+    else:
+        train = np.round(rng.normal(size=(90, 5)), 1)
+        query = np.round(rng.normal(size=(q, 5)), 1)
+    np.testing.assert_array_equal(_knn_indices(train, query, k),
+                                  _knn_single_broadcast(train, query, k))
 
 
 def test_knn_k_too_large_errors():
