@@ -40,6 +40,7 @@ __all__ = [
 MODELS = ("none", "oracle")  # plus any conditional-CDF model spec string
 # every method but the group one, which the design has no groups for
 ESTIMATORS = tuple(m for m in METHODS if m != "cross-fit-group")
+_OBSERVED_P = (10, 20)  # observed covariate counts of the design
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class DgpSpec:
     shift: float = -1.0
 
     def __post_init__(self):
-        if self.observed_p not in (10, 20):
+        if self.observed_p not in _OBSERVED_P:
             raise ConfigError("observed_p must be 10 or 20")
         if not 0 < self.treat_prob < 1:
             raise ConfigError("treat_prob must lie in (0,1)")
@@ -336,8 +337,10 @@ def _run_cell(cell: McCell, spec: DgpSpec, alpha: float, theta0: float,
 
 
 def _check_cell(cell: McCell):
-    """Reject a cell whose estimator or model name would fail every
+    """Reject a cell whose p, estimator or model name would fail every
     replication."""
+    if cell.p not in _OBSERVED_P:
+        raise ConfigError(f"{cell.label()}: p must be 10 or 20")
     if cell.estimator not in ESTIMATORS:
         raise ConfigError(f"{cell.label()}: estimator must be one of "
                           f"{', '.join(ESTIMATORS)}")
@@ -371,12 +374,12 @@ def run_table(spec: DgpSpec, cells, replications: int = 1000,
 
     Rejections use the lower one-sided interval: of zero (power) and of the
     true target value (size). Replications use counter-based streams
-    derived from (seed, cell index, replication index). A cell with an
-    unknown estimator or model name raises ConfigError before any
-    replication runs. A replication that fails with one of the package's
-    domain errors is counted in the cell's ``failures`` and skipped; any
-    other exception propagates. A cell with no completed replication
-    reports NaN rates.
+    derived from (seed, cell index, replication index). A cell with a p
+    other than 10 or 20, or an unknown estimator or model name, raises
+    ConfigError before the oracle and any replication run. A replication
+    that fails with one of the package's domain errors is counted in the
+    cell's ``failures`` and skipped; any other exception propagates. A cell
+    with no completed replication reports NaN rates.
     """
     if replications < 1:
         raise ConfigError("need at least one replication")

@@ -217,7 +217,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("line", ["100,20,none,crossfit",
                                       "100,20,knn_loc_shif:k=5,cross-fit",
-                                      "1OO,20,none,cross-fit"])
+                                      "1OO,20,none,cross-fit",
+                                      "100,15,none,cross-fit"])
     def test_bad_cell_exits_2(self, tmp_path, capsys, line):
         cells = tmp_path / "cells.csv"
         cells.write_text("100,20,none,cross-fit\n" + line + "\n")

@@ -208,6 +208,7 @@ class TestRunTable:
         McCell(100, 20, "none", "crossfit"),
         McCell(100, 20, "knn_loc_shif:k=5", "cross-fit"),
         McCell(100, 20, "none", "cross-fit-group"),
+        McCell(100, 15, "none", "cross-fit"),
     ])
     def test_bad_cell_rejected_before_any_replication(self, monkeypatch,
                                                       cell):
@@ -216,10 +217,14 @@ class TestRunTable:
         def no_replication(*args, **kwargs):
             raise AssertionError("a replication ran")
 
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
         monkeypatch.setattr(sim, "draw_dgp", no_replication)
+        monkeypatch.setattr(sim, "oracle_theta0", no_oracle)
         with pytest.raises(ConfigError, match=cell.label()):
             run_table(DgpSpec(), [McCell(100, 20, "none", "cross-fit"), cell],
-                      replications=2, seed=5, theta0=0.428)
+                      replications=2, seed=5)
 
     def test_csv_shape(self):
         spec = DgpSpec()
