@@ -37,29 +37,21 @@ from .simulate import (
     run_table,
 )
 from .splitfit import SplitPlan, dkw_critical, estimate_split, make_split
-from .stepfun import (
-    DeltaCurve,
-    StepCdf,
-    build_curve,
-    dump_curve,
-    inf_delta,
-    makarov_bounds,
-    sup_delta,
-)
+from .stepfun import makarov_bounds
 from .stoye import StoyeInterval, h_threshold, stoye_ci
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Adjuster", "BoundsEstimate", "ConfigError", "CsvParseError",
-    "DegenerateDesignError", "DeltaCurve", "DgpSpec", "FoldPlan", "GridSpec",
+    "DegenerateDesignError", "DgpSpec", "FoldPlan", "GridSpec",
     "IntervalReport", "McCell", "PropensityModel", "Sample", "SplitPlan",
-    "StepCdf", "StoyeInterval", "build_curve", "dkw_critical", "draw_dgp",
-    "dump_curve", "estimate", "estimate_crossfit", "estimate_split",
-    "extract_adjusters", "fit_arm_model", "h_threshold", "inf_delta",
-    "load_csv", "makarov_bounds", "make_folds", "make_split", "one_sided_cis",
-    "oracle_adjuster", "oracle_theta0", "run_table", "select_model",
-    "shift_for_delta", "sjls_estimate", "sjls_report", "squash_outcomes",
-    "stoye_ci", "sup_delta", "variance_hat", "variant_fold_t",
-    "variant_group_propensity", "variant_known_propensity",
+    "StoyeInterval", "dkw_critical", "draw_dgp", "estimate",
+    "estimate_crossfit", "estimate_split", "extract_adjusters",
+    "fit_arm_model", "h_threshold", "load_csv", "makarov_bounds",
+    "make_folds", "make_split", "one_sided_cis", "oracle_adjuster",
+    "oracle_theta0", "run_table", "select_model", "shift_for_delta",
+    "sjls_estimate", "sjls_report", "squash_outcomes", "stoye_ci",
+    "variance_hat", "variant_fold_t", "variant_group_propensity",
+    "variant_known_propensity",
 ]

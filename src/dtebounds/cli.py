@@ -27,7 +27,7 @@ from .data import (
     squash_outcomes,
 )
 from .simulate import DgpSpec, McCell, run_table
-from .stepfun import build_curve, dump_curve, scan_bounds
+from .stepfun import profile_bounds, side_profiles
 from .stoye import EstimationFailure, H_RULES
 
 EXIT_OK = 0
@@ -316,16 +316,16 @@ def cmd_analyze(cfg: dict) -> int:
 def cmd_bounds_curve(cfg: dict) -> int:
     sample = _load_sample(cfg)
     seed = cfg["seed"]
-    folds = make_folds(sample, cfg["k_folds"], seed)
-    s_lo, s_hi, _ = crossfit_adjusters(sample, folds, _model_list(cfg), seed,
-                                       _grid_spec(cfg))
-    sup, t_l, inf, t_u = scan_bounds(sample, s_lo.values, s_hi.values)
-    rows = dump_curve(build_curve(sample, s_lo))
+    s_lo, s_hi = _external_adjusters(cfg, sample.n) or crossfit_adjusters(
+        sample, make_folds(sample, cfg["k_folds"], seed), _model_list(cfg),
+        seed, _grid_spec(cfg))[:2]
+    lo, hi = side_profiles(sample, s_lo.values, s_hi.values)
+    sup, t_l, inf, t_u = profile_bounds(lo, hi)
     header = (f"# adjusted CDF-difference curve (lower side)\n"
               f"# theta_l={float(sup)!r} at t_l={float(t_l)!r}\n"
               f"# theta_u={float(1 + inf)!r} at t_u={float(t_u)!r}\n"
               f"# columns: t delta\n")
-    body = "".join(f"{float(t)!r} {float(dv)!r}\n" for t, dv in rows)
+    body = "".join(f"{float(t)!r} {float(dv)!r}\n" for t, dv in zip(*lo))
     out = cfg.get("output")
     if out:
         with open(f"{out}.curve.txt", "w", encoding="utf-8") as fh:

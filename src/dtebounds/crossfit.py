@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import norm
 
-from . import kernels
 from .condcdf import FIT_ERRORS, GridSpec, fit_adjusters, select_model
 from .data import (
     Adjuster,
@@ -23,7 +22,7 @@ from .data import (
 )
 from .reports import BoundsEstimate, IntervalReport, clip_unit
 from .splitfit import estimate_split, make_split
-from .stepfun import scan_bounds
+from .stepfun import profile_bounds, scan_bounds, side_profiles
 from .stoye import H_RULES, stoye_ci
 
 __all__ = [
@@ -147,10 +146,8 @@ def variance_hat(sample: Sample, s_lo_vals, s_hi_vals, t_l: float,
     return sigma2_l, sigma2_u, sigma_lu, diagnostics
 
 
-def _flat_span_diagnostic(sample, s_vals, target, which):
-    y_adj = sample.y - s_vals
-    t_mask = sample.d == 1
-    pts, d = kernels.delta_profile(y_adj[t_mask], y_adj[~t_mask])
+def _flat_span_diagnostic(sample, profile, target, which):
+    pts, d = profile
     hit = pts[np.abs(d - target) <= 1e-12]
     if hit.size >= 2:
         span = float(hit.max() - hit.min())
@@ -172,11 +169,12 @@ def estimate_crossfit(sample: Sample, folds: FoldPlan, model_specs,
     """
     s_lo, s_hi, meta = _adjuster_values(sample, folds, model_specs, seed,
                                         grid_spec, adjusters, select_folds)
-    sup, t_l, inf, t_u = scan_bounds(sample, s_lo.values, s_hi.values)
+    profiles = side_profiles(sample, s_lo.values, s_hi.values)
+    sup, t_l, inf, t_u = profile_bounds(*profiles)
     sigma2_l, sigma2_u, sigma_lu, diags = variance_hat(
         sample, s_lo.values, s_hi.values, t_l, t_u)
-    for s, target, which in ((s_lo, sup, "max"), (s_hi, inf, "min")):
-        msg = _flat_span_diagnostic(sample, s.values, target, which)
+    for profile, target, which in zip(profiles, (sup, inf), ("max", "min")):
+        msg = _flat_span_diagnostic(sample, profile, target, which)
         if msg:
             diags.append(msg)
     if "adjuster_sd_l" in meta:

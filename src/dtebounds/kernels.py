@@ -7,6 +7,7 @@ import numpy as np
 
 __all__ = [
     "delta_profile",
+    "profile_extrema",
     "scan_extrema",
     "ecdf_at",
     "interp_cdf_argopt",
@@ -55,17 +56,9 @@ def delta_profile(a, b, w1=None, w0=None):
     return v[keep], np.cumsum(signed[order])[keep]
 
 
-def scan_extrema(a, b, w1=None, w0=None):
-    """Exact sup/inf over t of W1(t) - W0(t), read off ``delta_profile``.
-
-    Parameters
-    ----------
-    a, b : ndarray
-        Treated-arm and control-arm (adjusted) values.
-    w1, w0 : ndarray or None
-        Per-observation positive weights. None means 1/len for each
-        observation (plain ECDFs); with both None the scan is computed from
-        integer counts and matches brute-force evaluation to the last bit.
+def profile_extrema(pts, d):
+    """Exact sup/inf over t of a ``delta_profile`` (breakpoints ``pts``,
+    values ``d``).
 
     Returns
     -------
@@ -75,13 +68,19 @@ def scan_extrema(a, b, w1=None, w0=None):
         breakpoints. When the extremum 0 is attained only off-support, the
         sentinel -inf (sup) or +inf (inf) marks its location.
     """
-    pts, d = delta_profile(a, b, w1, w0)
     imax = int(np.argmax(d))
     imin = int(np.argmin(d))
     sup, inf = float(d[imax]), float(d[imin])
     t_sup = float(pts[imax]) if sup >= 0.0 else -np.inf
     t_inf = float(pts[imin]) if inf <= 0.0 else np.inf
     return max(sup, 0.0), t_sup, min(inf, 0.0), t_inf
+
+
+def scan_extrema(a, b, w1=None, w0=None):
+    """``profile_extrema`` of ``delta_profile(a, b, w1, w0)``: the exact
+    sup/inf of the difference of the treated-arm values ``a`` and the
+    control-arm values ``b``, weighted as in ``delta_profile``."""
+    return profile_extrema(*delta_profile(a, b, w1, w0))
 
 
 def ecdf_at(sample_sorted, t):

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .condcdf import GridSpec, fit_adjusters, select_model
 from .data import Adjuster, ConfigError, DegenerateDesignError, Sample
 from .reports import BoundsEstimate, IntervalReport, clip_unit
+from .stepfun import scan_bounds
 
 __all__ = ["SplitPlan", "make_split", "dkw_critical", "estimate_split"]
 
@@ -91,13 +91,9 @@ def estimate_split(sample: Sample, plan: SplitPlan, model_specs,
         raise ConfigError("alpha must lie in (0, 1)")
     n1m, n0m = plan.main_treated.size, plan.main_control.size
     if adjusters is not None:
-        s_lo, s_hi = adjusters
-        if len(s_lo.values) != sample.n or len(s_hi.values) != sample.n:
+        s_lo, s_hi = (a.values for a in adjusters)
+        if len(s_lo) != sample.n or len(s_hi) != sample.n:
             raise ValueError("adjusters must cover the full sample")
-        s_lo_main_t = s_lo.values[plan.main_treated]
-        s_lo_main_c = s_lo.values[plan.main_control]
-        s_hi_main_t = s_hi.values[plan.main_treated]
-        s_hi_main_c = s_hi.values[plan.main_control]
         spec_l = spec_u = "user"
     else:
         aux = sample.subset(plan.aux)
@@ -105,15 +101,16 @@ def estimate_split(sample: Sample, plan: SplitPlan, model_specs,
                                       seed, grid_spec)
         rng = np.random.default_rng(seed)
         grid = grid_spec.build(aux.y_lo, aux.y_hi, rng)
-        (s_lo_main_t, s_hi_main_t), (s_lo_main_c, s_hi_main_c) = fit_adjusters(
-            aux, spec_l, spec_u,
-            [sample.x[plan.main_treated], sample.x[plan.main_control]],
-            grid, seed)
+        main_arms = (plan.main_treated, plan.main_control)
+        s_lo, s_hi = np.empty(sample.n), np.empty(sample.n)
+        for rows, (lo, hi) in zip(main_arms, fit_adjusters(
+                aux, spec_l, spec_u, [sample.x[r] for r in main_arms], grid,
+                seed)):
+            s_lo[rows], s_hi[rows] = lo, hi
 
-    y_t = sample.y[plan.main_treated]
-    y_c = sample.y[plan.main_control]
-    sup, t_l, _, _ = kernels.scan_extrema(y_t - s_lo_main_t, y_c - s_lo_main_c)
-    _, _, inf, t_u = kernels.scan_extrema(y_t - s_hi_main_t, y_c - s_hi_main_c)
+    main = plan.main
+    sup, t_l, inf, t_u = scan_bounds(sample.subset(main), s_lo[main],
+                                     s_hi[main])
     theta_l, theta_u = sup, 1.0 + inf
 
     c_a = dkw_critical(alpha, n1m, n0m)

@@ -7,150 +7,60 @@ no grids or smoothing are involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
-from .data import Adjuster, DegenerateDesignError, Sample
+from .data import Sample
 from .reports import BoundsEstimate
 
 __all__ = [
-    "StepCdf",
-    "DeltaCurve",
-    "build_curve",
-    "sup_delta",
-    "inf_delta",
+    "side_profiles",
+    "profile_bounds",
     "scan_bounds",
     "makarov_bounds",
-    "dump_curve",
 ]
 
 
-@dataclass(frozen=True)
-class StepCdf:
-    """Right-continuous weighted empirical CDF.
+def side_profiles(sample: Sample, s_lo, s_hi, weights=None):
+    """The adjusted CDF-difference curve of each side: the
+    ``kernels.delta_profile`` (breakpoints, values) of the treated and
+    control arms of y - s_lo, and of y - s_hi.
 
-    breakpoints are sorted and distinct; heights[i] is the CDF value at and
-    right of breakpoints[i] (0 before the first). For normalized weights the
-    last height is 1.
+    ``weights`` holds one positive weight per unit (None: plain ECDFs).
+    When the two adjusters are equal, one profile serves both sides and
+    the same object is returned twice.
     """
-
-    breakpoints: np.ndarray
-    heights: np.ndarray
-
-    @classmethod
-    def from_values(cls, values, weights=None, normalize=True):
-        values = np.asarray(values, dtype=np.float64)
-        if values.size == 0:
-            raise DegenerateDesignError("cannot build a CDF from an empty arm")
-        empty = np.empty(0)
-        if weights is None:
-            return cls(*kernels.delta_profile(values, empty))
-        weights = np.asarray(weights, dtype=np.float64)
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        if normalize:
-            weights = weights / weights.sum()
-        pts, cum = kernels.delta_profile(values, empty, weights, empty)
-        if normalize:
-            cum[-1] = 1.0  # close cumulative rounding
-        return cls(breakpoints=pts, heights=cum)
-
-    def __post_init__(self):
-        if np.any(np.diff(self.heights) < -1e-12):
-            raise ValueError("CDF heights must be nondecreasing")
-
-    def __call__(self, t):
-        idx = np.searchsorted(self.breakpoints, np.asarray(t, dtype=np.float64),
-                              side="right")
-        padded = np.concatenate([[0.0], self.heights])
-        return padded[idx]
-
-
-@dataclass(frozen=True)
-class DeltaCurve:
-    """The treated-minus-control adjusted CDF difference t -> F1(t) - F0(t),
-    held as the adjusted arm values (and normalized weights, if any) that
-    the exact scan reads."""
-
-    vals1: np.ndarray
-    vals0: np.ndarray
-    w1: np.ndarray | None = None
-    w0: np.ndarray | None = None
-
-
-def build_curve(sample: Sample, adjuster: Adjuster | None = None,
-                weight_mode: str = "none", p_of_x=None) -> DeltaCurve:
-    """Build the adjusted CDF-difference curve from a sample.
-
-    weight_mode "none" uses plain 1/n_j ECDFs; "ipw-normalized" weights
-    unit i by D_i/p(x_i) (treated) or (1-D_i)/(1-p(x_i)) (control) and
-    renormalizes within arm so each CDF still reaches 1.
-    """
-    if adjuster is None:
-        adj = np.zeros(sample.n)
-    else:
-        if len(adjuster.values) != sample.n:
-            raise ValueError("adjuster length does not match sample size")
-        adj = adjuster.values
-    y = sample.y - adj
+    if np.shape(s_lo) != (sample.n,) or np.shape(s_hi) != (sample.n,):
+        raise ValueError("adjuster length does not match sample size")
     t_mask = sample.d == 1
-    vals1 = y[t_mask]
-    vals0 = y[~t_mask]
-    if vals1.size == 0 or vals0.size == 0:
-        raise DegenerateDesignError("both treatment arms must be nonempty")
-    if weight_mode == "none":
-        return DeltaCurve(vals1, vals0)
-    if weight_mode == "ipw-normalized":
-        if p_of_x is None:
-            raise ValueError("ipw mode requires propensity values")
-        p = np.asarray(p_of_x, dtype=np.float64)
-        w1 = 1.0 / p[t_mask]
-        w0 = 1.0 / (1.0 - p[~t_mask])
-        if np.any(w1 <= 0) or np.any(w0 <= 0):
-            raise ValueError("weights must be positive")
-        return DeltaCurve(vals1, vals0, w1 / w1.sum(), w0 / w0.sum())
-    raise ValueError(f"unknown weight_mode {weight_mode!r}")
+    w1 = w0 = None
+    if weights is not None:
+        w1, w0 = weights[t_mask], weights[~t_mask]
+
+    def profile(s):
+        y_adj = sample.y - s
+        return kernels.delta_profile(y_adj[t_mask], y_adj[~t_mask], w1, w0)
+
+    lo = profile(s_lo)
+    return lo, lo if np.array_equal(s_lo, s_hi) else profile(s_hi)
 
 
-def sup_delta(curve: DeltaCurve) -> tuple[float, float]:
-    """Exact max over t of the difference curve.
-
-    Returns (t_star, value); value >= 0 always since the curve is 0 off
-    support. t_star is the smallest maximizing breakpoint, or -inf when the
-    max 0 is attained only off-support.
-    """
-    sup, t_sup, _, _ = kernels.scan_extrema(curve.vals1, curve.vals0,
-                                            curve.w1, curve.w0)
-    return t_sup, sup
-
-
-def inf_delta(curve: DeltaCurve) -> tuple[float, float]:
-    """Exact min over t; value <= 0, t_star smallest minimizing breakpoint
-    or +inf sentinel. The implied upper bound is 1 + value."""
-    _, _, inf, t_inf = kernels.scan_extrema(curve.vals1, curve.vals0,
-                                            curve.w1, curve.w0)
-    return t_inf, inf
+def profile_bounds(lo, hi):
+    """(sup, t_l, inf, t_u): the max over t of the lower-side profile and
+    the min over t of the upper-side profile, with the conventions of
+    ``kernels.profile_extrema``; the bounds are sup and 1 + inf."""
+    sup, t_l, _, _ = kernels.profile_extrema(*lo)
+    _, _, inf, t_u = kernels.profile_extrema(*hi)
+    return sup, t_l, inf, t_u
 
 
 def scan_bounds(sample: Sample, s_lo, s_hi, weights=None):
     """Exact optimizers of both adjusted difference curves: the max over t
     of the curve of y - s_lo and the min over t of the curve of y - s_hi.
 
-    ``weights`` holds one positive weight per unit (None: plain ECDFs).
-    Returns (sup, t_l, inf, t_u) with the conventions of ``sup_delta`` and
-    ``inf_delta``; the bounds are sup and 1 + inf.
+    Returns (sup, t_l, inf, t_u) as ``profile_bounds`` does.
     """
-    t_mask = sample.d == 1
-    w1 = w0 = None
-    if weights is not None:
-        w1, w0 = weights[t_mask], weights[~t_mask]
-    y_lo = sample.y - s_lo
-    y_hi = sample.y - s_hi
-    sup, t_l, _, _ = kernels.scan_extrema(y_lo[t_mask], y_lo[~t_mask], w1, w0)
-    _, _, inf, t_u = kernels.scan_extrema(y_hi[t_mask], y_hi[~t_mask], w1, w0)
-    return sup, t_l, inf, t_u
+    return profile_bounds(*side_profiles(sample, s_lo, s_hi, weights))
 
 
 def makarov_bounds(sample: Sample) -> BoundsEstimate:
@@ -160,10 +70,3 @@ def makarov_bounds(sample: Sample) -> BoundsEstimate:
     sup, t_l, inf, t_u = scan_bounds(sample, zero, zero)
     return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
                           pi_hat=sample.n1 / sample.n, n=sample.n)
-
-
-def dump_curve(curve: DeltaCurve) -> np.ndarray:
-    """(t, delta(t)) rows at every merged breakpoint, for external plotting;
-    the values are the ones ``sup_delta`` and ``inf_delta`` scan."""
-    return np.column_stack(kernels.delta_profile(curve.vals1, curve.vals0,
-                                                 curve.w1, curve.w0))

@@ -142,9 +142,25 @@ class TestAnalyze:
         assert code == 0
 
 
+def read_curve(path):
+    """(header lines, (t, delta) rows) of a bounds-curve dump."""
+    lines = path.read_text().splitlines()
+    header = [ln for ln in lines if ln.startswith("#")]
+    rows = np.array([[float(v) for v in ln.split()]
+                     for ln in lines if not ln.startswith("#")])
+    return header, rows
+
+
+def arm_profile(s, shift=0.0):
+    """The two-sample profile of y - shift, as a (t, delta) row array."""
+    from dtebounds import kernels
+    y = s.y - shift
+    return np.column_stack(kernels.delta_profile(y[s.d == 1], y[s.d == 0]))
+
+
 class TestBoundsCurve:
     def test_dump_matches_report(self, data_csv, tmp_path):
-        from dtebounds import build_curve, dump_curve, load_csv
+        from dtebounds import load_csv
         s = load_csv(data_csv, "y", "d", x_prefix="x")
         out = tmp_path / "curve"
         for models in ("constant", "knn_loc_shift:k=10"):
@@ -152,18 +168,71 @@ class TestBoundsCurve:
                            "y", "--d-col", "d", "--x-prefix", "x",
                            "--models", models, "--output", str(out))
             assert code == 0
-            lines = (tmp_path / "curve.curve.txt").read_text().splitlines()
-            header = [ln for ln in lines if ln.startswith("#")]
-            rows = np.array([[float(v) for v in ln.split()]
-                             for ln in lines if not ln.startswith("#")])
+            header, rows = read_curve(tmp_path / "curve.curve.txt")
             theta_l = float(header[1].split("=")[1].split(" at ")[0])
             # the dump is the profile the bound is scanned from
             assert rows[:, 1].max() == theta_l
             if models == "constant":
                 # curve equals the unadjusted two-sample difference
                 np.testing.assert_array_equal(rows[:, 0], np.unique(s.y))
-                np.testing.assert_array_equal(rows,
-                                              dump_curve(build_curve(s)))
+                np.testing.assert_array_equal(rows, arm_profile(s))
+
+    @pytest.fixture()
+    def dgp_csv(self, tmp_path):
+        from dtebounds import DgpSpec, draw_dgp
+        sample, _ = draw_dgp(DgpSpec(), 200, seed=3)
+        p = sample.x.shape[1]
+        lines = [",".join(["y", "d"] + [f"x{j + 1:02d}" for j in range(p)])]
+        for y, d, x in zip(sample.y.tolist(), sample.d.tolist(),
+                           sample.x.tolist()):
+            lines.append(",".join([repr(y), str(d)] + [repr(v) for v in x]))
+        path = tmp_path / "dgp.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return sample, path
+
+    def _curve_with_adjusters(self, csv, adj_path, out):
+        return run_cli("bounds-curve", "--input", str(csv), "--x-prefix", "x",
+                       "--adjuster-file", str(adj_path), "--output", str(out))
+
+    def test_adjuster_file_is_used(self, dgp_csv, tmp_path):
+        sample, csv = dgp_csv
+        adj = tmp_path / "adj.csv"
+        adj.write_text("s_l,s_u\n" + "100,100\n" * sample.n)
+        code = self._curve_with_adjusters(csv, adj, tmp_path / "cv")
+        assert code == 0
+        _, rows = read_curve(tmp_path / "cv.curve.txt")
+        np.testing.assert_array_equal(rows, arm_profile(sample, 100.0))
+
+    def test_missing_adjuster_file_exits_4(self, dgp_csv, tmp_path):
+        _, csv = dgp_csv
+        code = self._curve_with_adjusters(csv, tmp_path / "missing.csv",
+                                          tmp_path / "cv")
+        assert code == 4
+
+    def test_adjuster_file_row_count_exits_2(self, dgp_csv, tmp_path):
+        sample, csv = dgp_csv
+        adj = tmp_path / "adj.csv"
+        adj.write_text("s_l,s_u\n" + "0,0\n" * (sample.n - 1))
+        code = self._curve_with_adjusters(csv, adj, tmp_path / "cv")
+        assert code == 2
+
+    def test_one_profile_for_the_lower_side(self, data_csv, tmp_path,
+                                            monkeypatch):
+        from dtebounds import kernels
+        original = kernels.delta_profile
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "delta_profile", counting)
+        code = run_cli("bounds-curve", "--input", data_csv, "--x-prefix", "x",
+                       "--models", "constant", "--output",
+                       str(tmp_path / "cv"))
+        assert code == 0
+        # constant model: both sides share the dumped lower profile
+        assert len(calls) == 1
 
     def test_empty_arm_exits_2(self, tmp_path):
         path = tmp_path / "onearm.csv"

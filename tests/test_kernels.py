@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dtebounds import kernels
 from dtebounds.condcdf import GridSpec, fit_arm_model
 from dtebounds.simulate import DgpSpec, draw_dgp
-from dtebounds.stepfun import StepCdf
 
 
 def brute_force_extrema(a, b, w1=None, w0=None, extra_points=()):
@@ -258,19 +257,17 @@ def test_scan_reads_profile_extrema(data, a, b, weighted):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), a=_tied)
 def test_step_cdf_heights_are_one_arm_profile(data, a):
+    # with an empty second arm the profile is the (weighted) CDF of ``a``
     empty = np.empty(0)
-    f = StepCdf.from_values(a)
-    np.testing.assert_array_equal(f.breakpoints, np.unique(a))
-    np.testing.assert_array_equal(
-        f.heights, [np.mean(a <= t) for t in f.breakpoints])
-    np.testing.assert_array_equal(f.heights,
-                                  kernels.delta_profile(a, empty)[1])
+    pts, heights = kernels.delta_profile(a, empty)
+    np.testing.assert_array_equal(pts, np.unique(a))
+    np.testing.assert_array_equal(heights, [np.mean(a <= t) for t in pts])
+    assert heights[-1] == 1.0
     w = data.draw(_weights(a.size))
-    f = StepCdf.from_values(a, w, normalize=False)
-    np.testing.assert_array_equal(
-        f.heights, kernels.delta_profile(a, empty, w, empty)[1])
-    f = StepCdf.from_values(a, w)
-    np.testing.assert_array_equal(
-        f.heights[:-1], kernels.delta_profile(a, empty, w / w.sum(),
-                                              empty)[1][:-1])
-    assert f.heights[-1] == 1.0
+    pts_w, heights = kernels.delta_profile(a, empty, w, empty)
+    np.testing.assert_array_equal(pts_w, pts)
+    np.testing.assert_allclose(heights, [np.sum(w * (a <= t)) for t in pts],
+                               rtol=1e-12)
+    _, heights = kernels.delta_profile(a, empty, w / w.sum(), empty)
+    assert np.all(np.diff(heights) > 0)
+    assert heights[-1] == pytest.approx(1.0, abs=1e-12)
