@@ -3,10 +3,10 @@ values solving a coverage-constrained minimization.
 
 The pair (c_l, c_u) minimizes sigma_l*c_l + sigma_u*c_u subject to two
 coverage constraints over independent standard normals (Z1, Z2); each
-constraint probability is an integral over Z1 of a closed-form normal CDF
-term, evaluated by adaptive Gauss-Kronrod quadrature. The pretested length
-term Lambda switches off when the estimated bound gap falls below a
-vanishing threshold h_n.
+constraint probability is an integral over Z1, truncated at |Z1| = 8, of a
+closed-form normal CDF term, evaluated by fixed 96-node Gauss-Legendre
+quadrature. The pretested length term Lambda switches off when the
+estimated bound gap falls below a vanishing threshold h_n.
 """
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtr
 from scipy.stats import norm
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 from .data import ConfigError
 from .reports import BoundsEstimate
@@ -29,11 +28,21 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 BISECT_TOL = 1e-12
 GOLDEN_TOL = 1e-9
 H_RULES = ("stoye", "logn", "qloglog")
+# the bisection is replayed from a verified root only where the constraints
+# are monotone in floating point: nearer |rho| = 1 the quadrature loses
+# accuracy and the constraints are not
+RHO_REPLAY = 0.9
+ROOT_STEP = 5e-12
+ROOT_WINDOW = 1e-11
+# least rise of a constraint across [r - ROOT_STEP, r + ROOT_STEP]: far above
+# the quadrature's rounding noise, so the sign of fn - target away from the
+# root r is the sign of c - r (tiny alpha puts the root where fn is flat)
+ROOT_RISE = 1e-14
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class EstimationFailure(RuntimeError):
-    """Solver non-convergence; carries the last iterate in the message."""
-
+    """Solver non-convergence; the message names rho and lambda."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,10 @@ def h_threshold(n: int, rule: str = "stoye", q_factor: float = 2.0) -> float:
 
 def _gauss_legendre(lo: float, hi: float, a: float, b: float, w: float) -> float:
     """integral over [lo, hi] of phi(z) * Phi((a + b*z) / w), via fixed-order
-    Gauss-Legendre; exact to well below 1e-10 for these smooth integrands."""
+    Gauss-Legendre. Within 2e-14 of adaptive quadrature for |rho| <= 0.9,
+    but the integrand steepens as w = sqrt(1 - rho^2) shrinks: the largest
+    error over 30 random (c_l, c_u, lambda) is 7e-9 at |rho| = 0.99, 2e-3 at
+    0.999 and 1e-2 at 0.999999."""
     if hi <= lo:
         return 0.0
     mid = 0.5 * (lo + hi)
@@ -105,22 +117,71 @@ def _constraint2(c_l: float, c_u: float, rho: float, lam_l: float) -> float:
     return _gauss_legendre(-Z_TRUNC, c_u, a, rho, w)
 
 
-def _bisect_cl(fn, target: float, lo: float = 0.0, hi: float = 12.0):
-    """Smallest c_l with fn(c_l) >= target; fn nondecreasing. None if
-    unattainable on [lo, hi]."""
-    if fn(hi) < target:
+def _bisect(ge, lo: float = 0.0, hi: float = 12.0):
+    """Bisection for the smallest c on [lo, hi] with ge(c), for ge false
+    below and true above some point. None if ge(hi) is false."""
+    if not ge(hi):
         return None
-    if fn(lo) >= target:
+    if ge(lo):
         return lo
     for _ in range(120):
         mid = 0.5 * (lo + hi)
-        if fn(mid) >= target:
+        if ge(mid):
             hi = mid
         else:
             lo = mid
         if hi - lo < BISECT_TOL:
             break
     return hi
+
+
+def _bisect_cl(fn, target: float, lo: float = 0.0, hi: float = 12.0):
+    """Smallest c_l with fn(c_l) >= target; fn nondecreasing. None if
+    unattainable on [lo, hi]."""
+    return _bisect(lambda c: fn(c) >= target, lo, hi)
+
+
+def _secant_root(g, x0: float, x1: float, maxiter: int = 8):
+    """Root of g by secant steps from x0 and x1; None unless the steps
+    converge inside (0, 12)."""
+    g0, g1 = g(x0), g(x1)
+    for _ in range(maxiter):
+        if g1 == g0:
+            return None
+        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
+        if not 0.0 < x2 < 12.0:
+            return None
+        if abs(x2 - x1) < 1e-13:
+            return x2
+        x0, g0, x1, g1 = x1, g1, x2, g(x2)
+    return None
+
+
+def _replay_cl(fn, target: float, guess: float):
+    """_bisect_cl(fn, target), calling fn only near the crossing.
+
+    The root r of fn = target comes from secant steps warm-started at
+    guess, or from brentq on [0, 12] if they fail. It is verified as
+    fn(r - ROOT_STEP) < target <= fn(r + ROOT_STEP), with fn rising by at
+    least ROOT_RISE in between. The bisection then makes the same steps as
+    _bisect_cl, but decides a point farther than ROOT_WINDOW from r by the
+    side of r it lies on, which for a nondecreasing fn is the comparison fn
+    would give. Without a verified root it falls back to _bisect_cl.
+    """
+    def g(c):
+        return fn(c) - target
+
+    r = _secant_root(g, guess, guess + 1e-6)
+    if r is None:
+        try:
+            r = brentq(g, 0.0, 12.0, xtol=1e-13, disp=False)
+        except ValueError:
+            return _bisect_cl(fn, target)
+    below, above = fn(r - ROOT_STEP), fn(r + ROOT_STEP)
+    if not (below < target <= above and above - below >= ROOT_RISE):
+        return _bisect_cl(fn, target)
+    return _bisect(lambda c: (fn(c) >= target if abs(c - r) <= ROOT_WINDOW
+                              else c > r))
 
 
 def solve_critical_values(alpha: float, rho: float, lam_l: float,
@@ -131,6 +192,9 @@ def solve_critical_values(alpha: float, rho: float, lam_l: float,
     Outer golden-section search over c_u with the required c_l solved by
     bisection from each constraint; the feasible c_l for fixed c_u is the
     max of the two bisection solutions, both nondecreasing requirements.
+    For |rho| <= RHO_REPLAY, a constraint whose c_l at the previous c_u was
+    interior replays its bisection from a root warm-started there
+    (_replay_cl); the result is the same to the bit.
     """
     if not 0.0 < alpha < 0.5:
         raise ConfigError("alpha must lie in (0, 0.5) for two-sided intervals")
@@ -138,10 +202,20 @@ def solve_critical_values(alpha: float, rho: float, lam_l: float,
     z_a = float(norm.ppf(1 - alpha))
     z_half = float(norm.ppf(1 - alpha / 2))
     rho = float(np.clip(rho, -1.0, 1.0))
+    replay = abs(rho) <= RHO_REPLAY
+    last = [None, None]  # each constraint's c_l at the previous c_u
+
+    def required(k: int, fn):
+        prev = last[k]
+        if replay and prev is not None and prev > 0.0:
+            last[k] = _replay_cl(fn, target, prev)
+        else:
+            last[k] = _bisect_cl(fn, target)
+        return last[k]
 
     def cl_required(c_u: float):
-        c1 = _bisect_cl(lambda c: _constraint1(c, c_u, rho, lam_u), target)
-        c2 = _bisect_cl(lambda c: _constraint2(c, c_u, rho, lam_l), target)
+        c1 = required(0, lambda c: _constraint1(c, c_u, rho, lam_u))
+        c2 = required(1, lambda c: _constraint2(c, c_u, rho, lam_l))
         if c1 is None or c2 is None:
             return None
         return max(c1, c2)

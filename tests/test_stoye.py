@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from dtebounds import stoye
 from dtebounds.data import ConfigError
 from dtebounds.reports import BoundsEstimate
 from dtebounds.stoye import (
@@ -166,3 +171,155 @@ class TestStoyeCi:
             cover_u += si.lo <= true_u and true_u <= si.hi
         assert cover_l / reps >= 0.86
         assert cover_u / reps >= 0.86
+
+
+# The solver as it was before the bisection replay, kept as the oracle for
+# bit identity. It reaches the constraints through the module, so a counting
+# wrapper monkeypatched there sees both solvers' calls.
+def reference_bisect_cl(fn, target, lo=0.0, hi=12.0):
+    if fn(hi) < target:
+        return None
+    if fn(lo) >= target:
+        return lo
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < stoye.BISECT_TOL:
+            break
+    return hi
+
+
+def reference_solve(alpha, rho, lam_l, lam_u, sigma_l, sigma_u):
+    if not 0.0 < alpha < 0.5:
+        raise ConfigError("alpha must lie in (0, 0.5) for two-sided intervals")
+    target = 1.0 - alpha
+    z_a = float(norm.ppf(1 - alpha))
+    z_half = float(norm.ppf(1 - alpha / 2))
+    rho = float(np.clip(rho, -1.0, 1.0))
+
+    def cl_required(c_u):
+        c1 = reference_bisect_cl(
+            lambda c: stoye._constraint1(c, c_u, rho, lam_u), target)
+        c2 = reference_bisect_cl(
+            lambda c: stoye._constraint2(c, c_u, rho, lam_l), target)
+        if c1 is None or c2 is None:
+            return None
+        return max(c1, c2)
+
+    best = {"obj": float("inf"), "c_l": None, "c_u": None}
+
+    def objective(c_u):
+        req = cl_required(c_u)
+        if req is None:
+            return float("inf")
+        obj = sigma_l * req + sigma_u * c_u
+        if obj < best["obj"]:
+            best.update(obj=obj, c_l=req, c_u=c_u)
+        return obj
+
+    lo, hi = max(0.0, z_a - 1e-6), z_half + 1e-6
+    grid = np.linspace(lo, hi, 21)
+    vals = [objective(c) for c in grid]
+    j = int(np.argmin(vals))
+    a = grid[max(0, j - 1)]
+    b = grid[min(len(grid) - 1, j + 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = objective(x1), objective(x2)
+    it = 0
+    while b - a > stoye.GOLDEN_TOL and it < 400:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = objective(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = objective(x2)
+        it += 1
+    objective(0.5 * (a + b))
+    if best["c_l"] is None:
+        raise stoye.EstimationFailure(
+            f"critical-value search failed: no feasible point found for "
+            f"rho={rho:.4f}, lam=({lam_l:.3g},{lam_u:.3g})")
+    return (float(np.clip(best["c_l"], 0.0, z_half)),
+            float(np.clip(best["c_u"], 0.0, z_half)))
+
+
+def outcome(solver, *args):
+    """Bytes of the solution, or the type and message of the exception."""
+    try:
+        return np.array(solver(*args)).tobytes()
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+EDGE_RHOS = [v for r in (1.0, 1.0 - 1e-12, 0.999, 0.9,
+                         math.nextafter(0.9, 0.0), math.nextafter(0.9, 1.0))
+             for v in (r, -r)]
+LAMBDAS = st.one_of(
+    st.sampled_from([0.0, 1e-8, 1e3]),
+    st.floats(0.0, 1.0, exclude_max=True).map(lambda u: -math.log1p(-u)))
+
+
+class TestReplayedBisection:
+    """solve_critical_values replays the bisection from a verified root;
+    its critical values equal the plain bisection's bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           rho=st.one_of(st.sampled_from(EDGE_RHOS), st.floats(-1.0, 1.0)),
+           lam_l=LAMBDAS, lam_u=LAMBDAS,
+           sigma_l=st.floats(-4.0, 2.0).map(math.exp),
+           sigma_u=st.floats(-4.0, 2.0).map(math.exp))
+    @example(0.05, -0.999999999999, 0.0, 1e-08, 0.03574660230810845,
+             0.23455569018718017)
+    @example(1e-10, -0.9, 0.0, 0.0, math.exp(-1.0), 1.0)
+    @example(0.05, 0.25, 50.0, 50.0, 0.45, 0.45)
+    def test_matches_plain_bisection(self, alpha, rho, lam_l, lam_u,
+                                     sigma_l, sigma_u):
+        args = (alpha, rho, lam_l, lam_u, sigma_l, sigma_u)
+        assert outcome(solve_critical_values, *args) == outcome(
+            reference_solve, *args)
+
+    def test_failed_bracket_falls_back(self, monkeypatch):
+        # a root off the crossing fails the bracket check: every replay must
+        # then run the plain bisection and still give the same bits
+        fallbacks = []
+        bisect_cl = stoye._bisect_cl
+        monkeypatch.setattr(stoye, "_secant_root", lambda g, x0, x1: 0.5)
+
+        def counted(fn, target):
+            fallbacks.append(target)
+            return bisect_cl(fn, target)
+
+        monkeypatch.setattr(stoye, "_bisect_cl", counted)
+        args = (0.05, 0.25, 3.0, 2.0, 0.5, 0.6)
+        assert outcome(solve_critical_values, *args) == outcome(
+            reference_solve, *args)
+        assert len(fallbacks) > 60
+
+    def test_calls_fewer_constraints(self, monkeypatch):
+        calls = [0]
+
+        def counting(fn):
+            def wrapped(*a):
+                calls[0] += 1
+                return fn(*a)
+            return wrapped
+
+        monkeypatch.setattr(stoye, "_constraint1",
+                            counting(stoye._constraint1))
+        monkeypatch.setattr(stoye, "_constraint2",
+                            counting(stoye._constraint2))
+        # a delta-sweep unit's input: rho 0.25, lambda about 50
+        args = (0.05, 0.25, 50.3, 49.1, 0.44, 0.45)
+        solve_critical_values(*args)
+        replayed = calls[0]
+        calls[0] = 0
+        reference_solve(*args)
+        assert replayed <= 0.4 * calls[0]
