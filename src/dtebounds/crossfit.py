@@ -335,9 +335,14 @@ def variant_known_propensity(sample: Sample, folds: FoldPlan, model_specs,
     sup, t_l, inf, t_u = scan_bounds(sample, s_lo.values, s_hi.values, w)
     # t = 0 lies in the scanned domain; evaluating it explicitly guards the
     # exact dominance over the t=0 comparison estimator against float-path
-    # differences between the cumulative scan and the direct mean
-    sup = max(sup, _ipw_mean(sample, p, _indicator(sample, s_lo.values, 0.0)))
-    inf = min(inf, _ipw_mean(sample, p, _indicator(sample, s_hi.values, 0.0)))
+    # differences between the cumulative scan and the direct mean; when it
+    # wins, t = 0 is the reported optimizer and the variances are taken there
+    sup0 = _ipw_mean(sample, p, _indicator(sample, s_lo.values, 0.0))
+    if sup0 > sup:
+        sup, t_l = sup0, 0.0
+    inf0 = _ipw_mean(sample, p, _indicator(sample, s_hi.values, 0.0))
+    if inf0 < inf:
+        inf, t_u = inf0, 0.0
     sigma2_l, sigma2_u, sigma_lu = _ipw_sigma(
         sample, p, _indicator(sample, s_lo.values, t_l),
         _indicator(sample, s_hi.values, t_u), sup, inf)

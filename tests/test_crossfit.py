@@ -7,6 +7,8 @@ from scipy.stats import norm
 from dtebounds.crossfit import (
     EstimationError,
     _indicator,
+    _ipw_mean,
+    _ipw_sigma,
     estimate_crossfit,
     ipw_excess_variance,
     one_sided_cis,
@@ -19,7 +21,8 @@ from dtebounds.crossfit import (
 )
 from dtebounds.data import Adjuster, PropensityModel, Sample, make_folds
 from dtebounds.reports import BoundsEstimate
-from dtebounds.stepfun import makarov_bounds
+from dtebounds.simulate import DgpSpec, draw_dgp
+from dtebounds.stepfun import makarov_bounds, scan_bounds
 
 
 def make_sample(n=300, seed=0, effect=1.0, p_treat=0.5):
@@ -172,6 +175,37 @@ class TestKnownPropensity:
         est_a = estimate_crossfit(s, folds, [], adjusters=(zero, zero))
         assert est_b.theta_l == pytest.approx(est_a.theta_l, abs=1e-12)
         assert est_b.theta_u == pytest.approx(est_a.theta_u, abs=1e-12)
+
+    @pytest.mark.parametrize("n, scale, seed, side", [(300, 2.0, 685, "l"),
+                                                       (120, 1.0, 844, "u")])
+    def test_t0_guard_reports_t0(self, n, scale, seed, side):
+        # integer outcomes and adjusters: the cumulative scan's sup (inf) is
+        # one ulp below (above) the direct mean at t = 0, reached elsewhere
+        # on the scan, so the guard's t = 0 is the reported optimizer
+        drawn, _ = draw_dgp(DgpSpec(), n, seed)
+        rng = np.random.default_rng(seed)
+        s = Sample(np.round(drawn.y), drawn.d, drawn.x)
+        s_lo = np.round(scale * rng.normal(size=n))
+        s_hi = np.round(scale * rng.normal(size=n))
+        p = np.full(n, 0.5)
+        prop = PropensityModel(mode="constant_known", pi=0.5)
+        w = np.where(s.d == 1, 1.0 / (n * p), 1.0 / (n * (1.0 - p)))
+        sup, t_l, inf, t_u = scan_bounds(s, s_lo, s_hi, w)
+        sup0 = _ipw_mean(s, p, _indicator(s, s_lo, 0.0))
+        inf0 = _ipw_mean(s, p, _indicator(s, s_hi, 0.0))
+        if side == "l":
+            assert sup0 > sup and t_l != 0.0
+            sup, t_l = sup0, 0.0
+        else:
+            assert inf0 < inf and t_u != 0.0
+            inf, t_u = inf0, 0.0
+        est = variant_known_propensity(s, None, [], prop, adjusters=(
+            Adjuster(s_lo), Adjuster(s_hi)))
+        assert (est.theta_l, est.theta_u, est.t_l, est.t_u) == (
+            sup, 1.0 + inf, t_l, t_u)
+        assert (est.sigma2_l, est.sigma2_u, est.sigma_lu) == _ipw_sigma(
+            s, p, _indicator(s, s_lo, t_l), _indicator(s, s_hi, t_u),
+            sup, inf)
 
     def test_excess_variance_formula(self):
         # E[Z1]=0.6, E[Z0]=0.4, pi=0.5: direct algebra gives
