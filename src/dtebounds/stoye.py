@@ -26,6 +26,7 @@ __all__ = ["StoyeInterval", "h_threshold", "solve_critical_values", "stoye_ci"]
 Z_TRUNC = 8.0
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 BISECT_TOL = 1e-12
+CL_MAX = 12.0  # every c_l search runs over [0, CL_MAX]
 GOLDEN_TOL = 1e-9
 H_RULES = ("stoye", "logn", "qloglog")
 # the bisection is replayed from a verified root only where the constraints
@@ -118,7 +119,7 @@ def _constraint2(c_l: float, c_u: float, rho: float, lam_l: float) -> float:
     return _gauss_legendre(-Z_TRUNC, c_u, a, rho, w)
 
 
-def _bisect(ge, lo: float = 0.0, hi: float = 12.0):
+def _bisect(ge, lo: float = 0.0, hi: float = CL_MAX):
     """Bisection for the smallest c on [lo, hi] with ge(c), for ge false
     below and true above some point. None if ge(hi) is false."""
     if not ge(hi):
@@ -136,7 +137,7 @@ def _bisect(ge, lo: float = 0.0, hi: float = 12.0):
     return hi
 
 
-def _bisect_cl(fn, target: float, lo: float = 0.0, hi: float = 12.0):
+def _bisect_cl(fn, target: float, lo: float = 0.0, hi: float = CL_MAX):
     """Smallest c_l with fn(c_l) >= target; fn nondecreasing. None if
     unattainable on [lo, hi]."""
     return _bisect(lambda c: fn(c) >= target, lo, hi)
@@ -144,13 +145,13 @@ def _bisect_cl(fn, target: float, lo: float = 0.0, hi: float = 12.0):
 
 def _secant_root(g, x0: float, x1: float, maxiter: int = 8):
     """Root of g by secant steps from x0 and x1; None unless the steps
-    converge inside (0, 12)."""
+    converge inside (0, CL_MAX)."""
     g0, g1 = g(x0), g(x1)
     for _ in range(maxiter):
         if g1 == g0:
             return None
         x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
-        if not 0.0 < x2 < 12.0:
+        if not 0.0 < x2 < CL_MAX:
             return None
         if abs(x2 - x1) < 1e-13:
             return x2
@@ -162,7 +163,7 @@ def _replay_cl(fn, target: float, guess: float):
     """_bisect_cl(fn, target), calling fn only near the crossing.
 
     The root r of fn = target comes from secant steps warm-started at
-    guess, or from brentq on [0, 12] if they fail. It is verified as
+    guess, or from brentq on [0, CL_MAX] if they fail. It is verified as
     fn(r - ROOT_STEP) < target <= fn(r + ROOT_STEP), with fn rising by at
     least ROOT_RISE in between. The bisection then makes the same steps as
     _bisect_cl, but decides a point farther than ROOT_WINDOW from r by the
@@ -175,7 +176,7 @@ def _replay_cl(fn, target: float, guess: float):
     r = _secant_root(g, guess, guess + 1e-6)
     if r is None:
         try:
-            r = brentq(g, 0.0, 12.0, xtol=1e-13, disp=False)
+            r = brentq(g, 0.0, CL_MAX, xtol=1e-13, disp=False)
         except ValueError:
             return _bisect_cl(fn, target)
     below, above = fn(r - ROOT_STEP), fn(r + ROOT_STEP)
