@@ -51,107 +51,95 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+_DATA = ("analyze", "bounds-curve")
+_ALL = _DATA + ("simulate",)
+
+# config key -> (type, default, subcommands with its flag, flag help). The
+# flag is the key with '.' and '_' spelled '-'; a key whose default is None
+# enters the config only when it is set. Config-file keys apply to every
+# subcommand.
+SETTINGS = {
+    "alpha": (float, 0.05, _ALL, None),
+    "seed": (int, 0, _ALL, None),
+    "output": (str, None, _ALL,
+               "output path prefix (writes <prefix>.json etc.)"),
+    "input": (str, None, _DATA, "CSV data file"),
+    "y_col": (str, "y", _DATA, None),
+    "d_col": (str, "d", _DATA, None),
+    "x_prefix": (str, None, _DATA, None),
+    "x_cols": (str, None, _DATA, "comma-separated covariate columns"),
+    "method": (str, "cross-fit", _DATA, None),
+    "models": (str, "constant", _DATA, "comma-separated model specs"),
+    "delta": (float, 0.0, _DATA, None),
+    "k_folds": (int, 5, _ALL, None),
+    "aux_fraction": (float, 0.5, _DATA, None),
+    "h_rule": (str, "stoye", _DATA, None),
+    "propensity.mode": (str, "in_sample", _DATA, None),
+    "propensity.pi": (float, None, _DATA, None),
+    "propensity.col": (str, None, _DATA,
+                       "column with known per-unit propensities"),
+    "group.col": (str, None, _DATA,
+                  "column with group labels for the group method"),
+    "squash": (bool, False, _DATA,
+               "map outcomes through the bounded transform"),
+    "grid": (str, "normal:10000", _DATA,
+             "argmax grid spec, e.g. normal:10000 or linear:2001"),
+    "adjuster_file": (str, None, _DATA,
+                      "CSV with per-unit s_l,s_u columns from an external "
+                      "learner; bypasses model fitting"),
+    "cells": (str, None, ("simulate",),
+              "cell file: lines 'n,p,model,estimator'"),
+    "reps": (int, 1000, ("simulate",), None),
+    "ar_coef": (float, 0.2, ("simulate",), None),
+    "theta0_reps": (int, 2000000, ("simulate",), None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dtebounds",
         description="Bounds and confidence intervals for the distribution "
                     "of treatment effects")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, help_ in (
+            ("analyze", "estimate bounds on one dataset"),
+            ("bounds-curve", "dump the adjusted CDF-difference curve"),
+            ("simulate", "Monte Carlo power/size table")):
+        p = sub.add_parser(command, help=help_)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", default=None,
-                       help="output path prefix (writes <prefix>.json etc.)")
-
-    def add_analyze_args(p):
-        add_common(p)
-        p.add_argument("--input", default=None, help="CSV data file")
-        p.add_argument("--y-col", default=None)
-        p.add_argument("--d-col", default=None)
-        p.add_argument("--x-prefix", default=None)
-        p.add_argument("--x-cols", default=None,
-                       help="comma-separated covariate columns")
-        p.add_argument("--method", default=None, choices=None)
-        p.add_argument("--models", default=None,
-                       help="comma-separated model specs")
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--k-folds", type=int, default=None)
-        p.add_argument("--aux-fraction", type=float, default=None)
-        p.add_argument("--h-rule", default=None)
-        p.add_argument("--propensity-mode", default=None)
-        p.add_argument("--propensity-pi", type=float, default=None)
-        p.add_argument("--propensity-col", default=None,
-                       help="column with known per-unit propensities")
-        p.add_argument("--group-col", default=None,
-                       help="column with group labels for the group method")
-        p.add_argument("--squash", action="store_true", default=None,
-                       help="map outcomes through the bounded transform")
-        p.add_argument("--grid", default=None,
-                       help="argmax grid spec, e.g. normal:10000 or linear:2001")
-        p.add_argument("--adjuster-file", default=None,
-                       help="CSV with per-unit s_l,s_u columns from an "
-                            "external learner; bypasses model fitting")
-
-    p_an = sub.add_parser("analyze", help="estimate bounds on one dataset")
-    add_analyze_args(p_an)
-    p_cv = sub.add_parser("bounds-curve",
-                          help="dump the adjusted CDF-difference curve")
-    add_analyze_args(p_cv)
-    p_sim = sub.add_parser("simulate", help="Monte Carlo power/size table")
-    add_common(p_sim)
-    p_sim.add_argument("--cells", default=None,
-                       help="cell file: lines 'n,p,model,estimator'")
-    p_sim.add_argument("--reps", type=int, default=None)
-    p_sim.add_argument("--ar-coef", type=float, default=None)
-    p_sim.add_argument("--k-folds", type=int, default=None)
-    p_sim.add_argument("--theta0-reps", type=int, default=None)
+        for key, (typ, _, commands, flag_help) in SETTINGS.items():
+            if command not in commands:
+                continue
+            flag = "--" + key.replace(".", "-").replace("_", "-")
+            if typ is bool:
+                p.add_argument(flag, dest=key, action="store_true",
+                               default=None, help=flag_help)
+            else:
+                p.add_argument(flag, dest=key, type=typ, help=flag_help)
     return parser
 
 
-DEFAULTS = {
-    "alpha": 0.05, "delta": 0.0, "k_folds": 5, "aux_fraction": 0.5,
-    "seed": 0, "method": "cross-fit", "models": "constant",
-    "h_rule": "stoye", "propensity.mode": "in_sample", "grid": "normal:10000",
-    "y_col": "y", "d_col": "d", "reps": 1000, "ar_coef": 0.2,
-    "theta0_reps": 2000000, "squash": False,
-}
-
-_CONFIG_KEYS = {
-    "alpha": float, "delta": float, "k_folds": int, "aux_fraction": float,
-    "seed": int, "method": str, "models": str, "h_rule": str,
-    "propensity.mode": str, "propensity.pi": float, "propensity.col": str,
-    "group.col": str, "grid": str, "y_col": str, "d_col": str,
-    "x_prefix": str, "x_cols": str, "input": str, "output": str,
-    "reps": int, "ar_coef": float, "cells": str, "theta0_reps": int,
-    "squash": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-_FLAG_TO_KEY = {
-    "y_col": "y_col", "d_col": "d_col", "x_prefix": "x_prefix",
-    "x_cols": "x_cols", "method": "method", "models": "models",
-    "delta": "delta", "k_folds": "k_folds", "aux_fraction": "aux_fraction",
-    "h_rule": "h_rule", "propensity_mode": "propensity.mode",
-    "propensity_pi": "propensity.pi", "propensity_col": "propensity.col",
-    "group_col": "group.col", "alpha": "alpha", "seed": "seed",
-    "input": "input", "output": "output", "grid": "grid", "cells": "cells",
-    "reps": "reps", "ar_coef": "ar_coef", "theta0_reps": "theta0_reps",
-    "squash": "squash", "adjuster_file": "adjuster_file",
-}
+def _parse_setting(key: str, val: str):
+    typ = SETTINGS[key][0]
+    if typ is bool:
+        return val.lower() in ("1", "true", "yes")
+    try:
+        return typ(val)
+    except ValueError:
+        raise ConfigError(f"{key}: {val!r} is not a valid "
+                          f"{typ.__name__}") from None
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Defaults, overridden by the config file, overridden by flags."""
-    cfg = dict(DEFAULTS)
+    cfg = {key: s[1] for key, s in SETTINGS.items() if s[1] is not None}
     if getattr(args, "config", None):
-        raw = read_config_file(args.config)
-        for key, val in raw.items():
-            if key not in _CONFIG_KEYS:
+        for key, val in read_config_file(args.config).items():
+            if key not in SETTINGS:
                 raise ConfigError(f"unknown config key {key!r}")
-            cfg[key] = _CONFIG_KEYS[key](val)
-    for flag, key in _FLAG_TO_KEY.items():
-        val = getattr(args, flag, None)
+            cfg[key] = _parse_setting(key, val)
+    for key in SETTINGS:
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     _validate_config(cfg, args.command)

@@ -1,4 +1,5 @@
-"""Conditional outcome-CDF models and extraction of adjustment functions.
+"""Conditional outcome-CDF models, extraction of adjustment functions, and
+their cross-fitting, which model selection also uses to score candidates.
 
 A fitted model estimates F_j(t | x) for one arm. The adjustment functions
 are, per covariate row, the grid argmax (lower side) and argmin (upper
@@ -19,6 +20,8 @@ from .data import (
     Adjuster,
     ConfigError,
     DegenerateDesignError,
+    EstimationError,
+    FoldPlan,
     Sample,
     make_folds,
 )
@@ -34,6 +37,7 @@ __all__ = [
     "fit_arm_model",
     "extract_adjusters",
     "fit_adjusters",
+    "crossfit_adjusters",
     "select_model",
 ]
 
@@ -224,7 +228,7 @@ def parse_model_spec(spec: str):
     return name.strip(), params
 
 
-def fit_arm_model(y, x, spec: str, seed: int = 0) -> ConditionalCdfModel:
+def fit_arm_model(y, x, spec: str) -> ConditionalCdfModel:
     """Fit one arm's conditional CDF model from outcomes y and covariates x.
 
     Degenerate (constant) covariates trigger a fallback to the constant
@@ -303,7 +307,7 @@ def extract_adjusters(m1: ConditionalCdfModel, m0: ConditionalCdfModel,
 
 
 def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
-                  grid: np.ndarray, seed: int = 0):
+                  grid: np.ndarray):
     """Fit each distinct spec's arm models on ``train`` once, then evaluate
     per row set the lower-side values of spec_l's pair and the upper-side
     values of spec_u's pair.
@@ -315,8 +319,8 @@ def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
     fitted = {}
     for spec in dict.fromkeys((spec_l, spec_u)):
         fitted[spec] = (
-            fit_arm_model(train.y[treated], train.x[treated], spec, seed),
-            fit_arm_model(train.y[~treated], train.x[~treated], spec, seed))
+            fit_arm_model(train.y[treated], train.x[treated], spec),
+            fit_arm_model(train.y[~treated], train.x[~treated], spec))
     out = []
     for x_rows in row_sets:
         s_lo, s_hi = extract_adjusters(*fitted[spec_l], x_rows, grid)
@@ -326,24 +330,47 @@ def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
     return out
 
 
-def _inner_bounds(train: Sample, spec: str, cv_folds: int, seed: int,
-                  grid_spec: GridSpec) -> tuple[float, float]:
-    """Cross-validated pooled (lower, upper) bounds inside the training data
-    only; each fold's arm models are fitted and extracted once for both
-    sides."""
-    plan = make_folds(train, cv_folds, seed)
+def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
+                       seed: int = 0, grid_spec: GridSpec = GridSpec(),
+                       select_folds: int = 5):
+    """Fit per-fold adjustment functions out-of-fold and evaluate them on
+    the held-out fold rows; with several specs, each fold first selects
+    one per side on its own out-of-fold data.
+
+    Returns (s_lower, s_upper, meta); meta records the model spec chosen
+    per fold and the per-fold adjuster dispersion diagnostic. A fold whose
+    fit fails with one of ``FIT_ERRORS`` raises EstimationError naming the
+    fold; any other exception propagates unchanged.
+    """
+    specs = list(model_specs)
+    s_lo = np.empty(sample.n)
+    s_hi = np.empty(sample.n)
+    chosen: list[tuple[str, str]] = []
     rng = np.random.default_rng(seed)
-    grid = grid_spec.build(train.y_lo, train.y_hi, rng)
-    adj_lo = np.empty(train.n)
-    adj_hi = np.empty(train.n)
-    for k in range(1, cv_folds + 1):
-        members = plan.members(k)
-        [(lo, hi)] = fit_adjusters(train.subset(plan.complement(k)), spec,
-                                   spec, [train.x[members]], grid, seed)
-        adj_lo[members] = lo
-        adj_hi[members] = hi
-    sup, _, inf, _ = scan_bounds(train, adj_lo, adj_hi)
-    return sup, 1.0 + inf
+    grid = grid_spec.build(sample.y_lo, sample.y_hi, rng)
+    for k in range(1, folds.k_folds + 1):
+        try:
+            oof = sample.subset(folds.complement(k))
+            if len(specs) > 1:
+                spec_l, spec_u = select_model(specs, oof, select_folds,
+                                              seed + k, grid_spec)
+            else:
+                spec_l = spec_u = specs[0]
+            members = folds.members(k)
+            [(lo_k, hi_k)] = fit_adjusters(oof, spec_l, spec_u,
+                                           [sample.x[members]], grid)
+            s_lo[members] = lo_k
+            s_hi[members] = hi_k
+            chosen.append((spec_l, spec_u))
+        except FIT_ERRORS as exc:
+            raise EstimationError(f"fold {k}: {exc}") from exc
+    meta = {
+        "models_per_fold": chosen,
+        "adjuster_sd_l": float(np.std(s_lo)),
+        "adjuster_sd_u": float(np.std(s_hi)),
+    }
+    return (Adjuster(values=s_lo, label="fitted_L"),
+            Adjuster(values=s_hi, label="fitted_U"), meta)
 
 
 def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
@@ -352,8 +379,9 @@ def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
     best: (spec with the largest lower bound, spec with the smallest upper
     bound).
 
-    One inner cross-validation per candidate scores it for both sides. Per
-    side, the first candidate with a strictly better score wins. Held-out
+    Each candidate is scored for both sides by the bounds scanned from its
+    ``crossfit_adjusters`` over ``cv_folds`` folds of ``train``. Per side,
+    the first candidate with a strictly better score wins. Held-out
     data never enters; candidates that fail to fit (one of ``FIT_ERRORS``)
     are excluded with one warning each, and a side with no surviving
     candidate falls back to the constant model with a warning. A single
@@ -367,11 +395,16 @@ def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
     score_l = score_u = -np.inf
     for spec in candidates:
         try:
-            val_l, val_u = _inner_bounds(train, spec, cv_folds, seed,
-                                         grid_spec)
-        except FIT_ERRORS as exc:
-            warnings.warn(f"candidate {spec!r} failed during selection: {exc}")
+            lo, hi, _ = crossfit_adjusters(
+                train, make_folds(train, cv_folds, seed), [spec], seed,
+                grid_spec)
+        except (EstimationError, *FIT_ERRORS) as exc:
+            # the fit error's own message, without the fold prefix
+            warnings.warn(f"candidate {spec!r} failed during selection: "
+                          f"{exc.__cause__ or exc}")
             continue
+        val_l, _, inf, _ = scan_bounds(train, lo.values, hi.values)
+        val_u = 1.0 + inf
         if val_l > score_l:
             score_l, best_l = val_l, spec
         if -val_u > score_u:

@@ -1,7 +1,7 @@
 """Cross-fitting bound estimators, variance estimates, and z-based intervals.
 
-Adjustment functions are fit out-of-fold and the pooled indicator curves
-are scanned exactly. Asymptotic intervals come from the normal limit of
+Adjustment functions come out-of-fold from ``condcdf.crossfit_adjusters``
+and the pooled indicator curves are scanned exactly. Asymptotic intervals come from the normal limit of
 the pooled estimators; the two-sided construction with pretesting lives in
 ``stoye``. ``estimate`` runs any of the package's methods on a sample and
 returns its interval report.
@@ -11,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import norm
 
-from .condcdf import FIT_ERRORS, GridSpec, fit_adjusters, select_model
+from .condcdf import GridSpec, crossfit_adjusters
 from .data import (
     Adjuster,
     ConfigError,
+    EstimationError,
     FoldPlan,
     PropensityModel,
     Sample,
@@ -45,52 +46,6 @@ METHODS = ("cross-fit", "sample-split", "sjls", "cross-fit-group",
            "cross-fit-ipw", "cross-fit-foldt")
 
 FLAT_SPAN_FRACTION = 0.1
-
-
-class EstimationError(RuntimeError):
-    """An estimator failed; the message names the failing fold or input."""
-
-
-def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
-                       seed: int = 0, grid_spec: GridSpec = GridSpec(),
-                       select_folds: int = 5):
-    """Fit per-fold adjustment functions out-of-fold and evaluate them on
-    the held-out fold rows.
-
-    Returns (s_lower, s_upper, meta); meta records the model spec chosen
-    per fold and the per-fold adjuster dispersion diagnostic. A fold whose
-    fit fails with one of ``FIT_ERRORS`` raises EstimationError naming the
-    fold; any other exception propagates unchanged.
-    """
-    specs = list(model_specs)
-    s_lo = np.empty(sample.n)
-    s_hi = np.empty(sample.n)
-    chosen: list[tuple[str, str]] = []
-    rng = np.random.default_rng(seed)
-    grid = grid_spec.build(sample.y_lo, sample.y_hi, rng)
-    for k in range(1, folds.k_folds + 1):
-        try:
-            oof = sample.subset(folds.complement(k))
-            if len(specs) > 1:
-                spec_l, spec_u = select_model(specs, oof, select_folds,
-                                              seed + k, grid_spec)
-            else:
-                spec_l = spec_u = specs[0]
-            members = folds.members(k)
-            [(lo_k, hi_k)] = fit_adjusters(oof, spec_l, spec_u,
-                                           [sample.x[members]], grid, seed + k)
-            s_lo[members] = lo_k
-            s_hi[members] = hi_k
-            chosen.append((spec_l, spec_u))
-        except FIT_ERRORS as exc:
-            raise EstimationError(f"fold {k}: {exc}") from exc
-    meta = {
-        "models_per_fold": chosen,
-        "adjuster_sd_l": float(np.std(s_lo)),
-        "adjuster_sd_u": float(np.std(s_hi)),
-    }
-    return (Adjuster(values=s_lo, label="fitted_L"),
-            Adjuster(values=s_hi, label="fitted_U"), meta)
 
 
 def _adjuster_values(sample, folds, model_specs, seed, grid_spec, adjusters,

@@ -17,6 +17,7 @@ __all__ = [
     "CsvParseError",
     "DegenerateDesignError",
     "ConfigError",
+    "EstimationError",
     "load_csv",
     "shift_for_delta",
     "squash_outcomes",
@@ -36,6 +37,10 @@ class DegenerateDesignError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+class EstimationError(RuntimeError):
+    """An estimator failed; the message names the failing fold or input."""
 
 
 @dataclass(frozen=True)

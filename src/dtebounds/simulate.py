@@ -9,7 +9,7 @@ coefficient default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -284,7 +284,7 @@ class McReport:
         }, indent=2, sort_keys=True)
 
 
-def _cell_adjusters(cell: McCell, spec_p, sample, hidden, rng, k_folds, seed):
+def _cell_adjusters(cell: McCell, spec_p, sample, hidden, rng):
     if cell.model == "none":
         zero = Adjuster.zero(sample.n)
         return (zero, zero), None
@@ -302,9 +302,7 @@ def _cell_adjusters(cell: McCell, spec_p, sample, hidden, rng, k_folds, seed):
 def _run_cell(cell: McCell, spec: DgpSpec, alpha: float, theta0: float,
               replications: int, master_seed: int, cell_idx: int,
               k_folds: int, aux_fraction: float) -> dict:
-    spec_p = DgpSpec(d=spec.d, ar_coef=spec.ar_coef,
-                     treat_prob=spec.treat_prob, observed_p=cell.p,
-                     quad_scale=spec.quad_scale, shift=spec.shift)
+    spec_p = replace(spec, observed_p=cell.p)
     rej0 = rej_t0 = tot_len = 0.0
     failures = 0
     done = 0
@@ -315,7 +313,7 @@ def _run_cell(cell: McCell, spec: DgpSpec, alpha: float, theta0: float,
             sample, hidden = draw_dgp(spec_p, cell.n, rng=rng)
             seed_r = int(rng.integers(2**31))
             adjusters, specs = _cell_adjusters(cell, spec_p, sample, hidden,
-                                               rng, k_folds, seed_r)
+                                               rng)
             lo_raw, length = _run_estimator(cell.estimator, sample, adjusters,
                                             specs, alpha, seed_r, k_folds,
                                             aux_fraction, spec_p.treat_prob)

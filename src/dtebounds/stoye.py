@@ -59,12 +59,6 @@ class StoyeInterval:
     alpha: float
     h_rule: str
 
-    def to_dict(self) -> dict:
-        return {"c_l": self.c_l, "c_u": self.c_u, "lambda": self.lam,
-                "h_n": self.h_n, "lo": self.lo, "hi": self.hi,
-                "empty": self.empty, "alpha": self.alpha,
-                "h_rule": self.h_rule}
-
 
 def h_threshold(n: int, rule: str = "stoye", q_factor: float = 2.0) -> float:
     """Vanishing threshold sequence for the length pretest."""
@@ -265,11 +259,11 @@ def solve_critical_values(alpha: float, rho: float, lam_l: float,
 
 
 def stoye_ci(est: BoundsEstimate, alpha: float, n: int | None = None,
-             h_rule: str = "stoye", q_factor: float = 2.0) -> StoyeInterval:
+             h_rule: str = "stoye") -> StoyeInterval:
     """Pretested two-sided interval from a cross-fitting estimate."""
     n = n or est.n
     sigma_l, sigma_u = est.sigma_l, est.sigma_u
-    h_n = h_threshold(n, h_rule, q_factor)
+    h_n = h_threshold(n, h_rule)
     gap = est.theta_u - est.theta_l
     lam = gap if gap > h_n else 0.0
     if sigma_l < 1e-10 or sigma_u < 1e-10:

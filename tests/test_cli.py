@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dtebounds.cli import main
+from dtebounds.cli import SETTINGS, build_parser, main, resolve_config
 
 
 @pytest.fixture()
@@ -216,6 +216,19 @@ class TestBoundsCurve:
         code = self._curve_with_adjusters(csv, adj, tmp_path / "cv")
         assert code == 2
 
+    def test_adjuster_file_from_config_is_used(self, dgp_csv, tmp_path):
+        sample, csv = dgp_csv
+        adj = tmp_path / "adj.csv"
+        adj.write_text("s_l,s_u\n" + "100,100\n" * sample.n)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"adjuster_file = {adj}\n")
+        code = run_cli("bounds-curve", "--config", str(cfgfile), "--input",
+                       str(csv), "--x-prefix", "x", "--output",
+                       str(tmp_path / "cv"))
+        assert code == 0
+        _, rows = read_curve(tmp_path / "cv.curve.txt")
+        np.testing.assert_array_equal(rows, arm_profile(sample, 100.0))
+
     def test_one_profile_for_the_lower_side(self, data_csv, tmp_path,
                                             monkeypatch):
         from dtebounds import kernels
@@ -295,6 +308,54 @@ class TestSimulate:
                        "--theta0-reps", "1000000")
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+# one valid value per settings key, as it is written on the command line
+SETTING_VALUES = {
+    "alpha": "0.1", "seed": "3", "output": "out", "input": "in.csv",
+    "y_col": "yy", "d_col": "dd", "x_prefix": "z", "x_cols": "x1,x2",
+    "method": "sjls", "models": "constant,ridge_loc_shift", "delta": "0.5",
+    "k_folds": "4", "aux_fraction": "0.4", "h_rule": "logn",
+    "propensity.mode": "group", "propensity.pi": "0.3",
+    "propensity.col": "ps", "group.col": "grp", "squash": "true",
+    "grid": "linear:51", "adjuster_file": "adj.csv", "cells": "cells.csv",
+    "reps": "7", "ar_coef": "0.5", "theta0_reps": "1000",
+}
+# the setting each command requires, so that the config validates
+REQUIRED = {"analyze": "input", "bounds-curve": "input",
+            "simulate": "cells"}
+
+
+class TestSettings:
+    def test_every_setting_has_a_test_value(self):
+        assert set(SETTING_VALUES) == set(SETTINGS)
+
+    @pytest.mark.parametrize("key", sorted(SETTING_VALUES))
+    def test_flag_and_config_file_agree(self, key, tmp_path):
+        parser = build_parser()
+        value = SETTING_VALUES[key]
+        flag = "--" + key.replace(".", "-").replace("_", "-")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        for command in SETTINGS[key][2]:
+            required = REQUIRED[command]
+            base = [command]
+            if key != required:
+                base += [f"--{required}", SETTING_VALUES[required]]
+            by_flag = base + ([flag] if key == "squash" else [flag, value])
+            from_flag = resolve_config(parser.parse_args(by_flag))
+            from_file = resolve_config(
+                parser.parse_args(base + ["--config", str(cfgfile)]))
+            assert from_flag == from_file, command
+            assert str(from_flag[key]).lower() == value
+
+    def test_bad_config_value_exits_2(self, data_csv, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("alpha = abc\n")
+        code = run_cli("analyze", "--config", str(cfgfile), "--input",
+                       data_csv)
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
 
 
 class TestExternalAdjusters:

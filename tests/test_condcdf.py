@@ -67,7 +67,7 @@ def test_monotone_cdfs_across_variants():
     rng = np.random.default_rng(1)
     y = rng.normal(size=60)
     x = rng.normal(size=(60, 3))
-    models = [fit_arm_model(y, x, s, seed=2) for s in
+    models = [fit_arm_model(y, x, s) for s in
               ("constant", "knn_loc_shift:k=10", "ridge_loc_shift:lambda=auto",
                "knn_quantile:k=15")]
     for m in models:
@@ -246,6 +246,43 @@ class TestSelectModel:
         assert msgs[2] == "all candidate models failed; using constant model"
         assert best == ("constant", "constant")
 
+    def test_scores_each_candidate_by_cross_fitting(self, monkeypatch):
+        # one fold loop: selection scores each candidate with the same
+        # crossfit_adjusters the estimators run
+        from dtebounds import condcdf, crossfit
+        assert crossfit.crossfit_adjusters is condcdf.crossfit_adjusters
+        original = condcdf.crossfit_adjusters
+        seen = []
+
+        def counting(sample, folds, specs, *args, **kwargs):
+            seen.append((folds.k_folds, list(specs)))
+            return original(sample, folds, specs, *args, **kwargs)
+
+        monkeypatch.setattr(condcdf, "crossfit_adjusters", counting)
+        select_model(["constant", "knn_loc_shift:k=10"], make_sample(),
+                     cv_folds=4, seed=1)
+        assert seen == [(4, ["constant"]), (4, ["knn_loc_shift:k=10"])]
+
+    def test_too_few_units_for_the_inner_folds(self):
+        # 4 treated units cannot fill 5 inner folds: every candidate fails
+        # to get a fold plan and is skipped with the fold error's own text
+        rng = np.random.default_rng(2)
+        d = np.zeros(40, dtype=int)
+        d[:4] = 1
+        s = Sample(rng.normal(size=40), d, rng.normal(size=(40, 2)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            best = select_model(["constant", "knn_loc_shift:k=2"], s,
+                                cv_folds=5, seed=0)
+        assert [str(w.message) for w in caught] == [
+            "candidate 'constant' failed during selection: "
+            "k=5 exceeds the smaller arm (4)",
+            "candidate 'knn_loc_shift:k=2' failed during selection: "
+            "k=5 exceeds the smaller arm (4)",
+            "all candidate models failed; using constant model",
+        ]
+        assert best == ("constant", "constant")
+
     def test_programming_errors_propagate(self, monkeypatch):
         # only the ways a model can fail to fit are excluded with a warning
         from dtebounds import condcdf
@@ -318,8 +355,8 @@ def test_location_shift_dgp_recovers_shape_up_to_constant():
     f = 2.0 * x[:, 0]
     d = np.array([1, 0] * (n // 2))
     y = f + d * rng.normal(size=n) + rng.normal(size=n)
-    m1 = fit_arm_model(y[d == 1], x[d == 1], "knn_loc_shift:k=35", seed=0)
-    m0 = fit_arm_model(y[d == 0], x[d == 0], "knn_loc_shift:k=35", seed=0)
+    m1 = fit_arm_model(y[d == 1], x[d == 1], "knn_loc_shift:k=35")
+    m0 = fit_arm_model(y[d == 0], x[d == 0], "knn_loc_shift:k=35")
     grid = np.linspace(-10, 10, 4001)
     s_lo, s_hi = extract_adjusters(m1, m0, x, grid)
     u_star = np.sqrt(2.0 * np.log(2.0))

@@ -125,8 +125,8 @@ def _fitted_pairs(spec, draws=10):
         y = np.round(sample.y, 1)
         fit, ev = np.arange(60), np.arange(60, 80)
         d = sample.d[fit]
-        m1 = fit_arm_model(y[fit][d == 1], sample.x[fit][d == 1], spec, seed)
-        m0 = fit_arm_model(y[fit][d == 0], sample.x[fit][d == 0], spec, seed)
+        m1 = fit_arm_model(y[fit][d == 1], sample.x[fit][d == 1], spec)
+        m0 = fit_arm_model(y[fit][d == 0], sample.x[fit][d == 0], spec)
         grid = np.round(GridSpec(size=800).build(
             y.min(), y.max(), np.random.default_rng(seed)), 1)
         yield m1, m0, sample.x[ev], grid
