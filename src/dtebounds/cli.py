@@ -56,10 +56,10 @@ _ALL = _DATA + ("simulate",)
 
 # config key -> (type, default, subcommands with its flag, flag help). The
 # flag is the key with '.' and '_' spelled '-'; a key whose default is None
-# enters the config only when it is set. Config-file keys apply to every
-# subcommand.
+# enters the config only when it is set. A subcommand has no flag for a key
+# it never reads; config-file keys apply to every subcommand.
 SETTINGS = {
-    "alpha": (float, 0.05, _ALL, None),
+    "alpha": (float, 0.05, ("analyze", "simulate"), None),
     "seed": (int, 0, _ALL, None),
     "output": (str, None, _ALL,
                "output path prefix (writes <prefix>.json etc.)"),
@@ -68,17 +68,17 @@ SETTINGS = {
     "d_col": (str, "d", _DATA, None),
     "x_prefix": (str, None, _DATA, None),
     "x_cols": (str, None, _DATA, "comma-separated covariate columns"),
-    "method": (str, "cross-fit", _DATA, None),
+    "method": (str, "cross-fit", ("analyze",), None),
     "models": (str, "constant", _DATA, "comma-separated model specs"),
     "delta": (float, 0.0, _DATA, None),
     "k_folds": (int, 5, _ALL, None),
-    "aux_fraction": (float, 0.5, _DATA, None),
-    "h_rule": (str, "stoye", _DATA, None),
-    "propensity.mode": (str, "in_sample", _DATA, None),
-    "propensity.pi": (float, None, _DATA, None),
-    "propensity.col": (str, None, _DATA,
+    "aux_fraction": (float, 0.5, ("analyze",), None),
+    "h_rule": (str, "stoye", ("analyze",), None),
+    "propensity.mode": (str, "in_sample", ("analyze",), None),
+    "propensity.pi": (float, None, ("analyze",), None),
+    "propensity.col": (str, None, ("analyze",),
                        "column with known per-unit propensities"),
-    "group.col": (str, None, _DATA,
+    "group.col": (str, None, ("analyze",),
                   "column with group labels for the group method"),
     "squash": (bool, False, _DATA,
                "map outcomes through the bounded transform"),
@@ -119,13 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
 def _parse_setting(key: str, val: str):
     typ = SETTINGS[key][0]
-    if typ is bool:
-        return val.lower() in ("1", "true", "yes")
     try:
-        return typ(val)
-    except ValueError:
+        return _BOOLS[val.lower()] if typ is bool else typ(val)
+    except (KeyError, ValueError):
         raise ConfigError(f"{key}: {val!r} is not a valid "
                           f"{typ.__name__}") from None
 
@@ -233,8 +235,7 @@ def _external_adjusters(cfg: dict, n: int):
     if s_l.size != n:
         raise ConfigError(
             f"adjuster_file: expected {n} rows, got {s_l.size}")
-    return (Adjuster(values=s_l, label="user"),
-            Adjuster(values=s_u, label="user"))
+    return Adjuster(values=s_l), Adjuster(values=s_u)
 
 
 def _propensity(cfg: dict, sample) -> PropensityModel:
@@ -304,10 +305,14 @@ def cmd_analyze(cfg: dict) -> int:
 def cmd_bounds_curve(cfg: dict) -> int:
     sample = _load_sample(cfg)
     seed = cfg["seed"]
-    s_lo, s_hi = _external_adjusters(cfg, sample.n) or crossfit_adjusters(
-        sample, make_folds(sample, cfg["k_folds"], seed), _model_list(cfg),
-        seed, _grid_spec(cfg))[:2]
-    lo, hi = side_profiles(sample, s_lo.values, s_hi.values)
+    adjusters = _external_adjusters(cfg, sample.n)
+    if adjusters is None:
+        s_lo, s_hi, _ = crossfit_adjusters(
+            sample, make_folds(sample, cfg["k_folds"], seed),
+            _model_list(cfg), seed, _grid_spec(cfg))
+    else:
+        s_lo, s_hi = (a.values for a in adjusters)
+    lo, hi = side_profiles(sample, s_lo, s_hi)
     sup, t_l, inf, t_u = profile_bounds(lo, hi)
     header = (f"# adjusted CDF-difference curve (lower side)\n"
               f"# theta_l={float(sup)!r} at t_l={float(t_l)!r}\n"

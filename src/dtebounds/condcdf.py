@@ -17,7 +17,6 @@ import numpy as np
 
 from . import kernels
 from .data import (
-    Adjuster,
     ConfigError,
     DegenerateDesignError,
     EstimationError,
@@ -270,9 +269,11 @@ def fit_arm_model(y, x, spec: str) -> ConditionalCdfModel:
 
 
 def extract_adjusters(m1: ConditionalCdfModel, m0: ConditionalCdfModel,
-                      x_eval, grid: np.ndarray) -> tuple[Adjuster, Adjuster]:
+                      x_eval, grid: np.ndarray):
     """Per evaluation row, the grid argmax (lower) and argmin (upper) of
     F1(t|x) - F0(t|x); ties break toward the smallest grid point.
+
+    Returns the (s_lower, s_upper) pair of arrays.
 
     The caller is responsible for fitting the models on data disjoint from
     x_eval's fold.
@@ -285,8 +286,7 @@ def extract_adjusters(m1: ConditionalCdfModel, m0: ConditionalCdfModel,
         # covariate-free CDFs: bounds are invariant to any constant shift,
         # so the zero function is the canonical adjuster
         zero = np.zeros(len(x_eval))
-        return (Adjuster(values=zero, label="zero"),
-                Adjuster(values=zero, label="zero"))
+        return zero, zero
     loc_kinds = ("constant", "loc_shift")
     if m1.kind == "quantile_grid" and m0.kind == "quantile_grid":
         q1 = m1.predict_quantiles(x_eval)
@@ -302,8 +302,7 @@ def extract_adjusters(m1: ConditionalCdfModel, m0: ConditionalCdfModel,
         d = f1 - f0
         s_lo = grid[np.argmax(d, axis=1)]
         s_hi = grid[np.argmin(d, axis=1)]
-    return (Adjuster(values=s_lo, label="fitted_L"),
-            Adjuster(values=s_hi, label="fitted_U"))
+    return s_lo, s_hi
 
 
 def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
@@ -326,7 +325,7 @@ def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
         s_lo, s_hi = extract_adjusters(*fitted[spec_l], x_rows, grid)
         if spec_u != spec_l:
             _, s_hi = extract_adjusters(*fitted[spec_u], x_rows, grid)
-        out.append((s_lo.values, s_hi.values))
+        out.append((s_lo, s_hi))
     return out
 
 
@@ -369,8 +368,7 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
         "adjuster_sd_l": float(np.std(s_lo)),
         "adjuster_sd_u": float(np.std(s_hi)),
     }
-    return (Adjuster(values=s_lo, label="fitted_L"),
-            Adjuster(values=s_hi, label="fitted_U"), meta)
+    return s_lo, s_hi, meta
 
 
 def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
@@ -403,7 +401,7 @@ def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
             warnings.warn(f"candidate {spec!r} failed during selection: "
                           f"{exc.__cause__ or exc}")
             continue
-        val_l, _, inf, _ = scan_bounds(train, lo.values, hi.values)
+        val_l, _, inf, _ = scan_bounds(train, lo, hi)
         val_u = 1.0 + inf
         if val_l > score_l:
             score_l, best_l = val_l, spec

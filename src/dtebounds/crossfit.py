@@ -1,10 +1,11 @@
 """Cross-fitting bound estimators, variance estimates, and z-based intervals.
 
-Adjustment functions come out-of-fold from ``condcdf.crossfit_adjusters``
-and the pooled indicator curves are scanned exactly. Asymptotic intervals come from the normal limit of
-the pooled estimators; the two-sided construction with pretesting lives in
-``stoye``. ``estimate`` runs any of the package's methods on a sample and
-returns its interval report.
+``estimate`` runs any of the package's methods on a sample and returns its
+interval report. It obtains the adjustment values once, out-of-fold from
+``condcdf.crossfit_adjusters`` or from a user pair, and the estimators scan
+the pooled indicator curves of those arrays exactly. Asymptotic intervals
+come from the normal limit of the pooled estimators; the two-sided
+construction with pretesting lives in ``stoye``.
 """
 from __future__ import annotations
 
@@ -19,9 +20,10 @@ from .data import (
     FoldPlan,
     PropensityModel,
     Sample,
+    adjuster_arrays,
     make_folds,
 )
-from .reports import BoundsEstimate, IntervalReport, clip_unit
+from .reports import BoundsEstimate, IntervalReport
 from .splitfit import estimate_split, make_split
 from .stepfun import profile_bounds, scan_bounds, side_profiles
 from .stoye import H_RULES, stoye_ci
@@ -46,15 +48,6 @@ METHODS = ("cross-fit", "sample-split", "sjls", "cross-fit-group",
            "cross-fit-ipw", "cross-fit-foldt")
 
 FLAT_SPAN_FRACTION = 0.1
-
-
-def _adjuster_values(sample, folds, model_specs, seed, grid_spec, adjusters,
-                     select_folds=5):
-    """Cross-fitted (s_lower, s_upper, meta), or the given fixed pair."""
-    if adjusters is not None:
-        return (*adjusters, {"models_per_fold": [("user", "user")]})
-    return crossfit_adjusters(sample, folds, model_specs, seed, grid_spec,
-                              select_folds)
 
 
 def _indicator(sample: Sample, s, t: float):
@@ -113,26 +106,20 @@ def _flat_span_diagnostic(sample, profile, target, which):
     return None
 
 
-def estimate_crossfit(sample: Sample, folds: FoldPlan, model_specs,
-                      seed: int = 0, grid_spec: GridSpec = GridSpec(),
-                      adjusters: tuple[Adjuster, Adjuster] | None = None,
-                      select_folds: int = 5) -> BoundsEstimate:
-    """Cross-fitting bound estimates on the full sample.
-
-    ``adjusters`` bypasses model fitting with fixed per-unit adjustment
-    values (e.g. simulation oracles or externally fitted learners).
-    """
-    s_lo, s_hi, meta = _adjuster_values(sample, folds, model_specs, seed,
-                                        grid_spec, adjusters, select_folds)
-    profiles = side_profiles(sample, s_lo.values, s_hi.values)
+def estimate_crossfit(sample: Sample, s_lo, s_hi,
+                      meta: dict | None = None) -> BoundsEstimate:
+    """Bound estimates on the full sample from per-unit adjustment values,
+    cross-fitted or fixed; the per-fold adjuster dispersion in ``meta``, the
+    record of ``crossfit_adjusters``, becomes a diagnostic."""
+    profiles = side_profiles(sample, s_lo, s_hi)
     sup, t_l, inf, t_u = profile_bounds(*profiles)
     sigma2_l, sigma2_u, sigma_lu, diags = variance_hat(
-        sample, s_lo.values, s_hi.values, t_l, t_u)
+        sample, s_lo, s_hi, t_l, t_u)
     for profile, target, which in zip(profiles, (sup, inf), ("max", "min")):
         msg = _flat_span_diagnostic(sample, profile, target, which)
         if msg:
             diags.append(msg)
-    if "adjuster_sd_l" in meta:
+    if meta is not None:
         diags.append(f"per-fold adjuster sd: L={meta['adjuster_sd_l']:.4g} "
                      f"U={meta['adjuster_sd_u']:.4g}")
     return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
@@ -184,28 +171,19 @@ def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
                 stoye_default = si
     if stoye_default is not None:
         two_raw = (stoye_default.lo, stoye_default.hi)
-        crossed = stoye_default.empty
         crit = {"z_alpha": z_a, "c_l": stoye_default.c_l,
                 "c_u": stoye_default.c_u, "lambda": stoye_default.lam,
                 "h_n": stoye_default.h_n}
-        if crossed:
-            diags.append("two-sided interval is empty (endpoints crossed)")
     else:
         two_raw = (lo_raw, hi_raw)
-        crossed = two_raw[0] > two_raw[1]
         crit = {"z_alpha": z_a}
-    two = (clip_unit(two_raw[0]), clip_unit(max(*two_raw)))
-    return IntervalReport(
+    rep = IntervalReport(
         method=method,
         alpha=alpha,
         estimate=est,
-        lower_onesided=clip_unit(lo_raw),
-        upper_onesided=clip_unit(hi_raw),
         lower_onesided_raw=lo_raw,
         upper_onesided_raw=hi_raw,
-        two_sided=two,
         two_sided_raw=two_raw,
-        crossed=crossed,
         p_lower_zero=_p_lower_zero(est.theta_l, se_l),
         p_upper_one=_p_upper_one(est.theta_u, se_u),
         crit=crit,
@@ -213,6 +191,10 @@ def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
         meta={"n": n},
         diagnostics=diags,
     )
+    if stoye_default is not None and rep.crossed:
+        rep.diagnostics.append(
+            "two-sided interval is empty (endpoints crossed)")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +229,7 @@ def _ipw_sigma(sample: Sample, p, z_l, z_u, m_l: float, m_u: float):
             float(np.mean(w2 * z_l * z_u) - m_l * m_u))
 
 
-def sjls_estimate(sample: Sample, s_lo: Adjuster,
+def sjls_estimate(sample: Sample, s_lo,
                   propensity: PropensityModel) -> float:
     """The t=0 inverse-propensity comparison estimator: the weighted
     indicator-mean difference evaluated at t = 0 with the same cross-fitted
@@ -257,15 +239,15 @@ def sjls_estimate(sample: Sample, s_lo: Adjuster,
     the same weighting (see variant_known_propensity).
     """
     p = _propensity_values(sample, propensity)
-    return _ipw_mean(sample, p, _indicator(sample, s_lo.values, 0.0))
+    return _ipw_mean(sample, p, _indicator(sample, s_lo, 0.0))
 
 
-def sjls_report(sample: Sample, s_lo: Adjuster, s_hi: Adjuster,
-                propensity: PropensityModel, alpha: float = 0.05) -> IntervalReport:
+def sjls_report(sample: Sample, s_lo, s_hi, propensity: PropensityModel,
+                alpha: float = 0.05) -> IntervalReport:
     """Interval report for the t=0 comparison estimator on both sides."""
     p = _propensity_values(sample, propensity)
-    z_l = _indicator(sample, s_lo.values, 0.0)
-    z_u = _indicator(sample, s_hi.values, 0.0)
+    z_l = _indicator(sample, s_lo, 0.0)
+    z_u = _indicator(sample, s_hi, 0.0)
     d_l = _ipw_mean(sample, p, z_l)
     d_u = _ipw_mean(sample, p, z_u)
     sigma2_l, sigma2_u, sigma_lu = _ipw_sigma(sample, p, z_l, z_u, d_l, d_u)
@@ -276,31 +258,27 @@ def sjls_report(sample: Sample, s_lo: Adjuster, s_hi: Adjuster,
     return one_sided_cis(est, alpha, sample.n, method="sjls", h_rules=())
 
 
-def variant_known_propensity(sample: Sample, folds: FoldPlan, model_specs,
-                             propensity: PropensityModel, seed: int = 0,
-                             grid_spec: GridSpec = GridSpec(),
-                             adjusters=None) -> BoundsEstimate:
+def variant_known_propensity(sample: Sample, s_lo, s_hi,
+                             propensity: PropensityModel) -> BoundsEstimate:
     """Scanned estimator under the raw (un-normalized) known-propensity
     weighting; estimates can leave [0,1] and are reported unclipped."""
     p = _propensity_values(sample, propensity)
-    s_lo, s_hi, _ = _adjuster_values(sample, folds, model_specs, seed,
-                                     grid_spec, adjusters)
     n = sample.n
     w = np.where(sample.d == 1, 1.0 / (n * p), 1.0 / (n * (1.0 - p)))
-    sup, t_l, inf, t_u = scan_bounds(sample, s_lo.values, s_hi.values, w)
+    sup, t_l, inf, t_u = scan_bounds(sample, s_lo, s_hi, w)
     # t = 0 lies in the scanned domain; evaluating it explicitly guards the
     # exact dominance over the t=0 comparison estimator against float-path
     # differences between the cumulative scan and the direct mean; when it
     # wins, t = 0 is the reported optimizer and the variances are taken there
-    sup0 = _ipw_mean(sample, p, _indicator(sample, s_lo.values, 0.0))
+    sup0 = _ipw_mean(sample, p, _indicator(sample, s_lo, 0.0))
     if sup0 > sup:
         sup, t_l = sup0, 0.0
-    inf0 = _ipw_mean(sample, p, _indicator(sample, s_hi.values, 0.0))
+    inf0 = _ipw_mean(sample, p, _indicator(sample, s_hi, 0.0))
     if inf0 < inf:
         inf, t_u = inf0, 0.0
     sigma2_l, sigma2_u, sigma_lu = _ipw_sigma(
-        sample, p, _indicator(sample, s_lo.values, t_l),
-        _indicator(sample, s_hi.values, t_u), sup, inf)
+        sample, p, _indicator(sample, s_lo, t_l),
+        _indicator(sample, s_hi, t_u), sup, inf)
     return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
                           sigma2_l=sigma2_l, sigma2_u=sigma2_u,
                           sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
@@ -317,53 +295,52 @@ def ipw_excess_variance(mean_z1: float, mean_z0: float, pi: float) -> float:
     return (mean_z1 / pi + mean_z0 / (1 - pi)) ** 2 * pi * (1 - pi)
 
 
-def variant_group_propensity(sample: Sample, folds: FoldPlan, model_specs,
-                             propensity: PropensityModel, seed: int = 0,
-                             grid_spec: GridSpec = GridSpec(),
-                             adjusters=None) -> BoundsEstimate:
-    """Scanned estimator averaging equally-weighted within-group arm ECDF
-    differences, for designs with a constant propensity inside each group."""
+def _group_of(sample: Sample, propensity: PropensityModel):
+    """The per-unit groups of a group propensity, each with both arms."""
     if propensity.mode != "group":
         raise ConfigError("group estimator requires group propensity mode")
     g = np.asarray(propensity.group_of)
     if len(g) != sample.n:
         raise ConfigError("group indices must cover the sample")
     propensity.validate_groups(sample.d)
+    return g
+
+
+def variant_group_propensity(sample: Sample, s_lo, s_hi,
+                             propensity: PropensityModel) -> BoundsEstimate:
+    """Scanned estimator averaging equally-weighted within-group arm ECDF
+    differences, for designs with a constant propensity inside each group."""
+    g = _group_of(sample, propensity)
     groups = np.unique(g)
-    s_lo, s_hi, _ = _adjuster_values(sample, folds, model_specs, seed,
-                                     grid_spec, adjusters)
     t_mask = sample.d == 1
     w = np.empty(sample.n)
     for gv in groups:
         for mask in (t_mask, ~t_mask):
             cell = (g == gv) & mask
             w[cell] = 1.0 / (groups.size * cell.sum())
-    sup, t_l, inf, t_u = scan_bounds(sample, s_lo.values, s_hi.values, w)
+    sup, t_l, inf, t_u = scan_bounds(sample, s_lo, s_hi, w)
     sigma2_l, sigma2_u, sigma_lu, _ = variance_hat(
-        sample, s_lo.values, s_hi.values, t_l, t_u, group_of=g)
+        sample, s_lo, s_hi, t_l, t_u, group_of=g)
     return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
                           sigma2_l=sigma2_l, sigma2_u=sigma2_u,
                           sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
                           n=sample.n)
 
 
-def variant_fold_t(sample: Sample, folds: FoldPlan, model_specs,
-                   seed: int = 0, grid_spec: GridSpec = GridSpec(),
-                   adjusters=None) -> BoundsEstimate:
+def variant_fold_t(sample: Sample, folds: FoldPlan, s_lo,
+                   s_hi) -> BoundsEstimate:
     """Optimization-free variant: each fold's location is learned
     out-of-fold and absorbed into the adjustment function, and the pooled
     indicator difference is evaluated at t = 0."""
-    s_lo, s_hi, _ = _adjuster_values(sample, folds, model_specs, seed,
-                                     grid_spec, adjusters)
-    s_lo_t = s_lo.values.copy()
-    s_hi_t = s_hi.values.copy()
+    s_lo_t = s_lo.copy()
+    s_hi_t = s_hi.copy()
     for k in range(1, folds.k_folds + 1):
         oof = folds.complement(k)
         d_oof = sample.d[oof]
         if d_oof.all() or not d_oof.any():
             raise EstimationError(f"fold {k}: out-of-fold arm empty")
-        _, t_k_l, _, t_k_u = scan_bounds(sample.subset(oof), s_lo.values[oof],
-                                         s_hi.values[oof])
+        _, t_k_l, _, t_k_u = scan_bounds(sample.subset(oof), s_lo[oof],
+                                         s_hi[oof])
         members = folds.members(k)
         s_lo_t[members] += t_k_l if np.isfinite(t_k_l) else 0.0
         s_hi_t[members] += t_k_u if np.isfinite(t_k_u) else 0.0
@@ -396,7 +373,9 @@ def estimate(sample: Sample, method: str, model_specs, alpha: float = 0.05,
     intervals; the other methods cross-fit over ``k_folds`` folds (strata
     are group x arm cells for ``cross-fit-group``). ``sjls`` and
     ``cross-fit-ipw`` read a known ``propensity``, ``cross-fit-group`` its
-    groups. ``adjusters`` replaces model fitting with fixed per-unit values.
+    groups; a propensity these methods cannot use fails before any model
+    is fitted. ``adjusters`` replaces model fitting with fixed per-unit
+    values; a pair that does not cover the sample is a ConfigError.
     The z-interval methods report a pretested two-sided interval per rule
     in ``h_rules``, the first being the headline one; with no rules the
     two-sided interval is the one-sided pair.
@@ -408,28 +387,30 @@ def estimate(sample: Sample, method: str, model_specs, alpha: float = 0.05,
         return estimate_split(sample, make_split(sample, aux_fraction, seed),
                               model_specs, alpha=alpha, seed=seed,
                               grid_spec=grid_spec, adjusters=adjusters)
-    if method == "sjls":
-        # fixed adjusters need no fold plan
-        folds = None if adjusters is not None else make_folds(sample, k_folds,
-                                                              seed)
-        s_lo, s_hi, _ = _adjuster_values(sample, folds, model_specs, seed,
-                                         grid_spec, adjusters)
-        return sjls_report(sample, s_lo, s_hi, propensity, alpha)
-    if method == "cross-fit-group":
-        folds = make_folds(sample, k_folds, seed,
-                           group_of=propensity.group_of)
-        est = variant_group_propensity(sample, folds, model_specs, propensity,
-                                       seed, grid_spec, adjusters)
+    # sjls needs folds only to fit its adjusters
+    folds = None
+    if method != "sjls" or adjusters is None:
+        group_of = propensity.group_of if method == "cross-fit-group" else None
+        folds = make_folds(sample, k_folds, seed, group_of=group_of)
+    # an unusable propensity fails before any model is fitted
+    if method in ("sjls", "cross-fit-ipw"):
+        _propensity_values(sample, propensity)
+    elif method == "cross-fit-group":
+        _group_of(sample, propensity)
+    if adjusters is None:
+        s_lo, s_hi, meta = crossfit_adjusters(sample, folds, model_specs, seed,
+                                              grid_spec)
     else:
-        folds = make_folds(sample, k_folds, seed)
-        if method == "cross-fit":
-            est = estimate_crossfit(sample, folds, model_specs, seed,
-                                    grid_spec, adjusters)
-        elif method == "cross-fit-ipw":
-            est = variant_known_propensity(sample, folds, model_specs,
-                                           propensity, seed, grid_spec,
-                                           adjusters)
-        else:
-            est = variant_fold_t(sample, folds, model_specs, seed, grid_spec,
-                                 adjusters)
+        s_lo, s_hi = adjuster_arrays(adjusters, sample.n)
+        meta = None
+    if method == "sjls":
+        return sjls_report(sample, s_lo, s_hi, propensity, alpha)
+    if method == "cross-fit":
+        est = estimate_crossfit(sample, s_lo, s_hi, meta)
+    elif method == "cross-fit-ipw":
+        est = variant_known_propensity(sample, s_lo, s_hi, propensity)
+    elif method == "cross-fit-group":
+        est = variant_group_propensity(sample, s_lo, s_hi, propensity)
+    else:
+        est = variant_fold_t(sample, folds, s_lo, s_hi)
     return one_sided_cis(est, alpha, sample.n, method=method, h_rules=h_rules)

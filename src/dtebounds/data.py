@@ -14,6 +14,7 @@ __all__ = [
     "FoldPlan",
     "PropensityModel",
     "Adjuster",
+    "adjuster_arrays",
     "CsvParseError",
     "DegenerateDesignError",
     "ConfigError",
@@ -167,10 +168,10 @@ class PropensityModel:
 
 @dataclass(frozen=True)
 class Adjuster:
-    """Per-unit evaluation of a scalar covariate-adjustment function."""
+    """Per-unit evaluation of a user-supplied scalar covariate-adjustment
+    function, the input type of ``adjusters=``."""
 
     values: np.ndarray
-    label: str = "user"
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -180,7 +181,17 @@ class Adjuster:
 
     @classmethod
     def zero(cls, n: int) -> "Adjuster":
-        return cls(values=np.zeros(n), label="zero")
+        return cls(values=np.zeros(n))
+
+
+def adjuster_arrays(adjusters, n: int):
+    """The (s_lower, s_upper) value arrays of a user ``Adjuster`` pair; a
+    side that does not hold one value per sample unit is a ConfigError."""
+    s_lo, s_hi = (a.values for a in adjusters)
+    if s_lo.shape != (n,) or s_hi.shape != (n,):
+        raise ConfigError(f"adjusters: expected shape ({n},) per side, got "
+                          f"{s_lo.shape} and {s_hi.shape}")
+    return s_lo, s_hi
 
 
 def load_csv(path, y_col: str, d_col: str, x_cols=None, x_prefix: str | None = None) -> Sample:

@@ -61,28 +61,36 @@ class IntervalReport:
     """Confidence intervals for the target probability, with the critical
     values and method metadata needed to reproduce them.
 
-    One-sided intervals are [lower_onesided, 1] and [0, upper_onesided]
-    (already clipped to [0,1]); raw endpoints are kept alongside. The
-    two-sided interval is method-specific (a critical-value pair or a
+    From the raw endpoints it derives the one-sided intervals
+    [lower_onesided, 1] and [0, upper_onesided], the two-sided interval (all
+    clipped to [0,1]) and whether the raw two-sided endpoints ``crossed``.
+    The two-sided interval is method-specific (a critical-value pair or a
     union interval); two_sided_by_rule carries any alternatives.
     """
 
     method: str
     alpha: float
     estimate: BoundsEstimate
-    lower_onesided: float
-    upper_onesided: float
     lower_onesided_raw: float
     upper_onesided_raw: float
-    two_sided: tuple
     two_sided_raw: tuple
-    crossed: bool = False
     p_lower_zero: float = float("nan")
     p_upper_one: float = float("nan")
     crit: dict = field(default_factory=dict)
     two_sided_by_rule: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
+    lower_onesided: float = field(init=False)
+    upper_onesided: float = field(init=False)
+    two_sided: tuple = field(init=False)
+    crossed: bool = field(init=False)
+
+    def __post_init__(self):
+        lo, hi = self.two_sided_raw
+        self.lower_onesided = clip_unit(self.lower_onesided_raw)
+        self.upper_onesided = clip_unit(self.upper_onesided_raw)
+        self.two_sided = (clip_unit(lo), clip_unit(max(lo, hi)))
+        self.crossed = lo > hi
 
     @property
     def onesided_pair_length(self) -> float:

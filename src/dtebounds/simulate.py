@@ -154,8 +154,7 @@ def _sharp_point_adjusters(y0, y1):
     mx = np.maximum(y0, y1)
     s_lo = np.where(e < 0, mid, mx)
     s_hi = np.where(e > 0, mid, mx)
-    return (Adjuster(values=s_lo, label="oracle"),
-            Adjuster(values=s_hi, label="oracle"))
+    return Adjuster(values=s_lo), Adjuster(values=s_hi)
 
 
 def _conditional_tail_factor(spec: DgpSpec):
@@ -216,8 +215,7 @@ def oracle_adjuster(spec: DgpSpec, x_rows: np.ndarray, inner_reps: int = 2000,
                    ) / inner_reps
         s_lo[start:start + b] = grid[np.argmax(d_curve, axis=1)]
         s_hi[start:start + b] = grid[np.argmin(d_curve, axis=1)]
-    return (Adjuster(values=s_lo, label="oracle"),
-            Adjuster(values=s_hi, label="oracle"))
+    return Adjuster(values=s_lo), Adjuster(values=s_hi)
 
 
 def _row_cdf_counts(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -294,8 +292,8 @@ def _cell_adjusters(cell: McCell, spec_p, sample, hidden, rng):
         adj = oracle_adjuster(spec_p, sample.x, inner_reps=500,
                               seed=int(rng.integers(2**31)))
         return adj, None
-    # a fitted model: adjusters are produced inside each estimator via
-    # cross-fitting or the auxiliary split
+    # a fitted model: ``estimate`` cross-fits the adjusters or fits them on
+    # the auxiliary split
     return None, [cell.model]
 
 

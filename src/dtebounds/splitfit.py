@@ -13,8 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condcdf import GridSpec, fit_adjusters, select_model
-from .data import Adjuster, ConfigError, DegenerateDesignError, Sample
-from .reports import BoundsEstimate, IntervalReport, clip_unit
+from .data import (
+    Adjuster,
+    ConfigError,
+    DegenerateDesignError,
+    Sample,
+    adjuster_arrays,
+)
+from .reports import BoundsEstimate, IntervalReport
 from .stepfun import scan_bounds
 
 __all__ = ["SplitPlan", "make_split", "dkw_critical", "estimate_split"]
@@ -82,7 +88,8 @@ def estimate_split(sample: Sample, plan: SplitPlan, model_specs,
     model_specs is a list of model spec strings; with more than one, the
     per-side model is chosen by cross-validation inside the auxiliary set.
     ``adjusters`` overrides fitting entirely with user-supplied per-unit
-    values (any functions are valid; coverage does not depend on them).
+    values (any functions are valid; coverage does not depend on them); a
+    pair that does not cover the sample is a ConfigError.
 
     Returns an IntervalReport whose two_sided interval uses the half-alpha
     critical value, with one-sided intervals at alpha.
@@ -91,9 +98,7 @@ def estimate_split(sample: Sample, plan: SplitPlan, model_specs,
         raise ConfigError("alpha must lie in (0, 1)")
     n1m, n0m = plan.main_treated.size, plan.main_control.size
     if adjusters is not None:
-        s_lo, s_hi = (a.values for a in adjusters)
-        if len(s_lo) != sample.n or len(s_hi) != sample.n:
-            raise ValueError("adjusters must cover the full sample")
+        s_lo, s_hi = adjuster_arrays(adjusters, sample.n)
         spec_l = spec_u = "user"
     else:
         aux = sample.subset(plan.aux)
@@ -114,34 +119,25 @@ def estimate_split(sample: Sample, plan: SplitPlan, model_specs,
 
     c_a = dkw_critical(alpha, n1m, n0m)
     c_half = dkw_critical(alpha / 2.0, n1m, n0m)
-    lo_raw, hi_raw = theta_l - c_a, theta_u + c_a
-    two_lo_raw, two_hi_raw = theta_l - c_half, theta_u + c_half
-    crossed = two_lo_raw > two_hi_raw
-
     est = BoundsEstimate(theta_l=theta_l, theta_u=theta_u, t_l=t_l, t_u=t_u,
                          pi_hat=sample.n1 / sample.n, n=n1m + n0m)
-    diagnostics = []
-    if crossed:
-        diagnostics.append("two-sided interval endpoints crossed")
-    return IntervalReport(
+    rep = IntervalReport(
         method="sample-split",
         alpha=alpha,
         estimate=est,
-        lower_onesided=clip_unit(lo_raw),
-        upper_onesided=clip_unit(hi_raw),
-        lower_onesided_raw=lo_raw,
-        upper_onesided_raw=hi_raw,
-        two_sided=(clip_unit(two_lo_raw), clip_unit(max(two_lo_raw, two_hi_raw))),
-        two_sided_raw=(two_lo_raw, two_hi_raw),
-        crossed=crossed,
+        lower_onesided_raw=theta_l - c_a,
+        upper_onesided_raw=theta_u + c_a,
+        two_sided_raw=(theta_l - c_half, theta_u + c_half),
         p_lower_zero=_dkw_p_lower_zero(theta_l, n1m, n0m),
         p_upper_one=_dkw_p_lower_zero(1.0 - theta_u, n1m, n0m),
         crit={"c_alpha": c_a, "c_half_alpha": c_half},
         meta={"n1_main": n1m, "n0_main": n0m,
               "aux_fraction": plan.aux_fraction,
               "model_l": spec_l, "model_u": spec_u},
-        diagnostics=diagnostics,
     )
+    if rep.crossed:
+        rep.diagnostics.append("two-sided interval endpoints crossed")
+    return rep
 
 
 def _dkw_p_lower_zero(excess: float, n1: int, n0: int) -> float:

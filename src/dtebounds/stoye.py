@@ -55,7 +55,6 @@ class StoyeInterval:
     h_n: float
     lo: float
     hi: float
-    empty: bool
     alpha: float
     h_rule: str
 
@@ -282,4 +281,4 @@ def stoye_ci(est: BoundsEstimate, alpha: float, n: int | None = None,
     lo = est.theta_l - c_l * sigma_l / math.sqrt(n)
     hi = est.theta_u + c_u * sigma_u / math.sqrt(n)
     return StoyeInterval(c_l=c_l, c_u=c_u, lam=lam, h_n=h_n, lo=lo, hi=hi,
-                         empty=lo > hi, alpha=alpha, h_rule=h_rule)
+                         alpha=alpha, h_rule=h_rule)

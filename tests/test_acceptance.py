@@ -222,7 +222,6 @@ def test_c5_exact_dominance():
     # and through the public estimator path on a subsample of cases
     rng = np.random.default_rng(506)
     from dtebounds.crossfit import sjls_estimate
-    from dtebounds.data import make_folds
     for _ in range(300):
         n = int(rng.integers(12, 40))
         d = np.array([1, 0] * (n // 2) + [1] * (n % 2))
@@ -231,10 +230,8 @@ def test_c5_exact_dominance():
         s = Sample(y, d, rng.normal(size=(n, 2)))
         pvals = rng.uniform(0.2, 0.8, size=n)
         prop = PropensityModel(mode="known_function", p_of_x=pvals)
-        adj = Adjuster(values=rng.normal(size=n))
-        folds = make_folds(s, 2, seed=1)
-        est_c = variant_known_propensity(s, folds, [], prop,
-                                         adjusters=(adj, adj))
+        adj = rng.normal(size=n)
+        est_c = variant_known_propensity(s, adj, adj, prop)
         theta_s = sjls_estimate(s, adj, prop)
         assert est_c.theta_l >= theta_s
 

@@ -357,11 +357,43 @@ class TestSettings:
         assert code == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("false", False), ("NO", False)])
+    def test_boolean_config_words(self, text, value, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"squash = {text}\n")
+        args = build_parser().parse_args(
+            ["analyze", "--input", "in.csv", "--config", str(cfgfile)])
+        assert resolve_config(args)["squash"] is value
+
+    @pytest.mark.parametrize("text", ["ture", "off", "2", ""])
+    def test_bad_boolean_config_value_exits_2(self, text, data_csv, tmp_path,
+                                              capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"squash = {text}\n")
+        code = run_cli("analyze", "--config", str(cfgfile), "--input",
+                       data_csv)
+        assert code == 2
+        assert "squash" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        "--alpha", "--method", "--aux-fraction", "--h-rule",
+        "--propensity-mode", "--propensity-pi", "--propensity-col",
+        "--group-col"])
+    def test_bounds_curve_has_no_analysis_flags(self, flag, data_csv):
+        # bounds-curve dumps the cross-fitted curve; it reads no interval,
+        # method or propensity setting, so it offers no flag for one
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bounds-curve", "--input", data_csv, "--x-prefix", "x",
+                    flag, "0.5")
+        assert exc.value.code == 2
+
 
 class TestExternalAdjusters:
     def test_adjuster_file_bypasses_models(self, data_csv, tmp_path):
         import numpy as np
-        from dtebounds import Adjuster, Sample, load_csv, make_folds
+        from dtebounds import load_csv
         from dtebounds.crossfit import estimate_crossfit
 
         s = load_csv(data_csv, "y", "d", x_prefix="x")
@@ -381,9 +413,7 @@ class TestExternalAdjusters:
                        "--seed", "4", "--output", str(out))
         assert code == 0
         payload = json.loads((tmp_path / "ext.json").read_text())
-        folds = make_folds(s, 5, seed=4)
-        est = estimate_crossfit(s, folds, [], adjusters=(
-            Adjuster(values=s_l), Adjuster(values=s_u)))
+        est = estimate_crossfit(s, s_l, s_u)
         assert payload["report"]["estimate"]["theta_l"] == est.theta_l
         assert payload["report"]["estimate"]["theta_u"] == est.theta_u
 

@@ -132,8 +132,8 @@ class TestExtractAdjusters:
         m = fit_arm_model(y, x, "knn_quantile:k=10")
         grid = np.linspace(-2, 2, 50)
         s_lo, s_hi = extract_adjusters(m, m, x[:5], grid)
-        np.testing.assert_array_equal(s_lo.values, grid[0])
-        np.testing.assert_array_equal(s_hi.values, grid[0])
+        np.testing.assert_array_equal(s_lo, grid[0])
+        np.testing.assert_array_equal(s_hi, grid[0])
 
     def test_two_constant_models_give_zero_adjuster(self):
         rng = np.random.default_rng(4)
@@ -141,8 +141,8 @@ class TestExtractAdjusters:
         m0 = ConstantCdfModel(rng.normal(size=20))
         s_lo, s_hi = extract_adjusters(m1, m0, np.zeros((4, 2)),
                                        np.linspace(-1, 1, 11))
-        np.testing.assert_array_equal(s_lo.values, 0.0)
-        assert s_lo.label == "zero"
+        np.testing.assert_array_equal(s_lo, 0.0)
+        np.testing.assert_array_equal(s_hi, 0.0)
 
     def test_deterministic_separation(self):
         # conditional outcomes y1=2 and y0=5 encoded as near-point masses:
@@ -175,8 +175,8 @@ class TestExtractAdjusters:
         for i, xr in enumerate(x[:6]):
             d = np.array([mq.eval_cdf(g, xr) - mc.eval_cdf(g, xr)
                           for g in grid])
-            assert s_lo.values[i] == grid[np.argmax(d)]
-            assert s_hi.values[i] == grid[np.argmin(d)]
+            assert s_lo[i] == grid[np.argmax(d)]
+            assert s_hi[i] == grid[np.argmin(d)]
 
 
 class TestGridSpec:
@@ -361,6 +361,6 @@ def test_location_shift_dgp_recovers_shape_up_to_constant():
     s_lo, s_hi = extract_adjusters(m1, m0, x, grid)
     u_star = np.sqrt(2.0 * np.log(2.0))
     for s, target in ((s_lo, -u_star), (s_hi, u_star)):
-        offset = s.values - f
+        offset = s - f
         assert np.std(offset) < 0.5 * np.std(f)
         assert abs(np.median(offset) - target) < 0.3

@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from dtebounds.condcdf import GridSpec
 from dtebounds.crossfit import (
+    METHODS,
     EstimationError,
     _indicator,
     _ipw_mean,
     _ipw_sigma,
+    crossfit_adjusters,
+    estimate,
     estimate_crossfit,
     ipw_excess_variance,
     one_sided_cis,
@@ -19,7 +23,13 @@ from dtebounds.crossfit import (
     variant_group_propensity,
     variant_known_propensity,
 )
-from dtebounds.data import Adjuster, PropensityModel, Sample, make_folds
+from dtebounds.data import (
+    Adjuster,
+    ConfigError,
+    PropensityModel,
+    Sample,
+    make_folds,
+)
 from dtebounds.reports import BoundsEstimate
 from dtebounds.simulate import DgpSpec, draw_dgp
 from dtebounds.stepfun import makarov_bounds, scan_bounds
@@ -37,7 +47,7 @@ class TestEstimateCrossfit:
     def test_constant_model_reduces_to_plain_bounds(self):
         s = make_sample(seed=1)
         folds = make_folds(s, 5, seed=0)
-        est = estimate_crossfit(s, folds, ["constant"], seed=0)
+        est = estimate_crossfit(s, *crossfit_adjusters(s, folds, ["constant"]))
         mk = makarov_bounds(s)
         assert est.theta_l == mk.theta_l
         assert est.theta_u == mk.theta_u
@@ -47,15 +57,85 @@ class TestEstimateCrossfit:
         s = make_sample(60, seed=2)
         folds = make_folds(s, 3, seed=0)
         with pytest.raises(EstimationError, match="fold 1"):
-            estimate_crossfit(s, folds, ["knn_loc_shift:k=5000"], seed=0)
+            crossfit_adjusters(s, folds, ["knn_loc_shift:k=5000"])
 
     def test_fixed_adjusters_bypass_fitting(self):
         s = make_sample(80, seed=3)
-        folds = make_folds(s, 4, seed=0)
-        adv = Adjuster(values=np.random.default_rng(1).normal(size=s.n))
-        est = estimate_crossfit(s, folds, [], adjusters=(adv, adv))
+        adv = np.random.default_rng(1).normal(size=s.n)
+        est = estimate_crossfit(s, adv, adv)
         assert 0.0 <= est.theta_l <= 1.0
         assert 0.0 <= est.theta_u <= 1.0
+
+
+def _counting(seen, name, original):
+    def counting(*args, **kwargs):
+        seen.append(name)
+        return original(*args, **kwargs)
+    return counting
+
+
+def _propensity_for(method, s):
+    if method in ("sjls", "cross-fit-ipw"):
+        return PropensityModel(mode="constant_known", pi=0.5)
+    if method == "cross-fit-group":
+        return PropensityModel(mode="group",
+                               group_of=(s.x[:, 1] > 0).astype(int))
+    return PropensityModel()
+
+
+class TestEstimateAdjusters:
+    """``estimate`` is the one place that obtains the adjustment values:
+    one cross-fitting per run, or the user's pair checked once."""
+
+    FITTED = [m for m in METHODS if m != "sample-split"]
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        from dtebounds import condcdf, crossfit
+        seen = []
+        for module, name in ((crossfit, "crossfit_adjusters"),
+                             (condcdf, "fit_arm_model")):
+            monkeypatch.setattr(module, name,
+                                _counting(seen, name, getattr(module, name)))
+        return seen
+
+    @pytest.mark.parametrize("method", FITTED)
+    def test_cross_fits_once(self, method, fits):
+        s = make_sample(120, seed=15)
+        estimate(s, method, ["knn_loc_shift:k=10"], k_folds=3,
+                 grid_spec=GridSpec("linear", 50),
+                 propensity=_propensity_for(method, s), h_rules=())
+        assert fits.count("crossfit_adjusters") == 1
+        # two arm models per fold
+        assert fits.count("fit_arm_model") == 2 * 3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fixed_adjusters_fit_nothing(self, method, fits):
+        s = make_sample(120, seed=15)
+        adv = Adjuster(values=np.random.default_rng(2).normal(size=s.n))
+        rep = estimate(s, method, ["knn_loc_shift:k=10"], k_folds=3,
+                       propensity=_propensity_for(method, s),
+                       adjusters=(adv, adv), h_rules=())
+        assert rep.method == method
+        assert fits == []
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_wrong_length_adjusters_are_config_error(self, method):
+        s = make_sample(60, seed=16)
+        full, short = Adjuster.zero(s.n), Adjuster.zero(s.n - 1)
+        for pair in ((short, short), (full, short), (short, full)):
+            with pytest.raises(ConfigError, match="adjusters"):
+                estimate(s, method, [], k_folds=3,
+                         propensity=_propensity_for(method, s),
+                         adjusters=pair)
+
+    @pytest.mark.parametrize("method", ["sjls", "cross-fit-ipw",
+                                        "cross-fit-group"])
+    def test_unusable_propensity_fails_before_fitting(self, method, fits):
+        s = make_sample(60, seed=17)
+        with pytest.raises(ConfigError, match="propensity"):
+            estimate(s, method, ["knn_loc_shift:k=10"], k_folds=3)
+        assert fits == []
 
 
 class TestVarianceHat:
@@ -111,8 +191,7 @@ class TestIndicatorConvention:
         y, d, s_lo, s_hi = (np.array(col) for col in zip(*rows))
         d[:2] = (0, 1)
         s = Sample(y, d, np.zeros((y.size, 1)))
-        est = estimate_crossfit(s, None, [], adjusters=(Adjuster(s_lo),
-                                                        Adjuster(s_hi)))
+        est = estimate_crossfit(s, s_lo, s_hi)
         t = s.d == 1
         z_l = _indicator(s, s_lo, est.t_l)
         z_u = _indicator(s, s_hi, est.t_u)
@@ -167,12 +246,10 @@ class TestKnownPropensity:
         # force exactly half treated
         d = np.array([1, 0] * 100)
         s = Sample(s.y, d, s.x)
-        folds = make_folds(s, 4, seed=0)
         prop = PropensityModel(mode="constant_known", pi=0.5)
-        zero = Adjuster.zero(s.n)
-        est_b = variant_known_propensity(s, folds, [], prop,
-                                         adjusters=(zero, zero))
-        est_a = estimate_crossfit(s, folds, [], adjusters=(zero, zero))
+        zero = np.zeros(s.n)
+        est_b = variant_known_propensity(s, zero, zero, prop)
+        est_a = estimate_crossfit(s, zero, zero)
         assert est_b.theta_l == pytest.approx(est_a.theta_l, abs=1e-12)
         assert est_b.theta_u == pytest.approx(est_a.theta_u, abs=1e-12)
 
@@ -199,8 +276,7 @@ class TestKnownPropensity:
         else:
             assert inf0 < inf and t_u != 0.0
             inf, t_u = inf0, 0.0
-        est = variant_known_propensity(s, None, [], prop, adjusters=(
-            Adjuster(s_lo), Adjuster(s_hi)))
+        est = variant_known_propensity(s, s_lo, s_hi, prop)
         assert (est.theta_l, est.theta_u, est.t_l, est.t_u) == (
             sup, 1.0 + inf, t_l, t_u)
         assert (est.sigma2_l, est.sigma2_u, est.sigma_lu) == _ipw_sigma(
@@ -240,14 +316,10 @@ class TestSjls:
             rng.shuffle(d)
             y = rng.normal(size=n)
             s = Sample(y, d, rng.normal(size=(n, 2)))
-            adj = Adjuster(values=rng.normal(size=n))
-            folds_ok = min(s.n1, s.n0) >= 2
+            adj = rng.normal(size=n)
             theta_s = sjls_estimate(s, adj, prop)
-            if folds_ok:
-                folds = make_folds(s, 2, seed=1)
-                est_c = variant_known_propensity(s, folds, [], prop,
-                                                 adjusters=(adj, adj))
-                assert est_c.theta_l >= theta_s - 1e-15
+            est_c = variant_known_propensity(s, adj, adj, prop)
+            assert est_c.theta_l >= theta_s - 1e-15
 
     def test_argmax_at_zero_gives_equality(self):
         # place all adjusted treated mass at/below 0 and control above
@@ -255,9 +327,7 @@ class TestSjls:
         d = np.array([1, 1, 0, 0])
         s = Sample(y, d, np.zeros((4, 1)))
         prop = PropensityModel(mode="constant_known", pi=0.5)
-        zero = Adjuster.zero(4)
-        theta_s = sjls_estimate(s, zero, prop)
-        folds = None
+        theta_s = sjls_estimate(s, np.zeros(4), prop)
         # direct scan with the same weights
         from dtebounds.kernels import scan_extrema
         w = np.full(2, 1.0 / (4 * 0.5))
@@ -267,7 +337,7 @@ class TestSjls:
     def test_requires_known_propensity(self):
         s = make_sample(40, seed=9)
         with pytest.raises(Exception):
-            sjls_estimate(s, Adjuster.zero(40), PropensityModel())
+            sjls_estimate(s, np.zeros(40), PropensityModel())
 
     def test_report_estimates_can_leave_unit_interval(self):
         rng = np.random.default_rng(10)
@@ -276,7 +346,7 @@ class TestSjls:
         y = rng.normal(size=n)
         s = Sample(y, d, np.zeros((n, 1)))
         prop = PropensityModel(mode="constant_known", pi=0.5)
-        zero = Adjuster.zero(n)
+        zero = np.zeros(n)
         rep = sjls_report(s, zero, zero, prop)
         # raw estimates unclipped; reported interval endpoints clipped
         assert 0.0 <= rep.lower_onesided <= 1.0
@@ -286,12 +356,10 @@ class TestSjls:
 class TestGroupVariant:
     def test_single_group_matches_pooled(self):
         s = make_sample(120, seed=11)
-        folds = make_folds(s, 4, seed=0)
-        zero = Adjuster.zero(s.n)
+        zero = np.zeros(s.n)
         prop = PropensityModel(mode="group", group_of=np.zeros(s.n, dtype=int))
-        est_g = variant_group_propensity(s, folds, [], prop,
-                                         adjusters=(zero, zero))
-        est = estimate_crossfit(s, folds, [], adjusters=(zero, zero))
+        est_g = variant_group_propensity(s, zero, zero, prop)
+        est = estimate_crossfit(s, zero, zero)
         assert est_g.theta_l == pytest.approx(est.theta_l, abs=1e-12)
         assert est_g.sigma2_l == pytest.approx(est.sigma2_l, abs=1e-12)
 
@@ -303,12 +371,10 @@ class TestGroupVariant:
         d = np.concatenate([d_half, d_half])
         g = np.array([0] * 40 + [1] * 40)
         s = Sample(y, d, np.zeros((80, 1)))
-        zero = Adjuster.zero(80)
+        zero = np.zeros(80)
         prop = PropensityModel(mode="group", group_of=g)
-        folds = make_folds(s, 2, seed=0)
-        est_g = variant_group_propensity(s, folds, [], prop,
-                                         adjusters=(zero, zero))
-        est = estimate_crossfit(s, folds, [], adjusters=(zero, zero))
+        est_g = variant_group_propensity(s, zero, zero, prop)
+        est = estimate_crossfit(s, zero, zero)
         assert est_g.theta_l == pytest.approx(est.theta_l, abs=1e-12)
         assert est_g.theta_u == pytest.approx(est.theta_u, abs=1e-12)
 
@@ -319,13 +385,11 @@ class TestGroupVariant:
         d = np.tile([1, 1, 0, 0], 10)
         g = np.array([0] * 20 + [1] * 20)
         s = Sample(y, d, np.zeros((40, 1)))
-        zero = Adjuster.zero(40)
+        zero = np.zeros(40)
         prop = PropensityModel(mode="group", group_of=g)
-        folds = make_folds(s, 2, seed=0)
-        est = variant_group_propensity(s, folds, [], prop,
-                                       adjusters=(zero, zero))
+        est = variant_group_propensity(s, zero, zero, prop)
         # indicators at t=0.5 are Bernoulli(1/2) within every group-arm cell
-        z = (s.y <= zero.values + 0.5)
+        z = (s.y <= zero + 0.5)
         for gv in (0, 1):
             for arm in (0, 1):
                 cell = (g == gv) & (s.d == arm)
@@ -339,11 +403,8 @@ class TestGroupVariant:
         g = np.array([0, 0, 0, 0, 1, 1, 1, 1])  # group 0 has no controls
         s = Sample(y, d, np.zeros((8, 1)))
         prop = PropensityModel(mode="group", group_of=g)
-        folds = make_folds(s, 2, seed=0)
         with pytest.raises(Exception):
-            variant_group_propensity(s, folds, [], prop,
-                                     adjusters=(Adjuster.zero(8),
-                                                Adjuster.zero(8)))
+            variant_group_propensity(s, np.zeros(8), np.zeros(8), prop)
 
 
 def _group_sigma(est):
@@ -359,14 +420,14 @@ class TestFoldTVariant:
         for seed in range(10):
             s = make_sample(100, seed=seed)
             folds = make_folds(s, 4, seed=seed)
-            adv = Adjuster(values=rng.normal(size=s.n))
-            ft = variant_fold_t(s, folds, [], adjusters=(adv, adv))
+            adv = rng.normal(size=s.n)
+            ft = variant_fold_t(s, folds, adv, adv)
             # reconstruct absorbed adjusters and scan them
             from dtebounds.kernels import scan_extrema
-            s_lo = adv.values.copy()
+            s_lo = adv.copy()
             for k in range(1, 5):
                 oof = folds.complement(k)
-                y_adj = s.y[oof] - adv.values[oof]
+                y_adj = s.y[oof] - adv[oof]
                 d_oof = s.d[oof]
                 _, tk, _, _ = scan_extrema(y_adj[d_oof == 1], y_adj[d_oof == 0])
                 s_lo[folds.members(k)] += tk if np.isfinite(tk) else 0.0
@@ -387,8 +448,8 @@ class TestFoldTVariant:
             y = np.where(d == 1, y1_of_x[xi], y0_of_x[xi]).astype(float)
             s = Sample(y, d, xi[:, None].astype(float))
             folds = make_folds(s, 4, seed=int(rng.integers(2**31)))
-            adv = Adjuster(values=rng.normal(size=160))
-            ft = variant_fold_t(s, folds, [], adjusters=(adv, adv))
+            adv = rng.normal(size=160)
+            ft = variant_fold_t(s, folds, adv, adv)
             rep = one_sided_cis(ft, 0.1, h_rules=())
             cover += (rep.lower_onesided_raw <= theta
                       <= rep.upper_onesided_raw)
@@ -402,7 +463,6 @@ def test_flat_maximum_triggers_uniqueness_diagnostic():
     y = np.concatenate([vals, vals])
     d = np.array([1] * 24 + [0] * 24)
     s = Sample(y, d, np.zeros((48, 1)))
-    folds = make_folds(s, 2, seed=0)
-    zero = Adjuster.zero(48)
-    est = estimate_crossfit(s, folds, [], adjusters=(zero, zero))
+    zero = np.zeros(48)
+    est = estimate_crossfit(s, zero, zero)
     assert any("near-flat" in m for m in est.diagnostics)

@@ -37,9 +37,16 @@ def test_every_public_function_can_be_wrapped():
 
 
 def test_traced_estimates_complete(tmp_path):
-    """Each method and the curve dump run to completion under the span
-    wrappers, so every counter can bind the arguments it reads."""
-    from dtebounds import DgpSpec, GridSpec, PropensityModel, draw_dgp
+    """Each method, with fitted and with fixed adjusters, and the curve dump
+    run to completion under the span wrappers, so every counter can bind
+    the arguments it reads."""
+    from dtebounds import (
+        Adjuster,
+        DgpSpec,
+        GridSpec,
+        PropensityModel,
+        draw_dgp,
+    )
     from dtebounds.crossfit import METHODS
 
     _import_all()
@@ -54,19 +61,22 @@ def test_traced_estimates_complete(tmp_path):
     rows = [f"{y!r},{d},{x!r}" for y, d, x in
             zip(sample.y.tolist(), sample.d.tolist(), sample.x[:, 0].tolist())]
     csv.write_text("y,d,x1\n" + "\n".join(rows) + "\n")
+    fixed = (Adjuster(values=sample.x[:, 0]), Adjuster(values=sample.x[:, 1]))
     with _load_spans().Tracer().installed() as tracer:
         for method in METHODS:
-            rep = dtebounds.crossfit.estimate(
-                sample, method, ["knn_loc_shift:k=5"], k_folds=3,
-                grid_spec=GridSpec("linear", 50),
-                propensity=propensity.get(method, PropensityModel()))
-            assert rep.method == method
+            for adjusters in (None, fixed):
+                rep = dtebounds.crossfit.estimate(
+                    sample, method, ["knn_loc_shift:k=5"], k_folds=3,
+                    grid_spec=GridSpec("linear", 50),
+                    propensity=propensity.get(method, PropensityModel()),
+                    adjusters=adjusters)
+                assert rep.method == method
         code = dtebounds.cli.main([
             "bounds-curve", "--input", str(csv), "--x-prefix", "x",
             "--models", "knn_loc_shift:k=5", "--grid", "linear:50",
             "--output", str(tmp_path / "cv")])
         assert code == 0
-    assert tracer.stats["crossfit.estimate"].calls == len(METHODS)
+    assert tracer.stats["crossfit.estimate"].calls == 2 * len(METHODS)
     for layer in ("data.load_csv", "condcdf.extract_adjusters",
                   "kernels.shift_cdf_argopt", "condcdf.predict"):
         assert tracer.stats[layer].calls > 0, layer

@@ -26,7 +26,7 @@ def test_crossfit_selection_golden():
     s = golden_sample()
     lo, hi, meta = crossfit_adjusters(s, make_folds(s, 5, 0), CANDIDATES, 0,
                                       GRID, select_folds=3)
-    digest = hashlib.sha256(lo.values.tobytes() + hi.values.tobytes())
+    digest = hashlib.sha256(lo.tobytes() + hi.tobytes())
     assert digest.hexdigest() == (
         "f3941704912cb7ed9a456cf3706a2230c2b26b4738a5a1d90b218718f6851268")
     # three folds pick different specs per side, two pick the same

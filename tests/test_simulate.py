@@ -281,8 +281,7 @@ def test_convergence_shrinkage_with_sharp_adjusters():
     spec = DgpSpec()
     theta0 = theta0_closed_form(spec)
     rng = np.random.default_rng(11)
-    from dtebounds.crossfit import estimate_crossfit
-    from dtebounds.data import make_folds
+    from dtebounds.crossfit import estimate
     from dtebounds.simulate import _sharp_point_adjusters
 
     wins = 0
@@ -293,8 +292,9 @@ def test_convergence_shrinkage_with_sharp_adjusters():
         for n in (500, 8000):
             sample, hidden = draw_dgp(spec, n, rng=rng)
             adj = _sharp_point_adjusters(hidden.y0, hidden.y1)
-            folds = make_folds(sample, 5, seed=int(rng.integers(2**31)))
-            est = estimate_crossfit(sample, folds, [], adjusters=adj)
+            est = estimate(sample, "cross-fit", [],
+                           seed=int(rng.integers(2**31)), adjusters=adj,
+                           h_rules=()).estimate
             pair[n] = abs(est.theta_l - theta0)
             errs[n].append(pair[n])
         wins += pair[8000] < pair[500]

@@ -102,7 +102,7 @@ class TestEstimateSplit:
             y = np.where(d == 1, y1_of_x[xi], y0_of_x[xi])
             s = Sample(y.astype(float), d, xi[:, None].astype(float))
             plan = make_split(s, 0.5, seed=int(rng.integers(2**31)))
-            adv = Adjuster(values=rng.normal(size=n), label="user")
+            adv = Adjuster(values=rng.normal(size=n))
             rep = estimate_split(s, plan, [], alpha=0.1, adjusters=(adv, adv))
             hit_lo += rep.lower_onesided_raw <= theta
             hit_hi += rep.upper_onesided_raw >= theta

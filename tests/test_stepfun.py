@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtebounds import kernels
-from dtebounds.crossfit import estimate_crossfit
+from dtebounds.crossfit import crossfit_adjusters, estimate_crossfit
 from dtebounds.data import (
     Adjuster,
     DegenerateDesignError,
@@ -279,15 +279,14 @@ class TestProfileCount:
         return draw_dgp(DgpSpec(), 200, seed=3)[0]
 
     def test_crossfit_constant_builds_one(self, sizes, sample):
-        estimate_crossfit(sample, make_folds(sample, 4, 0), ["constant"])
+        estimate_crossfit(sample, *crossfit_adjusters(
+            sample, make_folds(sample, 4, 0), ["constant"]))
         assert sizes == [sample.n]
 
     def test_crossfit_unequal_adjusters_build_two(self, sizes, sample):
         rng = np.random.default_rng(1)
-        adj = (Adjuster(values=rng.normal(size=sample.n)),
-               Adjuster(values=rng.normal(size=sample.n)))
-        estimate_crossfit(sample, make_folds(sample, 4, 0), ["constant"],
-                          adjusters=adj)
+        estimate_crossfit(sample, rng.normal(size=sample.n),
+                          rng.normal(size=sample.n))
         assert sizes == [sample.n, sample.n]
 
     def test_split_one_model_equal_sides_builds_one(self, sizes, sample):
