@@ -15,7 +15,6 @@ from .crossfit import (
     variant_known_propensity,
 )
 from .data import (
-    Adjuster,
     ConfigError,
     CsvParseError,
     DegenerateDesignError,
@@ -43,7 +42,7 @@ from .stoye import StoyeInterval, h_threshold, stoye_ci
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adjuster", "BoundsEstimate", "ConfigError", "CsvParseError",
+    "BoundsEstimate", "ConfigError", "CsvParseError",
     "DegenerateDesignError", "DgpSpec", "FoldPlan", "GridSpec",
     "IntervalReport", "McCell", "PropensityModel", "Sample", "SplitPlan",
     "StoyeInterval", "dkw_critical", "draw_dgp", "estimate",

@@ -72,7 +72,7 @@ SETTINGS = {
     "models": (str, "constant", _DATA, "comma-separated model specs"),
     "delta": (float, 0.0, _DATA, None),
     "k_folds": (int, 5, _ALL, None),
-    "aux_fraction": (float, 0.5, ("analyze",), None),
+    "aux_fraction": (float, 0.5, ("analyze", "simulate"), None),
     "h_rule": (str, "stoye", ("analyze",), None),
     "propensity.mode": (str, "in_sample", ("analyze",), None),
     "propensity.pi": (float, None, ("analyze",), None),
@@ -228,14 +228,12 @@ def _external_adjusters(cfg: dict, n: int):
     """Per-unit adjustment values fitted outside this package."""
     if not cfg.get("adjuster_file"):
         return None
-    from .data import Adjuster
-
     s_l = _read_numbers(cfg["adjuster_file"], "s_l")
     s_u = _read_numbers(cfg["adjuster_file"], "s_u")
     if s_l.size != n:
         raise ConfigError(
             f"adjuster_file: expected {n} rows, got {s_l.size}")
-    return Adjuster(values=s_l), Adjuster(values=s_u)
+    return s_l, s_u
 
 
 def _propensity(cfg: dict, sample) -> PropensityModel:
@@ -311,7 +309,7 @@ def cmd_bounds_curve(cfg: dict) -> int:
             sample, make_folds(sample, cfg["k_folds"], seed),
             _model_list(cfg), seed, _grid_spec(cfg))
     else:
-        s_lo, s_hi = (a.values for a in adjusters)
+        s_lo, s_hi = adjusters
     lo, hi = side_profiles(sample, s_lo, s_hi)
     sup, t_l, inf, t_u = profile_bounds(lo, hi)
     header = (f"# adjusted CDF-difference curve (lower side)\n"

@@ -14,7 +14,6 @@ from scipy.stats import norm
 
 from .condcdf import GridSpec, crossfit_adjusters
 from .data import (
-    Adjuster,
     ConfigError,
     EstimationError,
     FoldPlan,
@@ -365,7 +364,7 @@ def estimate(sample: Sample, method: str, model_specs, alpha: float = 0.05,
              seed: int = 0, k_folds: int = 5, aux_fraction: float = 0.5,
              grid_spec: GridSpec = GridSpec(),
              propensity: PropensityModel = PropensityModel(),
-             adjusters: tuple[Adjuster, Adjuster] | None = None,
+             adjusters: tuple[np.ndarray, np.ndarray] | None = None,
              h_rules=H_RULES) -> IntervalReport:
     """Run one of ``METHODS`` on ``sample`` and return its interval report.
 
@@ -374,8 +373,9 @@ def estimate(sample: Sample, method: str, model_specs, alpha: float = 0.05,
     are group x arm cells for ``cross-fit-group``). ``sjls`` and
     ``cross-fit-ipw`` read a known ``propensity``, ``cross-fit-group`` its
     groups; a propensity these methods cannot use fails before any model
-    is fitted. ``adjusters`` replaces model fitting with fixed per-unit
-    values; a pair that does not cover the sample is a ConfigError.
+    is fitted. ``adjusters``, two arrays, replaces model fitting with fixed
+    per-unit values; a side that is not one finite number per unit is a
+    ConfigError.
     The z-interval methods report a pretested two-sided interval per rule
     in ``h_rules``, the first being the headline one; with no rules the
     two-sided interval is the one-sided pair.

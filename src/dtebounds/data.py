@@ -13,7 +13,6 @@ __all__ = [
     "Sample",
     "FoldPlan",
     "PropensityModel",
-    "Adjuster",
     "adjuster_arrays",
     "CsvParseError",
     "DegenerateDesignError",
@@ -166,31 +165,21 @@ class PropensityModel:
                     f"group {gv} lacks a treated or a control unit")
 
 
-@dataclass(frozen=True)
-class Adjuster:
-    """Per-unit evaluation of a user-supplied scalar covariate-adjustment
-    function, the input type of ``adjusters=``."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("adjuster values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def zero(cls, n: int) -> "Adjuster":
-        return cls(values=np.zeros(n))
-
-
 def adjuster_arrays(adjusters, n: int):
-    """The (s_lower, s_upper) value arrays of a user ``Adjuster`` pair; a
-    side that does not hold one value per sample unit is a ConfigError."""
-    s_lo, s_hi = (a.values for a in adjusters)
+    """The (s_lower, s_upper) float64 arrays of a user adjuster pair: per-unit
+    values of two scalar covariate-adjustment functions, each side any
+    array-like. A side that is not one finite number per sample unit is a
+    ConfigError."""
+    try:
+        s_lo, s_hi = (np.ascontiguousarray(a, dtype=np.float64)
+                      for a in adjusters)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"adjusters: {exc}") from None
     if s_lo.shape != (n,) or s_hi.shape != (n,):
         raise ConfigError(f"adjusters: expected shape ({n},) per side, got "
                           f"{s_lo.shape} and {s_hi.shape}")
+    if not (np.isfinite(s_lo).all() and np.isfinite(s_hi).all()):
+        raise ConfigError("adjusters: values must be finite")
     return s_lo, s_hi
 
 

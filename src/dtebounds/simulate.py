@@ -16,7 +16,6 @@ import numpy as np
 from .condcdf import MODEL_NAMES, parse_model_spec
 from .crossfit import METHODS, EstimationError, estimate
 from .data import (
-    Adjuster,
     ConfigError,
     DegenerateDesignError,
     PropensityModel,
@@ -154,7 +153,7 @@ def _sharp_point_adjusters(y0, y1):
     mx = np.maximum(y0, y1)
     s_lo = np.where(e < 0, mid, mx)
     s_hi = np.where(e > 0, mid, mx)
-    return Adjuster(values=s_lo), Adjuster(values=s_hi)
+    return s_lo, s_hi
 
 
 def _conditional_tail_factor(spec: DgpSpec):
@@ -172,7 +171,8 @@ def _conditional_tail_factor(spec: DgpSpec):
 
 def oracle_adjuster(spec: DgpSpec, x_rows: np.ndarray, inner_reps: int = 2000,
                     grid: np.ndarray | None = None, seed: int = 0):
-    """Sharp adjustment functions computed from the known design.
+    """Sharp adjustment functions computed from the known design, as the
+    (s_lower, s_upper) arrays of their values at the rows of x_rows.
 
     With all coordinates observed the potential outcomes are deterministic
     per row and the pointwise rule applies. With 10 observed coordinates,
@@ -215,7 +215,7 @@ def oracle_adjuster(spec: DgpSpec, x_rows: np.ndarray, inner_reps: int = 2000,
                    ) / inner_reps
         s_lo[start:start + b] = grid[np.argmax(d_curve, axis=1)]
         s_hi[start:start + b] = grid[np.argmin(d_curve, axis=1)]
-    return Adjuster(values=s_lo), Adjuster(values=s_hi)
+    return s_lo, s_hi
 
 
 def _row_cdf_counts(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -284,7 +284,7 @@ class McReport:
 
 def _cell_adjusters(cell: McCell, spec_p, sample, hidden, rng):
     if cell.model == "none":
-        zero = Adjuster.zero(sample.n)
+        zero = np.zeros(sample.n)
         return (zero, zero), None
     if cell.model == "oracle":
         if spec_p.observed_p == 20:

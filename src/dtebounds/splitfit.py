@@ -14,7 +14,6 @@ import numpy as np
 
 from .condcdf import GridSpec, fit_adjusters, select_model
 from .data import (
-    Adjuster,
     ConfigError,
     DegenerateDesignError,
     Sample,
@@ -81,15 +80,15 @@ def dkw_critical(alpha: float, n1_main: int, n0_main: int) -> float:
 def estimate_split(sample: Sample, plan: SplitPlan, model_specs,
                    alpha: float = 0.05, seed: int = 0,
                    grid_spec: GridSpec = GridSpec(),
-                   adjusters: tuple[Adjuster, Adjuster] | None = None,
+                   adjusters: tuple[np.ndarray, np.ndarray] | None = None,
                    select_folds: int = 5) -> IntervalReport:
     """Sample-splitting bound estimates with DKW intervals.
 
     model_specs is a list of model spec strings; with more than one, the
     per-side model is chosen by cross-validation inside the auxiliary set.
-    ``adjusters`` overrides fitting entirely with user-supplied per-unit
-    values (any functions are valid; coverage does not depend on them); a
-    pair that does not cover the sample is a ConfigError.
+    ``adjusters``, two arrays, overrides fitting entirely with user-supplied
+    per-unit values (any functions are valid; coverage does not depend on
+    them); a side that is not one finite number per unit is a ConfigError.
 
     Returns an IntervalReport whose two_sided interval uses the half-alpha
     critical value, with one-sided intervals at alpha.

@@ -2,11 +2,11 @@
 values solving a coverage-constrained minimization.
 
 The pair (c_l, c_u) minimizes sigma_l*c_l + sigma_u*c_u subject to two
-coverage constraints over independent standard normals (Z1, Z2); each
-constraint probability is an integral over Z1, truncated at |Z1| = 8, of a
-closed-form normal CDF term, evaluated by fixed 96-node Gauss-Legendre
-quadrature. The pretested length term Lambda switches off when the
-estimated bound gap falls below a vanishing threshold h_n.
+coverage constraints over independent standard normals (Z1, Z2). Each
+constraint is a bivariate normal probability (Stoye 2009), evaluated in
+closed form through Owen's T function (Owen 1956). The pretested length
+term Lambda switches off when the estimated bound gap falls below a
+vanishing threshold h_n.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri, owens_t
 from scipy.stats import norm
 
 from .data import ConfigError
@@ -23,24 +23,11 @@ from .reports import BoundsEstimate
 
 __all__ = ["StoyeInterval", "h_threshold", "solve_critical_values", "stoye_ci"]
 
-Z_TRUNC = 8.0
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
-BISECT_TOL = 1e-12
 CL_MAX = 12.0  # every c_l search runs over [0, CL_MAX]
+CL_XTOL = 1e-13  # brentq tolerance of a c_l root
+PROBIT_CAP = 40.0  # beyond ndtri of any double in (0, 1)
 GOLDEN_TOL = 1e-9
 H_RULES = ("stoye", "logn", "qloglog")
-# the bisection is replayed from a verified root only where the constraints
-# are monotone in floating point: closer to |rho| = 1 the quadrature loses
-# accuracy and the constraints stop being monotone
-RHO_REPLAY = 0.9
-ROOT_STEP = 5e-12
-ROOT_WINDOW = 1e-11
-# least rise of a constraint across [r - ROOT_STEP, r + ROOT_STEP]: far above
-# the quadrature's rounding noise (a few 1e-16), so that beyond ROOT_WINDOW
-# the sign of fn - target is the sign of c - r; a root where fn is flat, as
-# with a tiny alpha, takes the plain bisection
-ROOT_RISE = 1e-14
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class EstimationFailure(RuntimeError):
@@ -59,7 +46,7 @@ class StoyeInterval:
     h_rule: str
 
 
-def h_threshold(n: int, rule: str = "stoye", q_factor: float = 2.0) -> float:
+def h_threshold(n: int, rule: str = "stoye") -> float:
     """Vanishing threshold sequence for the length pretest."""
     if n < 3:
         raise ConfigError("n too small for a threshold sequence")
@@ -68,25 +55,22 @@ def h_threshold(n: int, rule: str = "stoye", q_factor: float = 2.0) -> float:
     if rule == "logn":
         return math.sqrt(math.log(n) / n)
     if rule == "qloglog":
-        if q_factor < 2.0:
-            raise ConfigError("q_factor must be >= 2")
-        return math.sqrt(q_factor * math.log(math.log(n)) / n)
+        return math.sqrt(2.0 * math.log(math.log(n)) / n)
     raise ConfigError(f"unknown h rule {rule!r}; choose from {H_RULES}")
 
 
-def _gauss_legendre(lo: float, hi: float, a: float, b: float, w: float) -> float:
-    """integral over [lo, hi] of phi(z) * Phi((a + b*z) / w), via fixed-order
-    Gauss-Legendre. Within 2e-14 of adaptive quadrature for |rho| <= 0.9,
-    but the integrand steepens as w = sqrt(1 - rho^2) shrinks: the largest
-    error over 30 random c_l, c_u in [0.3, 3] and lambda in [0, 4] is 7e-9
-    at |rho| = 0.99, 2e-3 at 0.999 and 1e-2 at 0.999999."""
-    if hi <= lo:
-        return 0.0
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    z = mid + half * GL_NODES
-    vals = _INV_SQRT_2PI * np.exp(-0.5 * z * z) * ndtr((a + b * z) / w)
-    return float(half * np.dot(GL_WEIGHTS, vals))
+def _phi2(h: float, k: float, rho: float, w: float) -> float:
+    """P(X <= h, Y <= k) for standard normals X, Y with correlation rho,
+    w = sqrt(1 - rho^2) > 0, by Owen's T."""
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    if h == 0.0:
+        return 0.5 * ndtr(k) + owens_t(k, rho / w)
+    if k == 0.0:
+        return 0.5 * ndtr(h) + owens_t(h, rho / w)
+    beta = 0.5 if (h < 0.0) != (k < 0.0) else 0.0
+    return (0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - rho * h) / (h * w))
+            - owens_t(k, (h - rho * k) / (k * w)) - beta)
 
 
 def _constraint1(c_l: float, c_u: float, rho: float, lam_u: float) -> float:
@@ -98,7 +82,8 @@ def _constraint1(c_l: float, c_u: float, rho: float, lam_u: float) -> float:
         if rho > 0:
             return max(0.0, float(ndtr(a) - ndtr(-c_l)))
         return float(ndtr(-max(-c_l, -a)))
-    return _gauss_legendre(-c_l, Z_TRUNC, a, -rho, w)
+    # V = rho*Z1 - w*Z2 is standard normal with corr(Z1, V) = rho
+    return float(ndtr(a) - _phi2(-c_l, a, rho, w))
 
 
 def _constraint2(c_l: float, c_u: float, rho: float, lam_l: float) -> float:
@@ -109,74 +94,40 @@ def _constraint2(c_l: float, c_u: float, rho: float, lam_l: float) -> float:
         if rho > 0:
             return max(0.0, float(ndtr(c_u) - ndtr(-a)))
         return float(ndtr(min(c_u, a)))
-    return _gauss_legendre(-Z_TRUNC, c_u, a, rho, w)
+    # U = w*Z2 - rho*Z1 is standard normal with corr(Z1, U) = -rho
+    return float(_phi2(c_u, a, -rho, w))
 
 
-def _bisect(ge, lo: float = 0.0, hi: float = CL_MAX):
-    """Bisection for the smallest c on [lo, hi] with ge(c), for ge false
-    below and true above some point. None if ge(hi) is false."""
-    if not ge(hi):
-        return None
-    if ge(lo):
-        return lo
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if ge(mid):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < BISECT_TOL:
-            break
-    return hi
+def _cl_required(fn, target: float):
+    """The least c_l on [0, CL_MAX] with fn(c_l) >= target, to brentq's
+    tolerance, for fn nondecreasing: 0 if fn(0) already reaches target,
+    None if fn(CL_MAX) does not. The returned c_l always meets target."""
+    gap = {}
+    z_target = ndtri(target)
 
+    def probit_gap(c):
+        # brentq runs on the probit scale, where the CDF-like constraint is
+        # close to linear in c_l, and so needs about half the evaluations;
+        # feasibility is decided on the raw scale
+        v = fn(c)
+        gap[c] = v - target
+        z = ndtri(v)
+        return (z if math.isfinite(z) else math.copysign(PROBIT_CAP, v - 0.5)
+                ) - z_target
 
-def _bisect_cl(fn, target: float, lo: float = 0.0, hi: float = CL_MAX):
-    """Smallest c_l with fn(c_l) >= target; fn nondecreasing. None if
-    unattainable on [lo, hi]."""
-    return _bisect(lambda c: fn(c) >= target, lo, hi)
-
-
-def _secant_root(g, x0: float, x1: float, maxiter: int = 8):
-    """Root of g by secant steps from x0 and x1; None unless the steps
-    converge inside (0, CL_MAX)."""
-    g0, g1 = g(x0), g(x1)
-    for _ in range(maxiter):
-        if g1 == g0:
+    try:
+        c = brentq(probit_gap, 0.0, CL_MAX, xtol=CL_XTOL)
+    except ValueError:
+        # no sign change: brentq evaluated both ends before giving up
+        return 0.0 if gap[0.0] >= 0.0 else None
+    # brentq may stop just below the crossing: step up onto the feasible side
+    step = CL_XTOL
+    while (gap[c] if c in gap else fn(c) - target) < 0.0:
+        if c == CL_MAX:
             return None
-        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
-        if not 0.0 < x2 < CL_MAX:
-            return None
-        if abs(x2 - x1) < 1e-13:
-            return x2
-        x0, g0, x1, g1 = x1, g1, x2, g(x2)
-    return None
-
-
-def _replay_cl(fn, target: float, guess: float):
-    """_bisect_cl(fn, target), calling fn only near the crossing.
-
-    The root r of fn = target comes from secant steps warm-started at
-    guess, or from brentq on [0, CL_MAX] if they fail. It is verified as
-    fn(r - ROOT_STEP) < target <= fn(r + ROOT_STEP), with fn rising by at
-    least ROOT_RISE in between. The bisection then makes the same steps as
-    _bisect_cl, but decides a point farther than ROOT_WINDOW from r by the
-    side of r it lies on, which for a nondecreasing fn is the comparison fn
-    would give. Without a verified root it falls back to _bisect_cl.
-    """
-    def g(c):
-        return fn(c) - target
-
-    r = _secant_root(g, guess, guess + 1e-6)
-    if r is None:
-        try:
-            r = brentq(g, 0.0, CL_MAX, xtol=1e-13, disp=False)
-        except ValueError:
-            return _bisect_cl(fn, target)
-    below, above = fn(r - ROOT_STEP), fn(r + ROOT_STEP)
-    if not (below < target <= above and above - below >= ROOT_RISE):
-        return _bisect_cl(fn, target)
-    return _bisect(lambda c: (fn(c) >= target if abs(c - r) <= ROOT_WINDOW
-                              else c > r))
+        c = min(c + step, CL_MAX)
+        step *= 2.0
+    return c
 
 
 def solve_critical_values(alpha: float, rho: float, lam_l: float,
@@ -184,12 +135,11 @@ def solve_critical_values(alpha: float, rho: float, lam_l: float,
     """Minimize sigma_l*c_l + sigma_u*c_u subject to both coverage
     constraints.
 
-    Outer golden-section search over c_u with the required c_l solved by
-    bisection from each constraint; the feasible c_l for fixed c_u is the
-    max of the two bisection solutions, both nondecreasing requirements.
-    For |rho| <= RHO_REPLAY, a constraint whose c_l at the previous c_u was
-    interior replays its bisection from a root warm-started there
-    (_replay_cl); the result is the same to the bit.
+    Outer golden-section search over c_u. For each c_u, each constraint,
+    a bivariate normal probability in closed form (Owen's T), gives the
+    least c_l that meets it by one brentq root on [0, CL_MAX]; the
+    feasible c_l is the larger of the two, as both constraints are
+    nondecreasing in c_l.
     """
     if not 0.0 < alpha < 0.5:
         raise ConfigError("alpha must lie in (0, 0.5) for two-sided intervals")
@@ -197,20 +147,10 @@ def solve_critical_values(alpha: float, rho: float, lam_l: float,
     z_a = float(norm.ppf(1 - alpha))
     z_half = float(norm.ppf(1 - alpha / 2))
     rho = float(np.clip(rho, -1.0, 1.0))
-    replay = abs(rho) <= RHO_REPLAY
-    last = [None, None]  # each constraint's c_l at the previous c_u
-
-    def required(k: int, fn):
-        prev = last[k]
-        if replay and prev is not None and prev > 0.0:
-            last[k] = _replay_cl(fn, target, prev)
-        else:
-            last[k] = _bisect_cl(fn, target)
-        return last[k]
 
     def cl_required(c_u: float):
-        c1 = required(0, lambda c: _constraint1(c, c_u, rho, lam_u))
-        c2 = required(1, lambda c: _constraint2(c, c_u, rho, lam_l))
+        c1 = _cl_required(lambda c: _constraint1(c, c_u, rho, lam_u), target)
+        c2 = _cl_required(lambda c: _constraint2(c, c_u, rho, lam_l), target)
         if c1 is None or c2 is None:
             return None
         return max(c1, c2)

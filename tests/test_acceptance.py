@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import norm
 
 from dtebounds.crossfit import variance_hat, variant_known_propensity
-from dtebounds.data import Adjuster, PropensityModel, Sample
+from dtebounds.data import PropensityModel, Sample
 from dtebounds.kernels import scan_extrema
 from dtebounds.reports import BoundsEstimate
 from dtebounds.simulate import DgpSpec, McCell, draw_dgp, oracle_theta0, run_table
@@ -176,7 +176,7 @@ def test_c4_finite_sample_coverage():
     for _ in range(reps):
         s = _draw_discrete(rng, n, y1s, y1p, y0s, y0p)
         plan = make_split(s, 0.5, seed=int(rng.integers(2**31)))
-        adv = Adjuster(values=rng.normal(size=n))
+        adv = rng.normal(size=n)
         rep = estimate_split(s, plan, [], alpha=alpha, adjusters=(adv, adv))
         hits["adv_lo"] += rep.lower_onesided_raw <= theta
         hits["adv_hi"] += rep.upper_onesided_raw >= theta

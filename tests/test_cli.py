@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -296,6 +297,22 @@ class TestSimulate:
 
     def test_missing_cells_config_error(self):
         assert run_cli("simulate", "--reps", "2") == 2
+
+    def test_aux_fraction_reaches_run_table(self, tmp_path, monkeypatch):
+        from dtebounds import cli
+
+        seen = {}
+
+        def fake_run_table(spec, cells, **kwargs):
+            seen.update(kwargs)
+            return SimpleNamespace(to_csv=lambda: "")
+
+        monkeypatch.setattr(cli, "run_table", fake_run_table)
+        cells = tmp_path / "cells.csv"
+        cells.write_text("120,20,none,sample-split\n")
+        assert run_cli("simulate", "--cells", str(cells),
+                       "--aux-fraction", "0.3") == 0
+        assert seen["aux_fraction"] == 0.3
 
     @pytest.mark.parametrize("line", ["100,20,none,crossfit",
                                       "100,20,knn_loc_shif:k=5,cross-fit",

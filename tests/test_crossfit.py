@@ -24,7 +24,6 @@ from dtebounds.crossfit import (
     variant_known_propensity,
 )
 from dtebounds.data import (
-    Adjuster,
     ConfigError,
     PropensityModel,
     Sample,
@@ -112,7 +111,7 @@ class TestEstimateAdjusters:
     @pytest.mark.parametrize("method", METHODS)
     def test_fixed_adjusters_fit_nothing(self, method, fits):
         s = make_sample(120, seed=15)
-        adv = Adjuster(values=np.random.default_rng(2).normal(size=s.n))
+        adv = np.random.default_rng(2).normal(size=s.n)
         rep = estimate(s, method, ["knn_loc_shift:k=10"], k_folds=3,
                        propensity=_propensity_for(method, s),
                        adjusters=(adv, adv), h_rules=())
@@ -122,12 +121,22 @@ class TestEstimateAdjusters:
     @pytest.mark.parametrize("method", METHODS)
     def test_wrong_length_adjusters_are_config_error(self, method):
         s = make_sample(60, seed=16)
-        full, short = Adjuster.zero(s.n), Adjuster.zero(s.n - 1)
+        full, short = np.zeros(s.n), np.zeros(s.n - 1)
         for pair in ((short, short), (full, short), (short, full)):
             with pytest.raises(ConfigError, match="adjusters"):
                 estimate(s, method, [], k_folds=3,
                          propensity=_propensity_for(method, s),
                          adjusters=pair)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_nonfinite_adjusters_are_config_error(self, method):
+        s = make_sample(60, seed=16)
+        bad = np.zeros(s.n)
+        bad[3] = np.inf
+        with pytest.raises(ConfigError, match="finite"):
+            estimate(s, method, [], k_folds=3,
+                     propensity=_propensity_for(method, s),
+                     adjusters=(np.zeros(s.n), bad))
 
     @pytest.mark.parametrize("method", ["sjls", "cross-fit-ipw",
                                         "cross-fit-group"])

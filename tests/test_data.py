@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from dtebounds.data import (
-    Adjuster,
     ConfigError,
     CsvParseError,
     DegenerateDesignError,
     Sample,
+    adjuster_arrays,
     load_csv,
     make_folds,
     shift_for_delta,
@@ -165,13 +165,21 @@ class TestMakeFolds:
 
 
 def test_adjuster_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Adjuster(values=np.array([1.0, np.nan]))
+    with pytest.raises(ConfigError, match="finite"):
+        adjuster_arrays((np.array([1.0, np.nan]), np.zeros(2)), 2)
 
 
 def test_adjuster_zero():
-    a = Adjuster.zero(5)
-    np.testing.assert_array_equal(a.values, np.zeros(5))
+    # plain array-likes of any numeric dtype are read as float64
+    s_lo, s_hi = adjuster_arrays((np.zeros(5, dtype=int), [0.0] * 5), 5)
+    for side in (s_lo, s_hi):
+        assert side.dtype == np.float64
+        np.testing.assert_array_equal(side, np.zeros(5))
+
+
+def test_adjuster_rejects_non_numeric():
+    with pytest.raises(ConfigError, match="adjusters"):
+        adjuster_arrays((["a", "b"], np.zeros(2)), 2)
 
 
 class TestGroupStratifiedFolds:

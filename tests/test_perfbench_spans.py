@@ -41,7 +41,6 @@ def test_traced_estimates_complete(tmp_path):
     run to completion under the span wrappers, so every counter can bind
     the arguments it reads."""
     from dtebounds import (
-        Adjuster,
         DgpSpec,
         GridSpec,
         PropensityModel,
@@ -61,7 +60,7 @@ def test_traced_estimates_complete(tmp_path):
     rows = [f"{y!r},{d},{x!r}" for y, d, x in
             zip(sample.y.tolist(), sample.d.tolist(), sample.x[:, 0].tolist())]
     csv.write_text("y,d,x1\n" + "\n".join(rows) + "\n")
-    fixed = (Adjuster(values=sample.x[:, 0]), Adjuster(values=sample.x[:, 1]))
+    fixed = (sample.x[:, 0], sample.x[:, 1])
     with _load_spans().Tracer().installed() as tracer:
         for method in METHODS:
             for adjusters in (None, fixed):

@@ -109,8 +109,8 @@ class TestOracleAdjusterP20:
         e = hidden.y1 - hidden.y0
         harmed = e < 0
         mid = 0.5 * (hidden.y0 + hidden.y1)
-        np.testing.assert_allclose(s_lo.values[harmed], mid[harmed])
-        np.testing.assert_allclose(s_hi.values[~harmed], mid[~harmed])
+        np.testing.assert_allclose(s_lo[harmed], mid[harmed])
+        np.testing.assert_allclose(s_hi[~harmed], mid[~harmed])
 
     def test_population_bounds_collapse_to_theta(self):
         # with the sharp adjusters the scanned bounds pinch the target
@@ -121,9 +121,9 @@ class TestOracleAdjusterP20:
         s_lo, s_hi = oracle_adjuster(spec, hidden.x_full)
         theta = np.mean(hidden.y1 - hidden.y0 <= 0)
         t = sample.d == 1
-        y_lo = sample.y - s_lo.values
+        y_lo = sample.y - s_lo
         sup, _, _, _ = scan_extrema(y_lo[t], y_lo[~t])
-        y_hi = sample.y - s_hi.values
+        y_hi = sample.y - s_hi
         _, _, inf, _ = scan_extrema(y_hi[t], y_hi[~t])
         assert sup == pytest.approx(theta, abs=0.02)
         assert 1 + inf == pytest.approx(theta, abs=0.02)
@@ -144,7 +144,7 @@ class TestOracleAdjusterP10:
         sample, hidden = draw_dgp(spec, 20_000, seed=9)
         s_lo, s_hi = oracle_adjuster(spec, sample.x, inner_reps=400, seed=10)
         t = sample.d == 1
-        y_adj = sample.y - s_lo.values
+        y_adj = sample.y - s_lo
         sup_adj, _, _, _ = scan_extrema(y_adj[t], y_adj[~t])
         sup_raw, _, _, _ = scan_extrema(sample.y[t], sample.y[~t])
         assert sup_adj > sup_raw

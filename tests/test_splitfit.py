@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dtebounds.data import Adjuster, ConfigError, Sample
+from dtebounds.data import ConfigError, Sample
 from dtebounds.splitfit import dkw_critical, estimate_split, make_split
 
 
@@ -76,7 +76,7 @@ class TestEstimateSplit:
     def test_main_sample_only_enters_estimate(self):
         s = make_sample(300, seed=6)
         plan = make_split(s, 0.5, seed=1)
-        zero = Adjuster.zero(s.n)
+        zero = np.zeros(s.n)
         rep = estimate_split(s, plan, [], adjusters=(zero, zero))
         # recompute the bound by hand on the main subsample
         from dtebounds.stepfun import makarov_bounds
@@ -102,7 +102,7 @@ class TestEstimateSplit:
             y = np.where(d == 1, y1_of_x[xi], y0_of_x[xi])
             s = Sample(y.astype(float), d, xi[:, None].astype(float))
             plan = make_split(s, 0.5, seed=int(rng.integers(2**31)))
-            adv = Adjuster(values=rng.normal(size=n))
+            adv = rng.normal(size=n)
             rep = estimate_split(s, plan, [], alpha=0.1, adjusters=(adv, adv))
             hit_lo += rep.lower_onesided_raw <= theta
             hit_hi += rep.upper_onesided_raw >= theta

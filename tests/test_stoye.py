@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import norm
 
-from dtebounds import stoye
 from dtebounds.data import ConfigError
 from dtebounds.reports import BoundsEstimate
 from dtebounds.stoye import (
+    CL_MAX,
+    _cl_required,
     _constraint1,
     _constraint2,
     h_threshold,
@@ -103,7 +105,6 @@ def test_h_threshold_rules():
     assert h_threshold(n, "logn") == pytest.approx(np.sqrt(np.log(n) / n))
     assert h_threshold(n, "qloglog") == pytest.approx(
         np.sqrt(2 * np.log(np.log(n)) / n))
-    assert h_threshold(n, "qloglog", q_factor=3.0) > h_threshold(n, "qloglog")
     with pytest.raises(ConfigError):
         h_threshold(n, "nope")
 
@@ -145,6 +146,12 @@ class TestStoyeCi:
         assert si.c_l < Z_HALF - 1e-3
         assert si.c_l >= Z_A - 1e-6
 
+    def test_indefinite_variance_triple_is_config_error(self):
+        # |sigma_lu| > sigma_l * sigma_u: correlation 0.2 / 0.16 = 1.25
+        est = make_est(0.3, 0.6, s2l=0.16, s2u=0.16, slu=0.2)
+        with pytest.raises(ConfigError, match="positive semidefinite"):
+            stoye_ci(est, 0.05, 1000)
+
     def test_degenerate_variance_falls_back(self):
         est = make_est(0.4, 0.4, s2l=0.0, s2u=0.25, slu=0.0)
         si = stoye_ci(est, 0.05, 500)
@@ -173,165 +180,152 @@ class TestStoyeCi:
         assert cover_u / reps >= 0.86
 
 
-# The solver as it was before the bisection replay, kept as the oracle for
-# bit identity. It reaches the constraints through the module, so a counting
-# wrapper monkeypatched there sees both solvers' calls.
-def reference_bisect_cl(fn, target, lo=0.0, hi=12.0):
-    if fn(hi) < target:
-        return None
-    if fn(lo) >= target:
-        return lo
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < stoye.BISECT_TOL:
-            break
-    return hi
 
 
-def reference_solve(alpha, rho, lam_l, lam_u, sigma_l, sigma_u):
-    if not 0.0 < alpha < 0.5:
-        raise ConfigError("alpha must lie in (0, 0.5) for two-sided intervals")
-    target = 1.0 - alpha
-    z_a = float(norm.ppf(1 - alpha))
-    z_half = float(norm.ppf(1 - alpha / 2))
-    rho = float(np.clip(rho, -1.0, 1.0))
-
-    def cl_required(c_u):
-        c1 = reference_bisect_cl(
-            lambda c: stoye._constraint1(c, c_u, rho, lam_u), target)
-        c2 = reference_bisect_cl(
-            lambda c: stoye._constraint2(c, c_u, rho, lam_l), target)
-        if c1 is None or c2 is None:
-            return None
-        return max(c1, c2)
-
-    best = {"obj": float("inf"), "c_l": None, "c_u": None}
-
-    def objective(c_u):
-        req = cl_required(c_u)
-        if req is None:
-            return float("inf")
-        obj = sigma_l * req + sigma_u * c_u
-        if obj < best["obj"]:
-            best.update(obj=obj, c_l=req, c_u=c_u)
-        return obj
-
-    lo, hi = max(0.0, z_a - 1e-6), z_half + 1e-6
-    grid = np.linspace(lo, hi, 21)
-    vals = [objective(c) for c in grid]
-    j = int(np.argmin(vals))
-    a = grid[max(0, j - 1)]
-    b = grid[min(len(grid) - 1, j + 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    it = 0
-    while b - a > stoye.GOLDEN_TOL and it < 400:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = objective(x2)
-        it += 1
-    objective(0.5 * (a + b))
-    if best["c_l"] is None:
-        raise stoye.EstimationFailure(
-            f"critical-value search failed: no feasible point found for "
-            f"rho={rho:.4f}, lam=({lam_l:.3g},{lam_u:.3g})")
-    return (float(np.clip(best["c_l"], 0.0, z_half)),
-            float(np.clip(best["c_u"], 0.0, z_half)))
-
-
-def outcome(solver, *args):
-    """Bytes of the solution, or the type and message of the exception."""
-    try:
-        return np.array(solver(*args)).tobytes()
-    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
-        return type(exc), str(exc)
-
-
-EDGE_RHOS = [v for r in (1.0, 1.0 - 1e-12, 0.999, 0.9,
-                         math.nextafter(0.9, 0.0), math.nextafter(0.9, 1.0))
+EDGE_RHOS = [v for r in (1.0, 1.0 - 1e-12, 0.999999, 0.999, 0.9, 0.0)
              for v in (r, -r)]
 LAMBDAS = st.one_of(
     st.sampled_from([0.0, 1e-8, 1e3]),
     st.floats(0.0, 1.0, exclude_max=True).map(lambda u: -math.log1p(-u)))
+# the constraints are nondecreasing in c_l up to this rounding (2 ulps of 1)
+MONOTONE_SLACK = 4.4e-16
+Z_MAX = 10.0
 
 
-class TestReplayedBisection:
-    """solve_critical_values replays the bisection from a verified root;
-    its critical values equal the plain bisection's bit for bit."""
+def _pdf(z):
+    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
-    # alpha near 0 sends norm.ppf to inf; both solvers warn the same way
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(alpha=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
-           rho=st.one_of(st.sampled_from(EDGE_RHOS), st.floats(-1.0, 1.0)),
-           lam_l=LAMBDAS, lam_u=LAMBDAS,
-           sigma_l=st.floats(-4.0, 2.0).map(math.exp),
-           sigma_u=st.floats(-4.0, 2.0).map(math.exp))
-    @example(0.05, -0.999999999999, 0.0, 1e-08, 0.03574660230810845,
-             0.23455569018718017)
-    @example(1e-10, -0.9, 0.0, 0.0, math.exp(-1.0), 1.0)
-    @example(0.05, -0.9970310927950041, 0.0, 0.0, 2.264510432340993,
-             5.759645567646943)
-    @example(0.05, 0.25, 50.0, 50.0, 0.45, 0.45)
-    def test_matches_plain_bisection(self, alpha, rho, lam_l, lam_u,
-                                     sigma_l, sigma_u):
-        args = (alpha, rho, lam_l, lam_u, sigma_l, sigma_u)
-        assert outcome(solve_critical_values, *args) == outcome(
-            reference_solve, *args)
 
-    def test_failed_bracket_falls_back(self, monkeypatch):
-        # a root off the crossing fails the bracket check: every replay must
-        # run the plain bisection once and still give the same bits
-        replay_cl, bisect_cl = stoye._replay_cl, stoye._bisect_cl
-        calls = {"replay": 0, "bisect": 0}
+def _integrate(f, lo, hi, kink):
+    points = [kink] if lo < kink < hi else None
+    return quad(f, lo, hi, points=points, epsabs=1e-14, epsrel=0.0,
+                limit=500)[0]
 
-        def replay(fn, target, guess):
-            calls["replay"] += 1
-            before = calls["bisect"]
-            c = replay_cl(fn, target, guess)
-            assert calls["bisect"] == before + 1
-            return c
 
-        def bisect(fn, target):
-            calls["bisect"] += 1
-            return bisect_cl(fn, target)
+# Adaptive-quadrature oracles for the constraints. Each conditions on the
+# normal whose coefficient is the larger of |rho| and w = sqrt(1 - rho^2),
+# so the remaining conditional probability never steepens beyond unit scale.
+def quad_constraint1(c_l, c_u, rho, lam_u):
+    w = math.sqrt(1.0 - rho * rho)
+    a = c_u + lam_u
+    if abs(rho) <= w:
+        return _integrate(lambda z: _pdf(z) * ndtr((a - rho * z) / w),
+                          -c_l, Z_MAX, a / rho if rho else Z_MAX)
 
-        monkeypatch.setattr(stoye, "_secant_root", lambda g, x0, x1: 0.5)
-        monkeypatch.setattr(stoye, "_replay_cl", replay)
-        monkeypatch.setattr(stoye, "_bisect_cl", bisect)
-        args = (0.05, 0.25, 3.0, 2.0, 0.5, 0.6)
-        assert outcome(solve_critical_values, *args) == outcome(
-            reference_solve, *args)
-        assert calls["replay"] > 40
+    def given_z2(z):  # Z1 lies in an interval with end t
+        t = (a + w * z) / rho
+        if rho > 0:
+            return max(0.0, ndtr(t) - ndtr(-c_l))
+        return ndtr(min(c_l, -t))
 
-    def test_calls_fewer_constraints(self, monkeypatch):
-        calls = [0]
+    return _integrate(lambda z: _pdf(z) * given_z2(z), -Z_MAX, Z_MAX,
+                      -(a + rho * c_l) / w)
 
-        def counting(fn):
-            def wrapped(*a):
-                calls[0] += 1
-                return fn(*a)
-            return wrapped
 
-        monkeypatch.setattr(stoye, "_constraint1",
-                            counting(stoye._constraint1))
-        monkeypatch.setattr(stoye, "_constraint2",
-                            counting(stoye._constraint2))
-        # a delta-sweep unit's input: rho 0.25, lambda about 50
-        args = (0.05, 0.25, 50.3, 49.1, 0.44, 0.45)
-        solve_critical_values(*args)
-        replayed = calls[0]
-        calls[0] = 0
-        reference_solve(*args)
-        assert replayed <= 0.4 * calls[0]
+def quad_constraint2(c_l, c_u, rho, lam_l):
+    w = math.sqrt(1.0 - rho * rho)
+    k = c_l + lam_l
+    if abs(rho) <= w:
+        return _integrate(lambda z: _pdf(z) * ndtr((rho * z + k) / w),
+                          -Z_MAX, c_u, -k / rho if rho else Z_MAX)
+
+    def given_z2(z):
+        t = (w * z - k) / rho
+        if rho > 0:
+            return max(0.0, ndtr(c_u) - ndtr(t))
+        return ndtr(min(c_u, t))
+
+    return _integrate(lambda z: _pdf(z) * given_z2(z), -Z_MAX, Z_MAX,
+                      (rho * c_u + k) / w)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(c_l=st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+       c_u=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+       rho=st.one_of(st.sampled_from([r for r in EDGE_RHOS if abs(r) <= 0.999]),
+                     st.floats(-0.999, 0.999)),
+       lam=LAMBDAS)
+@example(0.0, 0.0, 0.5, 0.0)  # h = k = 0 in both constraints
+@example(0.0, 1.3, -0.4, 0.0)  # h = 0 in the first, k = 0 in the second
+def test_closed_form_matches_quadrature(c_l, c_u, rho, lam):
+    assert abs(_constraint1(c_l, c_u, rho, lam)
+               - quad_constraint1(c_l, c_u, rho, lam)) <= 1e-13
+    assert abs(_constraint2(c_l, c_u, rho, lam)
+               - quad_constraint2(c_l, c_u, rho, lam)) <= 1e-13
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(rho=st.sampled_from([0.9, 0.99, 0.999, -0.999]),
+       c_u=st.floats(0.0, 4.0), lam=LAMBDAS)
+def test_constraints_nondecreasing_in_cl(rho, c_u, lam):
+    sweep = np.linspace(0.0, CL_MAX, 2001)
+    for fn in (_constraint1, _constraint2):
+        vals = np.array([fn(c, c_u, rho, lam) for c in sweep])
+        assert np.diff(vals).min() >= -MONOTONE_SLACK
+
+
+def test_near_perfect_correlation_meets_the_limit():
+    # away from the kinks of the rho = +-1 limits (c_l = c_u + lambda and
+    # c_u = c_l + lambda), the constraints are continuous in rho there
+    for sign in (1.0, -1.0):
+        for c_l in (0.3, 1.1, 2.5):
+            for c_u in (0.5, 1.96):
+                for lam in (0.0, 0.7, 4.0):
+                    for fn in (_constraint1, _constraint2):
+                        near = fn(c_l, c_u, sign * (1.0 - 1e-12), lam)
+                        assert near == pytest.approx(
+                            fn(c_l, c_u, sign, lam), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=st.floats(1e-4, 0.5, exclude_max=True),
+       c_u=st.floats(0.0, 4.0),
+       rho=st.one_of(st.sampled_from(EDGE_RHOS), st.floats(-1.0, 1.0)),
+       lam=LAMBDAS)
+def test_cl_rule_returns_a_feasible_near_least_point(alpha, c_u, rho, lam):
+    target = 1.0 - alpha
+    for con in (_constraint1, _constraint2):
+        def fn(c):
+            return con(c, c_u, rho, lam)
+
+        c = _cl_required(fn, target)
+        if c is None:
+            assert fn(CL_MAX) < target
+            continue
+        assert fn(c) >= target
+        if c > 0.0:
+            assert fn(max(0.0, c - 1e-9)) < target + MONOTONE_SLACK
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(alpha=st.floats(1e-4, 0.5, exclude_max=True),
+       rho=st.one_of(st.sampled_from(EDGE_RHOS), st.floats(-1.0, 1.0)),
+       lam_l=LAMBDAS, lam_u=LAMBDAS,
+       sigma_l=st.floats(-4.0, 2.0).map(math.exp),
+       sigma_u=st.floats(-4.0, 2.0).map(math.exp))
+def test_solution_meets_both_constraints(alpha, rho, lam_l, lam_u, sigma_l,
+                                         sigma_u):
+    c_l, c_u = solve_critical_values(alpha, rho, lam_l, lam_u, sigma_l,
+                                     sigma_u)
+    # a pair clipped to z_half is not the search's optimum and need not be
+    # feasible; the c_l rule makes the larger of the two roots feasible for
+    # its own constraint, and the other one to its rounding
+    if max(c_l, c_u) < norm.ppf(1.0 - alpha / 2.0):
+        target = 1.0 - alpha - MONOTONE_SLACK
+        assert _constraint1(c_l, c_u, rho, lam_u) >= target
+        assert _constraint2(c_l, c_u, rho, lam_l) >= target
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(alpha=st.sampled_from([0.05, 0.1]),
+       rho=st.sampled_from([0.999, 0.999999]),
+       sigma_l=st.floats(0.4, 1.5), sigma_u=st.floats(0.4, 1.5))
+@example(0.05, 0.999, 1.0, 1.0)
+@example(0.05, 0.999999, 1.0, 1.0)
+def test_solution_covers_near_perfect_correlation(alpha, rho, sigma_l,
+                                                  sigma_u):
+    c_l, c_u = solve_critical_values(alpha, rho, 0.5, 0.5, sigma_l, sigma_u)
+    assert quad_constraint1(c_l, c_u, rho, 0.5) >= 1.0 - alpha - 1e-8
+    assert quad_constraint2(c_l, c_u, rho, 0.5) >= 1.0 - alpha - 1e-8
