@@ -36,6 +36,8 @@ ANALYZE_GOLDEN = {
         "31fe48ec9e0afd7bf14f0d9c27ee89fa3d2888ded8a71126d4595759c52c30ae",
     ("cross-fit", "knn_loc_shift:k=10"):
         "f5acc5d8464fad31d4a96180ea61ffcf54afe5973c18e9efcdb29251fc5d2b6b",
+    ("cross-fit", "knn_quantile:k=10"):
+        "f07c7a886c5a875d254519119620c8b217180696d440f229acef93d41059d214",
     ("cross-fit-foldt", "constant"):
         "e236f14e6f61c59ac2488a98a43f4dabb951ce105638b0dfd8c73ea0d54fbc1a",
     ("cross-fit-foldt", "knn_loc_shift:k=10"):
