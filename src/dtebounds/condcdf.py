@@ -136,6 +136,13 @@ class QuantileGridModel(ConditionalCdfModel):
         self.x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         self.k = int(k)
         self.taus = np.asarray(taus, dtype=np.float64)
+        # the interpolated CDF is monotone, and the argopt kernel exact,
+        # only for sorted levels in [0, 1]
+        t = self.taus
+        if not (t.ndim == 1 and t.size and np.all(np.isfinite(t))
+                and np.all(np.diff(t) >= 0) and t[0] >= 0 and t[-1] <= 1):
+            raise ConfigError("taus must be a nonempty 1-D nondecreasing "
+                              "array of levels in [0, 1]")
         if self.k > self.y.size:
             raise ConfigError(f"k={self.k} exceeds arm size {self.y.size}")
 

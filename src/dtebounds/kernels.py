@@ -102,22 +102,39 @@ def interp_cdf_row(q, taus, t):
     quantiles, linear interpolation from the run-top tau below to the
     run-bottom tau above.
     """
-    m = q.size
     lo = np.searchsorted(q, t, side="right") - 1
     hi = np.searchsorted(q, t, side="left")
+    return _interp_values(q, taus, t, lo, hi)
+
+
+def _interp_values(q, taus, t, lo, hi, off=0):
+    """The ``interp_cdf_row`` values at points ``t`` of the row whose knots
+    are ``q[off:off + len(taus)]`` (``off`` a scalar or one per point),
+    given each point's knot state: ``lo``, the last knot index <= t (-1 if
+    none), and ``hi``, the first knot index >= t (len(taus) if none).
+    """
+    m = taus.size
     out = np.empty(t.size)
     below = lo < 0
     above = hi >= m
     out[below] = 0.0
     out[above] = 1.0
     mid = ~below & ~above
-    exact = mid & (q[np.clip(lo, 0, m - 1)] == t)
+    k_lo = np.clip(lo, 0, m - 1) + off
+    exact = mid & (q[k_lo] == t)
     out[exact] = 0.5 * (taus[hi[exact]] + taus[lo[exact]])
     interp = mid & ~exact
     li, hi_i = lo[interp], hi[interp]
-    frac = (t[interp] - q[li]) / (q[hi_i] - q[li])
+    # no knot equals t here, so the knot above is at lo + 1 = hi
+    q_lo, q_hi = q[k_lo[interp]], q[k_lo[interp] + 1]
+    frac = (t[interp] - q_lo) / (q_hi - q_lo)
     out[interp] = taus[li] + frac * (taus[hi_i] - taus[li])
     return out
+
+
+# knot cuts per block of rows in ``interp_cdf_argopt``, and segment-interior
+# points per pass over a block: bounds the temporaries (~1 MB per array)
+_INTERP_BLOCK_POINTS = 1 << 16
 
 
 def interp_cdf_argopt(q1, q0, taus, grid):
@@ -125,21 +142,110 @@ def interp_cdf_argopt(q1, q0, taus, grid):
     each conditional CDF is the linear interpolation of per-row sorted
     quantile predictions ``q1``/``q0`` at levels ``taus``.
 
-    Ties are broken toward the smallest grid point; the grid must be sorted.
-    Returns (s_lower, s_upper), each of length q1.shape[0].
+    Ties are broken toward the smallest grid point; the grid must be sorted
+    and ``taus`` nondecreasing in [0, 1]. Returns (s_lower, s_upper), each
+    of length q1.shape[0].
+
+    The grid indices where some knot of either row enters ``lo`` or ``hi``
+    of ``interp_cdf_row`` cut each row into segments of fixed knot state.
+    Inside one, each side's value is nondecreasing in the grid index (every
+    step of its expression is a monotone rounding of a monotone function),
+    so fl(F1(e) - F0(s)) bounds the difference from above on the segment
+    [s, e] and fl(F1(s) - F0(e)) from below. The difference is evaluated,
+    with the ``interp_cdf_row`` expression, at every segment end and inside
+    every segment whose bound reaches the row's best end value, unless both
+    sides are constant on it. The first maximizer lies among those points,
+    so the result equals the argmax/argmin over every grid point, ties
+    included.
     """
     q1 = np.asarray(q1, dtype=np.float64)
     q0 = np.asarray(q0, dtype=np.float64)
     taus = np.asarray(taus, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
-    n = q1.shape[0]
-    s_lo = np.empty(n)
-    s_hi = np.empty(n)
-    for i in range(n):
-        d = interp_cdf_row(q1[i], taus, grid) - interp_cdf_row(q0[i], taus, grid)
-        s_lo[i] = grid[int(np.argmax(d))]
-        s_hi[i] = grid[int(np.argmin(d))]
-    return s_lo, s_hi
+    n, m = q1.shape
+    s_lo = np.empty(n, dtype=np.intp)
+    s_hi = np.empty(n, dtype=np.intp)
+    step = max(1, _INTERP_BLOCK_POINTS // (4 * m + 2))
+    for a in range(0, n, step):
+        rows = slice(a, a + step)
+        s_lo[rows], s_hi[rows] = _interp_block_argopt(
+            q1[rows], q0[rows], taus, grid)
+    return grid[s_lo], grid[s_hi]
+
+
+def _interp_block_argopt(q1, q0, taus, grid):
+    """First grid argmax and argmin indices of F1 - F0 for a block of rows."""
+    b, m = q1.shape
+    g = grid.size
+    stride = g + 1
+    base = np.arange(b)[:, None] * stride
+    # knot k of a row counts in lo from grid index L[k] on, in hi from R[k]
+    L1, R1, L0, R0 = (np.searchsorted(grid, q, side=side) + base
+                      for q in (q1, q0) for side in ("left", "right"))
+    cuts = np.sort(np.concatenate([L1, R1, L0, R0, base, base + g],
+                                  axis=1), axis=None)
+    row, j = np.divmod(cuts, stride)
+    # a segment runs from a cut up to the next larger cut of the same row
+    seg = (cuts[1:] > cuts[:-1]) & (row[1:] == row[:-1])
+    seg_row, s, e = row[:-1][seg], j[:-1][seg], j[1:][seg] - 1
+    # knot state of each segment: ``lo``/``hi`` as in ``interp_cdf_row``
+    key = cuts[:-1][seg]
+    off = seg_row * m
+    lo1, hi1, lo0, hi0 = (np.searchsorted(K.ravel(), key, side="right") - off
+                          for K in (L1, R1, L0, R0))
+    lo1 -= 1
+    lo0 -= 1
+    q1f, q0f = q1.ravel(), q0.ravel()
+
+    def values_at(seg, t):
+        return (_interp_values(q1f, taus, t, lo1[seg], hi1[seg], off[seg]),
+                _interp_values(q0f, taus, t, lo0[seg], hi0[seg], off[seg]))
+
+    # both ends of every segment, in grid order within each row
+    both = np.repeat(np.arange(s.size), 2)
+    ends = np.stack([s, e], axis=1).ravel()
+    f1, f0 = values_at(both, grid[ends])
+    d = f1 - f0
+    recs_hi = [_first_max(seg_row[both], ends, d)]
+    recs_lo = [_first_max(seg_row[both], ends, -d)]
+    best_hi = recs_hi[0][1]
+    best_lo = -recs_lo[0][1]
+    f1s, f1e, f0s, f0e = f1[0::2], f1[1::2], f0[0::2], f0[1::2]
+    flag = (((f1e - f0s >= best_hi[seg_row]) | (f1s - f0e <= best_lo[seg_row]))
+            & ((f1s != f1e) | (f0s != f0e)) & (e - s >= 2))
+    cnt = np.where(flag, e - s - 1, 0)
+    cum = np.cumsum(cnt)
+    total = int(cum[-1])
+    for a in range(0, total, _INTERP_BLOCK_POINTS):
+        p = np.arange(a, min(a + _INTERP_BLOCK_POINTS, total))
+        seg = np.searchsorted(cum, p, side="right")
+        jj = s[seg] + 1 + p - (cum[seg] - cnt[seg])
+        f1, f0 = values_at(seg, grid[jj])
+        d = f1 - f0
+        recs_hi.append(_first_max(seg_row[seg], jj, d))
+        recs_lo.append(_first_max(seg_row[seg], jj, -d))
+    return _merge_first_max(recs_hi), _merge_first_max(recs_lo)
+
+
+def _first_max(rows, j, v):
+    """Per run of equal ``rows`` (nondecreasing), the run's row, the max of
+    ``v`` and the smallest ``j`` attaining it."""
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    vmax = np.maximum.reduceat(v, starts)
+    at_max = v == np.repeat(vmax, np.diff(np.r_[starts, v.size]))
+    jmin = np.minimum.reduceat(np.where(at_max, j, np.iinfo(np.intp).max),
+                               starts)
+    return rows[starts], vmax, jmin
+
+
+def _merge_first_max(recs):
+    """Fold ``_first_max`` records into each row's first argmax; the first
+    record holds every row in order."""
+    if len(recs) == 1:
+        return recs[0][2]
+    rows, v, j = (np.concatenate(x) for x in zip(*recs))
+    order = np.argsort(rows, kind="stable")
+    return _first_max(rows[order], j[order], v[order])[2]
 
 
 # events per block of rows in ``shift_cdf_argopt``: bounds its temporaries

@@ -34,6 +34,17 @@ def test_quantile_grid_interpolation_rule():
     assert m.eval_cdf(1.5, np.zeros(1)) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("taus", [
+    [], [[0.2, 0.5]], [0.2, np.nan], [0.2, np.inf], [0.5, 0.2],
+    [-0.1, 0.5], [0.5, 1.1]])
+def test_quantile_grid_rejects_bad_taus(taus):
+    with pytest.raises(ConfigError, match="taus"):
+        QuantileGridModel(np.arange(9.0), np.zeros((9, 1)), k=3, taus=taus)
+    # repeated levels and the ends of [0, 1] are allowed
+    QuantileGridModel(np.arange(9.0), np.zeros((9, 1)), k=3,
+                      taus=[0.0, 0.5, 0.5, 1.0])
+
+
 def test_location_shift_zero_mu_is_residual_ecdf():
     from dtebounds.condcdf import LocationShiftModel
 

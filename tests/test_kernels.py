@@ -147,6 +147,131 @@ def test_interp_argopt_matches_plain_argmax():
         np.testing.assert_array_equal(s_hi, ref_hi)
 
 
+def _dense_interp_argopt(q1, q0, taus, grid):
+    """Reference: the difference evaluated at every grid point, row by row."""
+    n = q1.shape[0]
+    s_lo = np.empty(n)
+    s_hi = np.empty(n)
+    for i in range(n):
+        d = (kernels.interp_cdf_row(q1[i], taus, grid)
+             - kernels.interp_cdf_row(q0[i], taus, grid))
+        s_lo[i] = grid[int(np.argmax(d))]
+        s_hi[i] = grid[int(np.argmin(d))]
+    return s_lo, s_hi
+
+
+@st.composite
+def _interp_inputs(draw):
+    """Sorted quantile rows on a lattice of step h, so that knots repeat in
+    runs, some treated rows copied into the control rows, sorted levels with
+    repeats, and a sorted grid of 1 to 60 points with duplicates, lattice
+    points and points on drawn knots or one ulp either side of them."""
+    m = draw(st.integers(1, 8))
+    taus = np.sort(np.array(draw(st.lists(
+        st.integers(0, 4).map(lambda k: k / 4), min_size=m, max_size=m))))
+    h = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    lattice = st.integers(-6, 6).map(lambda k: k * h)
+    n = draw(st.integers(1, 4))
+    q1, q0 = (np.sort(np.array(draw(st.lists(
+        lattice, min_size=n * m, max_size=n * m))).reshape(n, m), axis=1)
+        for _ in range(2))
+    for i in range(n):
+        if draw(st.booleans()):
+            q0[i] = q1[i]
+    g = draw(st.integers(1, 8) | st.integers(1, 60))
+    knots = np.concatenate([q1.ravel(), q0.ravel()])
+    pts = [np.nextafter(knots[k % knots.size], ulp) if ulp else
+           knots[k % knots.size]
+           for k, ulp in draw(st.lists(st.tuples(
+               st.integers(0, 63), st.sampled_from([-np.inf, 0.0, np.inf])),
+               max_size=g))]
+    pts += [np.nextafter(x, ulp) if ulp else x
+            for x, ulp in draw(st.lists(st.tuples(
+                lattice | st.floats(-7.0, 7.0),
+                st.sampled_from([-np.inf, 0.0, 0.0, np.inf])),
+                min_size=1, max_size=g))]
+    return q1, q0, taus, np.sort(np.array(pts[:g]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=_interp_inputs())
+# F1 <= F0 everywhere, so the difference is at most 0 and its first
+# maximizer is the first grid point, where it is -0.5
+@example(inputs=(np.array([[2.0, 3.0]]), np.array([[0.0, 1.0]]),
+                 np.array([0.0, 1.0]), np.array([0.5, 1.5, 2.5])))
+# F1 is 0 and F0 rises on the one segment, but fl(0.5 + 0.25 * frac) is
+# the same at 3 and one ulp above: the first minimizer is the interior
+# point 3, not the segment end
+@example(inputs=(np.array([[10.0, 11.0, 12.0]]),
+                 np.array([[-1.0, 0.0, 4.0]]), np.array([0.0, 0.5, 0.75]),
+                 np.array([1.0, 3.0, np.nextafter(3.0, 4.0)])))
+def test_interp_argopt_matches_dense_loop(inputs):
+    s_lo, s_hi = kernels.interp_cdf_argopt(*inputs)
+    ref_lo, ref_hi = _dense_interp_argopt(*inputs)
+    assert s_lo.tobytes() == ref_lo.tobytes()
+    assert s_hi.tobytes() == ref_hi.tobytes()
+
+
+def test_interp_argopt_example_has_no_positive_difference():
+    q1, q0 = np.array([2.0, 3.0]), np.array([0.0, 1.0])
+    taus, grid = np.array([0.0, 1.0]), np.array([0.5, 1.5, 2.5])
+    d = (kernels.interp_cdf_row(q1, taus, grid)
+         - kernels.interp_cdf_row(q0, taus, grid))
+    np.testing.assert_array_equal(d, [-0.5, -1.0, -0.5])
+    s_lo, s_hi = kernels.interp_cdf_argopt(q1[None], q0[None], taus, grid)
+    assert s_lo[0] == grid[0] and s_hi[0] == grid[1]
+
+
+def test_interp_argopt_blocks_and_passes(monkeypatch):
+    # rows split over several blocks, and interiors over several passes:
+    # identical rows flag every segment that is not constant
+    rng = np.random.default_rng(3)
+    taus = np.linspace(0, 1, 11)
+    q1 = np.sort(np.round(rng.normal(size=(9, 11)), 1), axis=1)
+    q0 = q1.copy()
+    q0[::2] = np.sort(np.round(rng.normal(size=(5, 11)), 1), axis=1)
+    grid = np.sort(np.round(rng.normal(size=300) * 2, 2))
+    ref = _dense_interp_argopt(q1, q0, taus, grid)
+    monkeypatch.setattr(kernels, "_INTERP_BLOCK_POINTS", 100)
+    got = kernels.interp_cdf_argopt(q1, q0, taus, grid)
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
+
+
+@st.composite
+def _one_knot_interval(draw):
+    """Sorted knots on a lattice with repeats, sorted levels with repeats,
+    and sorted points strictly between two adjacent distinct knots, so that
+    every point has the same ``lo``/``hi``; points one ulp inside either
+    knot included."""
+    m = draw(st.integers(2, 8))
+    taus = np.sort(np.array(draw(st.lists(
+        st.floats(0.0, 1.0), min_size=m, max_size=m))))
+    h = draw(st.sampled_from([0.1, 0.3, 1.0, 1e-300, 1e300]))
+    q = np.sort(np.array(draw(st.lists(
+        st.integers(-6, 6), min_size=m, max_size=m)))) * h
+    distinct = np.flatnonzero(q[1:] > q[:-1])
+    if not distinct.size:
+        q[-1] = q[-2] + h
+        distinct = np.array([m - 2])
+    k = distinct[draw(st.integers(0, distinct.size - 1))]
+    a, b = q[k], q[k + 1]
+    t = draw(st.lists(st.floats(a, b, exclude_min=True, exclude_max=True),
+                      min_size=1, max_size=40))
+    t += [np.nextafter(a, np.inf), np.nextafter(b, -np.inf)]
+    return q, taus, np.sort(np.array(t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_one_knot_interval())
+def test_interp_cdf_row_is_monotone_inside_one_knot_interval(inputs):
+    # the premise of interp_cdf_argopt's segment bounds: with the knot
+    # state fixed, the rounded value never decreases, without tolerance
+    q, taus, t = inputs
+    out = kernels.interp_cdf_row(q, taus, t)
+    assert np.all(np.diff(out) >= 0)
+
+
 def test_shift_argopt_matches_reference():
     for spec in ("knn_loc_shift:k=8", "ridge_loc_shift"):
         for m1, m0, x, grid in _fitted_pairs(spec):
