@@ -186,10 +186,10 @@ def _interp_block_argopt(q1, q0, taus, grid):
                                   axis=1), axis=None)
     row, j = np.divmod(cuts, stride)
     # a segment runs from a cut up to the next larger cut of the same row
-    seg = (cuts[1:] > cuts[:-1]) & (row[1:] == row[:-1])
-    seg_row, s, e = row[:-1][seg], j[:-1][seg], j[1:][seg] - 1
+    opens = (cuts[1:] > cuts[:-1]) & (row[1:] == row[:-1])
+    seg_row, s, e = row[:-1][opens], j[:-1][opens], j[1:][opens] - 1
     # knot state of each segment: ``lo``/``hi`` as in ``interp_cdf_row``
-    key = cuts[:-1][seg]
+    key = cuts[:-1][opens]
     off = seg_row * m
     lo1, hi1, lo0, hi0 = (np.searchsorted(K.ravel(), key, side="right") - off
                           for K in (L1, R1, L0, R0))
@@ -211,8 +211,9 @@ def _interp_block_argopt(q1, q0, taus, grid):
     best_hi = recs_hi[0][1]
     best_lo = -recs_lo[0][1]
     f1s, f1e, f0s, f0e = f1[0::2], f1[1::2], f0[0::2], f0[1::2]
-    flag = (((f1e - f0s >= best_hi[seg_row]) | (f1s - f0e <= best_lo[seg_row]))
-            & ((f1s != f1e) | (f0s != f0e)) & (e - s >= 2))
+    reach = ((f1e - f0s >= best_hi[seg_row])
+             | (f1s - f0e <= best_lo[seg_row]))
+    flag = reach & ((f1s != f1e) | (f0s != f0e)) & (e - s >= 2)
     cnt = np.where(flag, e - s - 1, 0)
     cum = np.cumsum(cnt)
     total = int(cum[-1])
@@ -241,8 +242,6 @@ def _first_max(rows, j, v):
 def _merge_first_max(recs):
     """Fold ``_first_max`` records into each row's first argmax; the first
     record holds every row in order."""
-    if len(recs) == 1:
-        return recs[0][2]
     rows, v, j = (np.concatenate(x) for x in zip(*recs))
     order = np.argsort(rows, kind="stable")
     return _first_max(rows[order], j[order], v[order])[2]

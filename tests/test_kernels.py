@@ -212,16 +212,6 @@ def test_interp_argopt_matches_dense_loop(inputs):
     assert s_hi.tobytes() == ref_hi.tobytes()
 
 
-def test_interp_argopt_example_has_no_positive_difference():
-    q1, q0 = np.array([2.0, 3.0]), np.array([0.0, 1.0])
-    taus, grid = np.array([0.0, 1.0]), np.array([0.5, 1.5, 2.5])
-    d = (kernels.interp_cdf_row(q1, taus, grid)
-         - kernels.interp_cdf_row(q0, taus, grid))
-    np.testing.assert_array_equal(d, [-0.5, -1.0, -0.5])
-    s_lo, s_hi = kernels.interp_cdf_argopt(q1[None], q0[None], taus, grid)
-    assert s_lo[0] == grid[0] and s_hi[0] == grid[1]
-
-
 def test_interp_argopt_blocks_and_passes(monkeypatch):
     # rows split over several blocks, and interiors over several passes:
     # identical rows flag every segment that is not constant
