@@ -163,14 +163,14 @@ def interp_cdf_argopt(q1, q0, taus, grid):
     taus = np.asarray(taus, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
     n, m = q1.shape
-    s_lo = np.empty(n, dtype=np.intp)
-    s_hi = np.empty(n, dtype=np.intp)
+    j_lo = np.empty(n, dtype=np.intp)
+    j_hi = np.empty(n, dtype=np.intp)
     step = max(1, _INTERP_BLOCK_POINTS // (4 * m + 2))
     for a in range(0, n, step):
         rows = slice(a, a + step)
-        s_lo[rows], s_hi[rows] = _interp_block_argopt(
+        j_lo[rows], j_hi[rows] = _interp_block_argopt(
             q1[rows], q0[rows], taus, grid)
-    return grid[s_lo], grid[s_hi]
+    return grid[j_lo], grid[j_hi]
 
 
 def _interp_block_argopt(q1, q0, taus, grid):
