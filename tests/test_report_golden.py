@@ -13,6 +13,7 @@ import pytest
 
 from dtebounds import DgpSpec, McCell, draw_dgp, run_table
 from dtebounds.cli import main
+from dtebounds.simulate import oracle_adjuster
 
 MODELS = ("constant", "knn_loc_shift:k=10")
 
@@ -70,6 +71,13 @@ CURVE_GOLDEN = (
 TABLE_GOLDEN = (
     "e954065c0d7705a15452792e950704300fe500c5153deb7a6915d60e10073ab5")
 
+# the oracle adjusters under 10 observed coordinates, and one Monte Carlo
+# cell that uses them
+ORACLE_GOLDEN = (
+    "8b79dd5f934919889426498781a648153163a6604e0bd574f203f6c3894e5099")
+ORACLE_TABLE_GOLDEN = (
+    "9e97cac5f30745f56197dd271f28aa4f8d3e815252c2f4a54690c4abfd71fbc7")
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -122,3 +130,17 @@ def test_run_table_golden():
                          "cross-fit-foldt")]
     rep = run_table(DgpSpec(), cells, replications=2, seed=9, theta0=0.428)
     assert _sha256(json.dumps(rep.rows, sort_keys=True)) == TABLE_GOLDEN
+
+
+def test_oracle_adjuster_golden():
+    spec = DgpSpec(observed_p=10)
+    sample, _ = draw_dgp(spec, 600, seed=4)
+    s_lo, s_hi = oracle_adjuster(spec, sample.x, inner_reps=500, seed=5)
+    digest = hashlib.sha256(s_lo.tobytes() + s_hi.tobytes()).hexdigest()
+    assert digest == ORACLE_GOLDEN
+
+
+def test_run_table_oracle_golden():
+    rep = run_table(DgpSpec(), [McCell(60, 10, "oracle", "cross-fit")],
+                    replications=2, seed=9, theta0=0.428)
+    assert _sha256(json.dumps(rep.rows, sort_keys=True)) == ORACLE_TABLE_GOLDEN
