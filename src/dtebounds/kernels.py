@@ -11,6 +11,7 @@ __all__ = [
     "scan_extrema",
     "ecdf_at",
     "interp_cdf_argopt",
+    "sample_cdf_argopt",
     "shift_cdf_argopt",
 ]
 
@@ -283,6 +284,24 @@ def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
         # argmax of c0/m0 - c1/m1, first index included
         s_hi[rows] = grid[_first_argmax(j0, j1, m0, m1, grid.size)]
     return s_lo, s_hi
+
+
+def sample_cdf_argopt(y1, y0, grid):
+    """Per-row argmax/argmin over ``grid`` of the difference of the ECDFs
+    of the rows of ``y1`` and ``y0``.
+
+    Rows of ``y1`` and ``y0`` must have equal sample sizes, and ``grid``
+    must be sorted. Ties break toward the smallest grid point. The value
+    y counts from its entry index, the first grid index with
+    ``grid[j] >= y``, on. With equal sample sizes the difference is
+    compared as the integer count difference, which orders the grid
+    exactly as the ECDF difference does. Returns (s_lower, s_upper).
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    j1 = np.searchsorted(grid, np.asarray(y1, dtype=np.float64), side="left")
+    j0 = np.searchsorted(grid, np.asarray(y0, dtype=np.float64), side="left")
+    return (grid[_first_argmax(j1, j0, 1, 1, grid.size)],
+            grid[_first_argmax(j0, j1, 1, 1, grid.size)])
 
 
 def _entry_index(grid, mu, r):

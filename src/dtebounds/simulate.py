@@ -21,6 +21,7 @@ from .data import (
     PropensityModel,
     Sample,
 )
+from .kernels import sample_cdf_argopt
 from .stoye import EstimationFailure
 
 __all__ = [
@@ -40,6 +41,9 @@ MODELS = ("none", "oracle")  # plus any conditional-CDF model spec string
 # every method but the group one, which the design has no groups for
 ESTIMATORS = tuple(m for m in METHODS if m != "cross-fit-group")
 _OBSERVED_P = (10, 20)  # observed covariate counts of the design
+# drawn covariate values per block of rows in ``oracle_adjuster``: bounds
+# the (rows, reps, d) draws and the argopt temporaries (~16 MB per array)
+_ORACLE_BLOCK_VALUES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -170,14 +174,15 @@ def _conditional_tail_factor(spec: DgpSpec):
 
 
 def oracle_adjuster(spec: DgpSpec, x_rows: np.ndarray, inner_reps: int = 2000,
-                    grid: np.ndarray | None = None, seed: int = 0):
+                    seed: int = 0):
     """Sharp adjustment functions computed from the known design, as the
     (s_lower, s_upper) arrays of their values at the rows of x_rows.
 
     With all coordinates observed the potential outcomes are deterministic
     per row and the pointwise rule applies. With 10 observed coordinates,
     the unobserved block is drawn from its conditional Gaussian per row and
-    the per-row empirical conditional CDFs are compared over the grid.
+    the per-row empirical conditional CDFs are compared over a grid of 4000
+    sorted N(0, 30^2) points drawn first from the seed.
     """
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
     if spec.observed_p == 20:
@@ -190,15 +195,13 @@ def oracle_adjuster(spec: DgpSpec, x_rows: np.ndarray, inner_reps: int = 2000,
     if x_rows.shape[1] != spec.observed_p:
         raise ConfigError(f"expected {spec.observed_p} observed coordinates")
     rng = np.random.default_rng(seed)
-    if grid is None:
-        grid = np.sort(rng.normal(0.0, 30.0, size=4000))
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.sort(rng.normal(0.0, 30.0, size=4000))
     gain, cond_chol = _conditional_tail_factor(spec)
     n = x_rows.shape[0]
-    g = grid.size
     s_lo = np.empty(n)
     s_hi = np.empty(n)
-    chunk = max(1, int(2e7) // (inner_reps * 2))
+    # the generator draws the same normals however the rows are cut
+    chunk = max(1, _ORACLE_BLOCK_VALUES // (inner_reps * spec.d))
     for start in range(0, n, chunk):
         rows = x_rows[start:start + chunk]
         b = rows.shape[0]
@@ -210,22 +213,9 @@ def oracle_adjuster(spec: DgpSpec, x_rows: np.ndarray, inner_reps: int = 2000,
              tail], axis=2).reshape(b * inner_reps, spec.d)
         y0 = spec.outcome0(full).reshape(b, inner_reps)
         y1 = spec.outcome1(full).reshape(b, inner_reps)
-        # per-row ECDF difference over the shared grid, via binned counts
-        d_curve = (_row_cdf_counts(y1, grid) - _row_cdf_counts(y0, grid)
-                   ) / inner_reps
-        s_lo[start:start + b] = grid[np.argmax(d_curve, axis=1)]
-        s_hi[start:start + b] = grid[np.argmin(d_curve, axis=1)]
+        s_lo[start:start + b], s_hi[start:start + b] = sample_cdf_argopt(
+            y1, y0, grid)
     return s_lo, s_hi
-
-
-def _row_cdf_counts(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Rows x grid matrix of counts <= each grid point, per row."""
-    b, m = samples.shape
-    g = grid.size
-    bins = np.searchsorted(grid, samples, side="left")  # 0..g
-    counts = np.zeros((b, g + 1), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(b), m), bins.ravel()), 1)
-    return np.cumsum(counts[:, :g], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -331,6 +331,55 @@ def test_shift_argopt_matches_dense_loop(inputs):
     assert s_hi.tobytes() == ref_hi.tobytes()
 
 
+def _row_cdf_counts(samples, grid):
+    """Rows x grid matrix of counts <= each grid point, per row."""
+    b, m = samples.shape
+    g = grid.size
+    bins = np.searchsorted(grid, samples, side="left")  # 0..g
+    counts = np.zeros((b, g + 1), dtype=np.int64)
+    np.add.at(counts, (np.repeat(np.arange(b), m), bins.ravel()), 1)
+    return np.cumsum(counts[:, :g], axis=1)
+
+
+def _dense_sample_argopt(y1, y0, grid):
+    """Reference: binned counts at every grid point, and the first
+    argmax/argmin of the ECDF difference (c1 - c0) / m."""
+    d = (_row_cdf_counts(y1, grid) - _row_cdf_counts(y0, grid)) / y1.shape[1]
+    return grid[np.argmax(d, axis=1)], grid[np.argmin(d, axis=1)]
+
+
+@st.composite
+def _sample_inputs(draw):
+    """Rows of 1 to 40 lattice values per arm, so that values tie, some
+    treated rows copied into the control rows, and a sorted grid of 1 to 40
+    points on the inner part of the same lattice, with duplicates: values
+    fall on grid points and beyond both grid ends."""
+    h = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3) | st.integers(1, 40))
+    y1, y0 = (np.array(draw(st.lists(
+        st.integers(-6, 6).map(lambda k: k * h), min_size=n * m,
+        max_size=n * m))).reshape(n, m) for _ in range(2))
+    for i in range(n):
+        if draw(st.booleans()):
+            y0[i] = y1[i]
+    grid = np.sort(np.array(draw(st.lists(
+        st.integers(-4, 4).map(lambda k: k * h), min_size=1, max_size=40))))
+    return y1, y0, grid
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=_sample_inputs())
+# equal rows: the difference is 0 everywhere, so both sides pick grid[0]
+@example(inputs=(np.array([[0.0, 1.0, 1.0]]), np.array([[0.0, 1.0, 1.0]]),
+                 np.array([-1.0, 0.5, 1.0, 1.0, 2.0])))
+def test_sample_argopt_matches_dense_counts(inputs):
+    s_lo, s_hi = kernels.sample_cdf_argopt(*inputs)
+    ref_lo, ref_hi = _dense_sample_argopt(*inputs)
+    assert s_lo.tobytes() == ref_lo.tobytes()
+    assert s_hi.tobytes() == ref_hi.tobytes()
+
+
 # tied samples: half-integers in a narrow range, so most values repeat
 _tied = st.lists(st.integers(-6, 6).map(lambda k: k / 2), min_size=1,
                  max_size=30).map(np.array)

@@ -149,6 +149,18 @@ class TestOracleAdjusterP10:
         sup_raw, _, _, _ = scan_extrema(sample.y[t], sample.y[~t])
         assert sup_adj > sup_raw
 
+    def test_draws_do_not_depend_on_the_block_cut(self, monkeypatch):
+        # one block for all rows against one block per row
+        import dtebounds.simulate as sim
+
+        spec = DgpSpec(observed_p=10)
+        sample, _ = draw_dgp(spec, 30, seed=2)
+        whole = oracle_adjuster(spec, sample.x, inner_reps=100, seed=3)
+        monkeypatch.setattr(sim, "_ORACLE_BLOCK_VALUES", 1)
+        per_row = oracle_adjuster(spec, sample.x, inner_reps=100, seed=3)
+        assert whole[0].tobytes() == per_row[0].tobytes()
+        assert whole[1].tobytes() == per_row[1].tobytes()
+
 
 class TestRunTable:
     def test_small_run_rates_are_multiples(self):
