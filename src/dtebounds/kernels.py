@@ -291,11 +291,11 @@ def sample_cdf_argopt(y1, y0, grid):
     of the rows of ``y1`` and ``y0``.
 
     Rows of ``y1`` and ``y0`` must have equal sample sizes, and ``grid``
-    must be sorted. Ties break toward the smallest grid point. The value
-    y counts from its entry index, the first grid index with
-    ``grid[j] >= y``, on. With equal sample sizes the difference is
-    compared as the integer count difference, which orders the grid
-    exactly as the ECDF difference does. Returns (s_lower, s_upper).
+    must be sorted. Ties break toward the smallest grid point. A value y
+    counts from its entry index on, the first grid index j with
+    ``grid[j] >= y``. With equal sample sizes the difference is compared
+    as the integer count difference, which orders the grid exactly as the
+    ECDF difference does. Returns (s_lower, s_upper).
     """
     grid = np.asarray(grid, dtype=np.float64)
     j1 = np.searchsorted(grid, np.asarray(y1, dtype=np.float64), side="left")
