@@ -203,21 +203,82 @@ class _Ridge:
         return self.y_mean + xs @ self.coef
 
 
-# query rows per distance chunk: bounds the (rows, n_train, p) difference
-# tensor, which for all rows at once is ~100 MB at n=2000
-_KNN_CHUNK = 32
+# values per block of Gram entries or exact difference terms in
+# ``_knn_indices``: bounds each of its temporaries (~128 KB)
+_KNN_BLOCK_VALUES = 1 << 15
+# Gram candidates per row beyond k, so that a near-tie at the k-th
+# neighbour rarely fails the certificate
+_KNN_PAD = 8
+# below this many training rows, or 3 per Gram candidate, every row is a
+# candidate: the Gram stage then costs more than the exact distances it
+# saves (on 20 covariates it breaks even at about 48 rows with k = 5)
+_KNN_GRAM_MIN_TRAIN = 64
 
 
 def _knn_indices(train_x, query_x, k):
-    d2 = np.empty((query_x.shape[0], train_x.shape[0]))
-    for a in range(0, query_x.shape[0], _KNN_CHUNK):
-        q = query_x[a:a + _KNN_CHUNK]
-        d2[a:a + _KNN_CHUNK] = ((q[:, None, :] - train_x[None, :, :])
-                                ** 2).sum(axis=2)
-    if k >= train_x.shape[0]:
-        return np.argsort(d2, axis=1)
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    return part
+    """Per query row, the indices of its min(k, n_train) nearest training
+    rows in (squared distance, training index) order.
+
+    The distance is ``((q - t)**2).sum(-1)``, and the result equals a
+    stable argsort of every such distance. A Gram form
+    |q|^2 - 2 q.t + |t|^2 first picks k + _KNN_PAD candidates per row. A
+    row's nearest candidates by exact distance are its neighbours if its
+    k-th distance is below every excluded Gram value less ``tol``, a bound
+    on the rounding of both forms. Every other row, and every row when the
+    Gram stage cannot pay off, takes all training rows as candidates.
+    """
+    n, p = train_x.shape
+    k = min(k, n)
+    c = k + _KNN_PAD
+    if n < max(_KNN_GRAM_MIN_TRAIN, 3 * c):
+        return _knn_exact(train_x, query_x, k)
+    t2 = np.einsum("ij,ij->i", train_x, train_x)
+    q2 = np.einsum("ij,ij->i", query_x, query_x)
+    # fl(|q|^2), fl(|t|^2) and fl(q.t) in any summation order, and the
+    # exact form, each err by at most p * eps times values bounded by
+    # |q|^2 + |t|^2; the two sums and the squares add a few eps more
+    tol = (4 * (p + 4) * np.finfo(np.float64).eps * (q2 + t2.max())
+           + (p + 4) * np.finfo(np.float64).tiny)
+    out = np.empty((query_x.shape[0], k), dtype=np.intp)
+    certified = np.empty(query_x.shape[0], dtype=bool)
+    rows = max(1, _KNN_BLOCK_VALUES // (2 * n + c * p))
+    for a in range(0, query_x.shape[0], rows):
+        q = query_x[a:a + rows]
+        g = q @ train_x.T
+        g *= -2.0
+        g += t2
+        g += q2[a:a + rows, None]
+        part = np.argpartition(g, c, axis=1)
+        cand = np.sort(part[:, :c], axis=1)
+        d2 = _sq_dist(q, train_x[cand])
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        out[a:a + rows] = np.take_along_axis(cand, order, axis=1)
+        d_k = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
+        excl = np.take_along_axis(g, part[:, c:c + 1], axis=1)[:, 0]
+        certified[a:a + rows] = d_k < excl - tol[a:a + rows]
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        out[redo] = _knn_exact(train_x, query_x[redo], k)
+    return out
+
+
+def _knn_exact(train_x, query_x, k):
+    """``_knn_indices`` from the exact distances to every training row."""
+    n, p = train_x.shape
+    out = np.empty((query_x.shape[0], k), dtype=np.intp)
+    rows = max(1, _KNN_BLOCK_VALUES // max(1, n * p))
+    for a in range(0, query_x.shape[0], rows):
+        d2 = _sq_dist(query_x[a:a + rows], train_x)
+        out[a:a + rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return out
+
+
+def _sq_dist(q, t):
+    """Squared distances of the rows of ``q`` to ``t``: all its rows, or
+    per query row its own rows when ``t`` is 3-D."""
+    d = q[:, None, :] - t
+    np.square(d, out=d)
+    return d.sum(axis=-1)
 
 
 def parse_model_spec(spec: str):

@@ -1,9 +1,13 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dtebounds.condcdf import (
+    _KNN_BLOCK_VALUES,
     ConstantCdfModel,
     GridSpec,
     QuantileGridModel,
@@ -91,11 +95,10 @@ def test_monotone_cdfs_across_variants():
 
 
 def _knn_single_broadcast(train_x, query_x, k):
-    # reference: every distance from one (q, n_train, p) broadcast
+    # reference: every distance from one (q, n_train, p) broadcast, in
+    # (distance, index) order
     d2 = ((query_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
-    if k >= train_x.shape[0]:
-        return np.argsort(d2, axis=1)
-    return np.argpartition(d2, k - 1, axis=1)[:, :k]
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 @pytest.mark.parametrize("q", [1, 33, 70])
@@ -114,6 +117,77 @@ def test_knn_indices_match_single_broadcast(q, k, discrete):
         query = np.round(rng.normal(size=(q, 5)), 1)
     np.testing.assert_array_equal(_knn_indices(train, query, k),
                                   _knn_single_broadcast(train, query, k))
+
+
+def _knn_brute_force(train_x, query_x, k):
+    # each row's training indices sorted by the key (distance, index)
+    d2 = ((query_x[:, None, :] - train_x[None, :, :]) ** 2).sum(axis=2)
+    return np.array([sorted(range(len(train_x)), key=lambda i: (row[i], i))[:k]
+                     for row in d2], dtype=np.intp)
+
+
+@st.composite
+def _knn_inputs(draw):
+    kind = draw(st.sampled_from(["continuous", "rounded", "duplicated",
+                                 "offset"]))
+    # half the draws take the Gram path: n >= 64 and k small against n
+    n = draw(st.one_of(st.integers(1, 63), st.integers(64, 160)))
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 24))
+    k = min(draw(st.one_of(st.integers(1, 12), st.integers(1, n + 2))),
+            n + 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    train = rng.normal(size=(n, p))
+    query = rng.normal(size=(q, p))
+    if kind == "rounded":
+        train, query = np.round(train), np.round(query)
+    elif kind == "duplicated":
+        # every training row repeated, and some queries on training rows
+        train = train[rng.integers(0, max(1, n // 3), size=n)]
+        query[: q // 2] = train[rng.integers(0, n, size=q // 2)]
+    elif kind == "offset":
+        # the Gram form cancels: its rounding error exceeds the spread of
+        # the distances, so only the certificate keeps the result exact
+        scale = draw(st.sampled_from([1e-4, 1e-2, 1.0]))
+        train, query = 1e6 + scale * train, 1e6 + scale * query
+    return train, query, k, draw(st.integers(0, q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_knn_inputs())
+@example(inputs=(np.zeros((100, 2)), np.zeros((3, 2)), 7, 1))
+@example(inputs=(1e6 + np.arange(200.0)[:, None] * 1e-4,
+                 np.full((5, 1), 1e6), 10, 2))
+def test_knn_indices_are_brute_force_order(inputs):
+    # the k nearest in (distance, index) order, on the Gram path (n large
+    # against k) and the all-rows path alike, and independent of how the
+    # query rows are split into calls
+    train, query, k, cut = inputs
+    got = _knn_indices(train, query, k)
+    np.testing.assert_array_equal(got, _knn_brute_force(train, query, k))
+    np.testing.assert_array_equal(
+        np.concatenate([_knn_indices(train, query[:cut], k),
+                        _knn_indices(train, query[cut:], k)]), got)
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+def test_knn_indices_memory_is_bounded_by_the_block(rounded):
+    # 1600 x 20 against 1600 x 20: one (32, n, p) distance chunk of the
+    # earlier routine alone held 8 MB; rounded covariates tie at the k-th
+    # neighbour and send rows to the all-rows path
+    rng = np.random.default_rng(5)
+    train = rng.normal(size=(1600, 20))
+    query = rng.normal(size=(1600, 20))
+    if rounded:
+        train, query = np.round(train), np.round(query)
+    tracemalloc.start()
+    try:
+        out = _knn_indices(train, query, 25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = 8 * _KNN_BLOCK_VALUES
+    assert peak < out.nbytes + 4 * block_bytes, (peak, block_bytes)
 
 
 def test_knn_k_too_large_errors():
