@@ -249,8 +249,10 @@ def _merge_first_max(recs):
 
 
 # events per block of rows in ``shift_cdf_argopt``: bounds its temporaries
-# (~0.5 MB per array) and keeps them in cache
-_SHIFT_BLOCK_EVENTS = 1 << 16
+# (~128 KB per array), so that freeing them leaves the allocator's heap
+# top below its trim threshold; with ~0.5 MB arrays the heap was trimmed
+# and every block page-faulted its temporaries in again
+_SHIFT_BLOCK_EVENTS = 1 << 14
 
 
 def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
@@ -336,17 +338,26 @@ def _first_argmax(j_up, j_down, m_up, m_down, g):
     ``j_x``'s row that are <= the grid index.
     """
     rows = np.arange(j_up.shape[0])
-    # merge each row's entries; at a tied index the down entries sort
-    # first, so a run holding any up entry ends with one, and that entry's
-    # running counts are the counts at its index
-    key = np.sort(np.concatenate([2 * j_up + 1, 2 * j_down], axis=1), axis=1)
+    u = j_up.shape[1]
+    # merge each row's entries as keys 2j + 1 (up) and 2j (down); at a tied
+    # index the down entries sort first, so a run holding any up entry ends
+    # with one, and that entry's running counts are the counts at its
+    # index. 32-bit keys and counts halve the sort's and the scan's traffic
+    key = np.empty((rows.size, u + j_down.shape[1]),
+                   dtype=np.int32 if g < 2**30 else np.intp)
+    np.multiply(j_up, 2, out=key[:, :u])
+    key[:, :u] += 1
+    np.multiply(j_down, 2, out=key[:, u:])
+    key.sort(axis=1)
     j = key >> 1
     cand = (key & 1).astype(bool)
-    c_up = np.cumsum(cand, axis=1)
-    c_down = np.arange(1, key.shape[1] + 1) - c_up
+    c_up = np.cumsum(cand, axis=1, dtype=key.dtype)
+    c_down = np.arange(1, key.shape[1] + 1, dtype=key.dtype) - c_up
     cand[:, :-1] &= j[:, 1:] != j[:, :-1]
     cand &= j < g
-    d = np.where(cand, c_up / m_up - c_down / m_down, -np.inf)
+    d = c_up / m_up
+    d -= c_down / m_down
+    d[~cand] = -np.inf
     k = np.argmax(d, axis=1)
     d0 = (j_up == 0).sum(axis=1) / m_up - (j_down == 0).sum(axis=1) / m_down
     return np.where(d[rows, k] > d0, j[rows, k], 0)
