@@ -124,7 +124,7 @@ def draw_dgp(spec: DgpSpec, n: int, seed=None, rng=None):
         rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, spec.d)) @ spec.chol().T
     y0 = spec.outcome0(x)
-    y1 = spec.outcome1(x)
+    y1 = y0 + spec.effect(x)
     d = (rng.random(n) < spec.treat_prob).astype(np.int64)
     y = np.where(d == 1, y1, y0)
     sample = Sample(y, d, x[:, : spec.observed_p])
@@ -188,8 +188,8 @@ def oracle_adjuster(spec: DgpSpec, x_rows: np.ndarray, inner_reps: int = 2000,
     if spec.observed_p == 20:
         if x_rows.shape[1] != spec.d:
             raise ConfigError("need all coordinates for the deterministic rule")
-        return _sharp_point_adjusters(spec.outcome0(x_rows),
-                                      spec.outcome1(x_rows))
+        y0 = spec.outcome0(x_rows)
+        return _sharp_point_adjusters(y0, y0 + spec.effect(x_rows))
     if inner_reps < 100:
         raise ConfigError("inner_reps < 100 is too noisy for an oracle")
     if x_rows.shape[1] != spec.observed_p:
@@ -211,10 +211,10 @@ def oracle_adjuster(spec: DgpSpec, x_rows: np.ndarray, inner_reps: int = 2000,
         full = np.concatenate(
             [np.broadcast_to(rows[:, None, :], (b, inner_reps, spec.observed_p)),
              tail], axis=2).reshape(b * inner_reps, spec.d)
-        y0 = spec.outcome0(full).reshape(b, inner_reps)
-        y1 = spec.outcome1(full).reshape(b, inner_reps)
+        y0 = spec.outcome0(full)
+        y1 = y0 + spec.effect(full)
         s_lo[start:start + b], s_hi[start:start + b] = sample_cdf_argopt(
-            y1, y0, grid)
+            y1.reshape(b, inner_reps), y0.reshape(b, inner_reps), grid)
     return s_lo, s_hi
 
 
