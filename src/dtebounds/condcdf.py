@@ -203,15 +203,17 @@ class _Ridge:
         return self.y_mean + xs @ self.coef
 
 
-# values per block of Gram entries or exact difference terms in
-# ``_knn_indices``: bounds each of its temporaries (~128 KB)
+# values held at once by one row block of ``_knn_indices`` (the Gram
+# values and their partition, or the exact difference terms): ~256 KB, so
+# that freeing them does not trim the allocator's heap, which would
+# page-fault them in again on the next block
 _KNN_BLOCK_VALUES = 1 << 15
 # Gram candidates per row beyond k, so that a near-tie at the k-th
 # neighbour rarely fails the certificate
 _KNN_PAD = 8
 # below this many training rows, or 3 per Gram candidate, every row is a
 # candidate: the Gram stage then costs more than the exact distances it
-# saves (on 20 covariates it breaks even at about 48 rows with k = 5)
+# saves
 _KNN_GRAM_MIN_TRAIN = 64
 
 

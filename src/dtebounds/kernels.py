@@ -249,9 +249,8 @@ def _merge_first_max(recs):
 
 
 # events per block of rows in ``shift_cdf_argopt``: bounds its temporaries
-# (~128 KB per array), so that freeing them leaves the allocator's heap
-# top below its trim threshold; with ~0.5 MB arrays the heap was trimmed
-# and every block page-faulted its temporaries in again
+# (at most 128 KB per array), so that freeing them does not trim the
+# allocator's heap, which would page-fault them in again on the next block
 _SHIFT_BLOCK_EVENTS = 1 << 14
 
 
