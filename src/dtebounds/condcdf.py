@@ -211,10 +211,10 @@ _KNN_BLOCK_VALUES = 1 << 15
 # Gram candidates per row beyond k, so that a near-tie at the k-th
 # neighbour rarely fails the certificate
 _KNN_PAD = 8
-# below this many training rows, or 3 per Gram candidate, every row is a
-# candidate: the Gram stage then costs more than the exact distances it
-# saves
-_KNN_GRAM_MIN_TRAIN = 64
+# from this many training rows on, the Gram stage pays off (given also 2
+# training rows per Gram candidate), and so does an unstable sort of each
+# row's distances followed by a repair of its ties
+_KNN_WIDE_TRAIN = 48
 
 
 def _knn_indices(train_x, query_x, k):
@@ -227,13 +227,13 @@ def _knn_indices(train_x, query_x, k):
     row's nearest candidates by exact distance are its neighbours if its
     k-th distance is below every excluded Gram value less ``tol``, a bound
     on the rounding of both forms. Every other row, and every row when the
-    Gram stage cannot pay off, takes all training rows as candidates.
+    Gram stage cannot pay off, sorts its distances to all training rows.
     """
     n, p = train_x.shape
     k = min(k, n)
     c = k + _KNN_PAD
-    if n < max(_KNN_GRAM_MIN_TRAIN, 3 * c):
-        return _knn_exact(train_x, query_x, k)
+    if n < max(_KNN_WIDE_TRAIN, 2 * c):
+        return _knn_sorted(train_x, query_x, k)
     t2 = np.einsum("ij,ij->i", train_x, train_x)
     q2 = np.einsum("ij,ij->i", query_x, query_x)
     # fl(|q|^2), fl(|t|^2) and fl(q.t) in any summation order, and the
@@ -260,18 +260,28 @@ def _knn_indices(train_x, query_x, k):
         certified[a:a + rows] = d_k < excl - tol[a:a + rows]
     redo = np.flatnonzero(~certified)
     if redo.size:
-        out[redo] = _knn_exact(train_x, query_x[redo], k)
+        out[redo] = _knn_sorted(train_x, query_x[redo], k)
     return out
 
 
-def _knn_exact(train_x, query_x, k):
-    """``_knn_indices`` from the exact distances to every training row."""
+def _knn_sorted(train_x, query_x, k):
+    """``_knn_indices`` from a sort of every distance of each row."""
     n, p = train_x.shape
     out = np.empty((query_x.shape[0], k), dtype=np.intp)
     rows = max(1, _KNN_BLOCK_VALUES // max(1, n * p))
     for a in range(0, query_x.shape[0], rows):
         d2 = _sq_dist(query_x[a:a + rows], train_x)
-        out[a:a + rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        if n < _KNN_WIDE_TRAIN:
+            out[a:a + rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            continue
+        # only a row with equal values among its first k + 1 can differ
+        # from the stable order
+        order = np.argsort(d2, axis=1)
+        head = np.take_along_axis(d2, order[:, :k + 1], axis=1)
+        tie = (head[:, 1:] == head[:, :-1]).any(axis=1)
+        if tie.any():
+            order[tie] = np.argsort(d2[tie], axis=1, kind="stable")
+        out[a:a + rows] = order[:, :k]
     return out
 
 

@@ -158,6 +158,10 @@ def _knn_inputs(draw):
 @example(inputs=(np.zeros((100, 2)), np.zeros((3, 2)), 7, 1))
 @example(inputs=(1e6 + np.arange(200.0)[:, None] * 1e-4,
                  np.full((5, 1), 1e6), 10, 2))
+# all rows are candidates (48 rows, k = 17), and only the k-th distance
+# ties: rows 16 and 31 are both at 17, and the default argsort puts 31 first
+@example(inputs=(np.r_[48.0:32:-1, 17.0, 31.0:0:-1][:, None], np.zeros((1, 1)),
+                 17, 0))
 def test_knn_indices_are_brute_force_order(inputs):
     # the k nearest in (distance, index) order, on the Gram path (n large
     # against k) and the all-rows path alike, and independent of how the
