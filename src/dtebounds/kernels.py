@@ -3,6 +3,8 @@ argmax/argmin of conditional-CDF differences.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 __all__ = [
@@ -134,8 +136,10 @@ def _interp_values(q, taus, t, lo, hi, off=0):
 
 
 # knot cuts per block of rows in ``interp_cdf_argopt``, and segment-interior
-# points per pass over a block: bounds the temporaries (~1 MB per array)
-_INTERP_BLOCK_POINTS = 1 << 16
+# points per pass over a block: bounds the temporaries (~64 KB per array),
+# so that freeing them does not trim the allocator's heap, which would
+# page-fault them in again on the next block
+_INTERP_BLOCK_POINTS = 1 << 13
 
 
 def interp_cdf_argopt(q1, q0, taus, grid):
@@ -253,6 +257,29 @@ def _merge_first_max(recs):
 # allocator's heap, which would page-fault them in again on the next block
 _SHIFT_BLOCK_EVENTS = 1 << 14
 
+# (thread pool, worker count) for the row parts of ``shift_cdf_argopt``,
+# made on its first call with more than one block
+_POOL = None
+
+
+def _shift_pool():
+    global _POOL
+    if _POOL is None:
+        # imported on first use: a single-block call never needs it
+        from concurrent.futures import ThreadPoolExecutor
+        workers = len(os.sched_getaffinity(0))
+        _POOL = ThreadPoolExecutor(workers), workers
+    return _POOL
+
+
+def _drop_pool():
+    # a forked child inherits the pool but not its threads
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
 
 def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     """Per-row argmax/argmin over ``grid`` of Fe1(t - mu1) - Fe0(t - mu0),
@@ -260,31 +287,55 @@ def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
 
     Ties break toward the smallest grid point; grid must be sorted. The
     value at grid index j is ``c1/m1 - c0/m0`` with cj the number of arm-j
-    residuals r satisfying r <= fl(grid[j] - mu). Row by row, c1 only steps
-    up where a treated residual enters the count and c0 where a control
-    residual does, so the first maximizer is index 0 or a treated entry
-    index, and the first minimizer index 0 or a control entry index. Only
-    those candidates are evaluated, with the same expression, so the result
-    equals the argmax/argmin over every grid point, ties included.
+    residuals r satisfying r <= fl(grid[j] - mu). Row by row, the counts
+    only change at the grid indices where a residual enters them, so only
+    index 0 and those indices are evaluated (see ``_merged_argopt``), with
+    the same expression, and the result equals the argmax/argmin over every
+    grid point, ties included.
+
+    A call of more than one block of ``_SHIFT_BLOCK_EVENTS`` events cuts
+    its rows into one contiguous part per CPU, and runs the parts on a
+    thread pool. Each row's result depends only on that row, so it does not
+    depend on the number of parts.
     """
     mu1 = np.asarray(mu1, dtype=np.float64)
     mu0 = np.asarray(mu0, dtype=np.float64)
     r1 = np.sort(np.asarray(resid1, dtype=np.float64))
     r0 = np.sort(np.asarray(resid0, dtype=np.float64))
     grid = np.asarray(grid, dtype=np.float64)
-    n, m1, m0 = mu1.size, r1.size, r0.size
+    n = mu1.size
     s_lo = np.empty(n)
     s_hi = np.empty(n)
-    step = max(1, _SHIFT_BLOCK_EVENTS // (m1 + m0))
-    for a in range(0, n, step):
-        rows = slice(a, a + step)
-        j1 = _entry_index(grid, mu1[rows], r1)
-        j0 = _entry_index(grid, mu0[rows], r0)
-        s_lo[rows] = grid[_first_argmax(j1, j0, m1, m0, grid.size)]
-        # fl(a - b) == -fl(b - a), so the argmin of c1/m1 - c0/m0 is the
-        # argmax of c0/m0 - c1/m1, first index included
-        s_hi[rows] = grid[_first_argmax(j0, j1, m0, m1, grid.size)]
+    step = max(1, _SHIFT_BLOCK_EVENTS // (r1.size + r0.size))
+    args = (mu1, mu0, r1, r0, grid, s_lo, s_hi, step)
+    if n <= step:
+        _shift_rows(*args, 0, n)
+    else:
+        pool, workers = _shift_pool()
+        blocks = -(-n // step)
+        parts = min(workers, blocks)
+        cuts = [blocks * p // parts * step for p in range(parts)] + [n]
+        # each part writes only its own rows of s_lo and s_hi
+        futures = [pool.submit(_shift_rows, *args, a, b)
+                   for a, b in zip(cuts[:-1], cuts[1:])]
+        for f in futures:
+            f.result()
     return s_lo, s_hi
+
+
+def _shift_rows(mu1, mu0, r1, r0, grid, s_lo, s_hi, step, start, stop):
+    """``shift_cdf_argopt`` for rows [start, stop), in blocks of ``step``
+    rows, written into ``s_lo`` and ``s_hi``."""
+    r = np.concatenate([r1, r0])
+    for a in range(start, stop, step):
+        rows = slice(a, min(a + step, stop))
+        # both arms' entries side by side: each row's mean, once per residual
+        mu = np.repeat(np.stack([mu1[rows], mu0[rows]], axis=1),
+                       [r1.size, r0.size], axis=1)
+        k_max, k_min = _merged_argopt(_entry_index(grid, mu, r), r1.size,
+                                      r1.size, r0.size, grid.size)
+        s_lo[rows] = grid[k_max]
+        s_hi[rows] = grid[k_min]
 
 
 def sample_cdf_argopt(y1, y0, grid):
@@ -299,64 +350,75 @@ def sample_cdf_argopt(y1, y0, grid):
     ECDF difference does. Returns (s_lower, s_upper).
     """
     grid = np.asarray(grid, dtype=np.float64)
-    j1 = np.searchsorted(grid, np.asarray(y1, dtype=np.float64), side="left")
-    j0 = np.searchsorted(grid, np.asarray(y0, dtype=np.float64), side="left")
-    return (grid[_first_argmax(j1, j0, 1, 1, grid.size)],
-            grid[_first_argmax(j0, j1, 1, 1, grid.size)])
+    y1 = np.asarray(y1, dtype=np.float64)
+    j = np.searchsorted(grid, np.concatenate(
+        [y1, np.asarray(y0, dtype=np.float64)], axis=1), side="left")
+    k_max, k_min = _merged_argopt(j, y1.shape[1], 1, 1, grid.size)
+    return grid[k_max], grid[k_min]
 
 
 def _entry_index(grid, mu, r):
-    """J[i, k], the first grid index j with fl(grid[j] - mu[i]) >= r[k]
+    """J[i, k], the first grid index j with fl(grid[j] - mu[i, k]) >= r[k]
     (len(grid) if none): residual k counts in row i from index J[i, k] on.
-    ``r`` is sorted, so each row of J is sorted.
+    ``mu`` holds one mean per row and residual.
     """
-    g, m = grid.size, r.size
-    j = np.searchsorted(grid, r + mu[:, None])
+    m = r.size
+    # the grid between sentinels: ``below[j]`` is grid[j - 1] and ``at[j]``
+    # grid[j], so that no guess needs a bounds check
+    ext = np.concatenate([[-np.inf], grid, [np.inf]])
+    below, at = ext[:-1], ext[1:]
+    j = np.searchsorted(grid, r + mu)
     # the guess compares grid with fl(r + mu); repair it against the
     # comparison the count makes, jumping whole runs of tied grid values
     flat = j.reshape(-1)
-    pos = np.arange(flat.size)
-    jp, mu_p, r_p = j, mu[:, None], r
+    pos, jp, mu_p, r_p = None, j, mu, r
     while True:
-        down = (jp > 0) & (grid[jp - 1] - mu_p >= r_p)
-        up = (jp < g) & (grid[np.minimum(jp, g - 1)] - mu_p < r_p)
-        fix = (down | up).reshape(-1)
+        down = (below[jp] - mu_p >= r_p).reshape(-1)
+        up = (at[jp] - mu_p < r_p).reshape(-1)
+        fix = down | up
         if not fix.any():
             return j
-        pos, down, up = pos[fix], down.reshape(-1)[fix], up.reshape(-1)[fix]
+        pos = np.flatnonzero(fix) if pos is None else pos[fix]
+        down, up = down[fix], up[fix]
         jp = flat[pos]
-        jp[down] = np.searchsorted(grid, grid[jp[down] - 1], side="left")
-        jp[up] = np.searchsorted(grid, grid[jp[up]], side="right")
+        jp[down] = np.searchsorted(grid, below[jp[down]], side="left")
+        jp[up] = np.searchsorted(grid, at[jp[up]], side="right")
         flat[pos] = jp
-        mu_p, r_p = mu[pos // m], r[pos % m]
+        mu_p, r_p = mu.reshape(-1)[pos], r[pos % m]
 
 
-def _first_argmax(j_up, j_down, m_up, m_down, g):
-    """Per row, the first grid index in [0, g) maximizing
-    c_up/m_up - c_down/m_down, where c_x counts the entry indices of
-    ``j_x``'s row that are <= the grid index.
+def _merged_argopt(j, u, m1, m0, g):
+    """Per row of entry indices ``j``, whose first ``u`` columns are the
+    treated arm's and the others the control arm's, the first grid indices
+    in [0, g) maximizing and minimizing c1/m1 - c0/m0, where each count is
+    the number of its arm's entry indices <= the grid index.
+
+    Each row is merged once, as keys 2j + 1 (treated) and 2j (control): the
+    last entry of each run of equal index holds the counts at that index,
+    and the counts change nowhere else. So the first optimizer is index 0
+    or the index of such a run end, and the value is evaluated only there
+    (and at index 0), with the same expression as at any grid point.
+    32-bit keys and counts halve the sort's and the scan's traffic.
+    Returns (argmax, argmin).
     """
-    rows = np.arange(j_up.shape[0])
-    u = j_up.shape[1]
-    # merge each row's entries as keys 2j + 1 (up) and 2j (down); at a tied
-    # index the down entries sort first, so a run holding any up entry ends
-    # with one, and that entry's running counts are the counts at its
-    # index. 32-bit keys and counts halve the sort's and the scan's traffic
-    key = np.empty((rows.size, u + j_down.shape[1]),
-                   dtype=np.int32 if g < 2**30 else np.intp)
-    np.multiply(j_up, 2, out=key[:, :u])
+    rows = np.arange(j.shape[0])
+    at0 = j == 0
+    d0 = at0[:, :u].sum(axis=1) / m1 - at0[:, u:].sum(axis=1) / m0
+    key = np.empty(j.shape, dtype=np.int32 if g < 2**30 else np.intp)
+    np.left_shift(j, 1, out=key)
     key[:, :u] += 1
-    np.multiply(j_down, 2, out=key[:, u:])
     key.sort(axis=1)
-    j = key >> 1
-    cand = (key & 1).astype(bool)
-    c_up = np.cumsum(cand, axis=1, dtype=key.dtype)
-    c_down = np.arange(1, key.shape[1] + 1, dtype=key.dtype) - c_up
-    cand[:, :-1] &= j[:, 1:] != j[:, :-1]
-    cand &= j < g
-    d = c_up / m_up
-    d -= c_down / m_down
-    d[~cand] = -np.inf
-    k = np.argmax(d, axis=1)
-    d0 = (j_up == 0).sum(axis=1) / m_up - (j_down == 0).sum(axis=1) / m_down
-    return np.where(d[rows, k] > d0, j[rows, k], 0)
+    c1 = np.cumsum(key & 1, axis=1, dtype=key.dtype)
+    c0 = np.arange(1, key.shape[1] + 1, dtype=key.dtype) - c1
+    merged = np.right_shift(key, 1, out=key)
+    # entries that do not end a run of equal index, or lie past the grid
+    off = merged >= g
+    off[:, :-1] |= merged[:, 1:] == merged[:, :-1]
+    d = c1 / m1
+    d -= c0 / m0
+    d_max = np.where(off, -np.inf, d)
+    d_min = np.where(off, np.inf, d)
+    k_max = np.argmax(d_max, axis=1)
+    k_min = np.argmin(d_min, axis=1)
+    return (np.where(d_max[rows, k_max] > d0, merged[rows, k_max], 0),
+            np.where(d_min[rows, k_min] < d0, merged[rows, k_min], 0))

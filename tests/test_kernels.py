@@ -1,3 +1,10 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -289,7 +296,7 @@ def _dense_shift_argopt(mu1, mu0, resid1, resid0, grid):
 
 
 @st.composite
-def _shift_inputs(draw):
+def _shift_inputs(draw, max_rows=5):
     """Row means, residuals and a sorted grid on a lattice of step h, so
     that values tie, with grid points placed at fl(r + mu), or one ulp off
     it, for drawn (row, residual) pairs: there the guess fl(r + mu) and the
@@ -297,7 +304,7 @@ def _shift_inputs(draw):
     counts run from 1 to 60, and a small grid makes m at least g/4."""
     h = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0]))
     lattice = st.integers(-8, 8).map(lambda k: k * h)
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_rows))
     g = draw(st.integers(1, 8) | st.integers(1, 60))
     mu1, mu0 = (np.array(draw(st.lists(lattice, min_size=n, max_size=n)))
                 for _ in range(2))
@@ -329,6 +336,71 @@ def test_shift_argopt_matches_dense_loop(inputs):
     ref_lo, ref_hi = _dense_shift_argopt(*inputs)
     assert s_lo.tobytes() == ref_lo.tobytes()
     assert s_hi.tobytes() == ref_hi.tobytes()
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """Thread pools of 1 and 3 workers, to stand in for the kernel's own."""
+    made = [(ThreadPoolExecutor(w), w) for w in (1, 3)]
+    yield made
+    for pool, _ in made:
+        pool.shutdown()
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=_shift_inputs(max_rows=40), events=st.integers(8, 64))
+def test_shift_argopt_row_parts_match_dense_loop(pools, inputs, events):
+    # blocks of a few events split up to 40 rows into many blocks, and the
+    # blocks into one part per worker; no worker count may change a byte,
+    # with the threads switching as often as the interpreter allows
+    ref_lo, ref_hi = _dense_shift_argopt(*inputs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_SHIFT_BLOCK_EVENTS", events)
+            for pool in [kernels._shift_pool()] + pools:
+                mp.setattr(kernels, "_POOL", pool)
+                s_lo, s_hi = kernels.shift_cdf_argopt(*inputs)
+                assert s_lo.tobytes() == ref_lo.tobytes()
+                assert s_hi.tobytes() == ref_hi.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _multi_block_call():
+    """A ``shift_cdf_argopt`` call of 3 blocks at the default block size."""
+    rng = np.random.default_rng(11)
+    r1, r0 = rng.normal(size=200), rng.normal(size=210)
+    mu1, mu0 = rng.normal(size=100), rng.normal(size=100)
+    grid = np.linspace(-4, 4, 301)
+    assert mu1.size > kernels._SHIFT_BLOCK_EVENTS // (r1.size + r0.size) * 2
+    return kernels.shift_cdf_argopt(mu1, mu0, r1, r0, grid)
+
+
+def test_single_block_call_starts_no_thread():
+    code = (
+        "import threading\n"
+        "import numpy as np\n"
+        "from dtebounds import kernels\n"
+        "g = np.linspace(-3, 3, 50)\n"
+        "kernels.shift_cdf_argopt(np.zeros(45), np.ones(45), g[::2], g, g)\n"
+        "assert kernels._POOL is None\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n")
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
+
+
+def test_forked_child_runs_multi_block_calls():
+    # the child inherits the pool, but not its threads
+    lo, hi = _multi_block_call()
+    assert kernels._POOL is not None
+    with multiprocessing.get_context("fork").Pool(1) as child:
+        got_lo, got_hi = child.apply_async(_multi_block_call).get(timeout=60)
+    assert got_lo.tobytes() == lo.tobytes()
+    assert got_hi.tobytes() == hi.tobytes()
 
 
 def _row_cdf_counts(samples, grid):

@@ -79,3 +79,26 @@ def test_traced_estimates_complete(tmp_path):
     for layer in ("data.load_csv", "condcdf.extract_adjusters",
                   "kernels.shift_cdf_argopt", "condcdf.predict"):
         assert tracer.stats[layer].calls > 0, layer
+
+
+def test_traced_multi_block_shift_call_stays_in_private_functions():
+    """The kernel's worker threads must reach no wrapped function: the
+    tracer's span stack is not thread-safe."""
+    import numpy as np
+
+    from dtebounds import kernels
+
+    _import_all()
+    rng = np.random.default_rng(4)
+    n, m1, m0 = 150, 200, 180
+    # 4 blocks at the default block size
+    assert n > 3 * (kernels._SHIFT_BLOCK_EVENTS // (m1 + m0))
+    args = (rng.normal(size=n), rng.normal(size=n), rng.normal(size=m1),
+            rng.normal(size=m0), np.linspace(-4, 4, 401))
+    untraced = kernels.shift_cdf_argopt(*args)
+    with _load_spans().Tracer().installed() as tracer:
+        traced = kernels.shift_cdf_argopt(*args)
+    assert list(tracer.stats) == ["kernels.shift_cdf_argopt"]
+    assert tracer.stats["kernels.shift_cdf_argopt"].calls == 1
+    for a, b in zip(traced, untraced):
+        assert a.tobytes() == b.tobytes()
