@@ -179,36 +179,44 @@ def _model_list(cfg: dict) -> list[str]:
     return [m.strip() for m in str(cfg["models"]).split(",") if m.strip()]
 
 
-def _read_column(path: str, col: str) -> np.ndarray:
+def _read_columns(path: str, *cols: str):
+    """Each named column's stripped cells in turn, from one read of the
+    file. A column missing from the header raises ConfigError and a row
+    too short for it CsvParseError, when that column is reached."""
     import csv
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
+        rows = list(reader)
+    for col in cols:
         if col not in header:
             raise ConfigError(f"column {col!r} not found in {path}")
         j = header.index(col)
         out = []
-        for rownum, row in enumerate(reader, start=1):
+        for rownum, row in enumerate(rows, start=1):
             if len(row) <= j:
                 raise CsvParseError(f"{path}: row {rownum}: no {col!r} field")
             out.append(row[j].strip())
-        return np.array(out)
+        yield np.array(out)
 
 
-def _read_numbers(path: str, col: str) -> np.ndarray:
-    """A numeric column; a cell that is not a finite number raises
-    CsvParseError naming its row (1-based, excluding the header)."""
-    raw = _read_column(path, col)
-    for rownum, val in enumerate(raw, start=1):
-        try:
-            ok = math.isfinite(float(val))
-        except ValueError:
-            ok = False
-        if not ok:
-            raise CsvParseError(f"{path}: row {rownum}: {col!r} value "
-                                f"{str(val)!r} is not a finite number")
-    return raw.astype(float)
+def _read_numbers(path: str, *cols: str) -> list[np.ndarray]:
+    """Numeric columns, checked in the order named; a cell that is not a
+    finite number raises CsvParseError naming its row (1-based, excluding
+    the header)."""
+    out = []
+    for col, raw in zip(cols, _read_columns(path, *cols)):
+        for rownum, val in enumerate(raw, start=1):
+            try:
+                ok = math.isfinite(float(val))
+            except ValueError:
+                ok = False
+            if not ok:
+                raise CsvParseError(f"{path}: row {rownum}: {col!r} value "
+                                    f"{str(val)!r} is not a finite number")
+        out.append(raw.astype(float))
+    return out
 
 
 def _load_sample(cfg: dict):
@@ -228,8 +236,7 @@ def _external_adjusters(cfg: dict, n: int):
     """Per-unit adjustment values fitted outside this package."""
     if not cfg.get("adjuster_file"):
         return None
-    s_l = _read_numbers(cfg["adjuster_file"], "s_l")
-    s_u = _read_numbers(cfg["adjuster_file"], "s_u")
+    s_l, s_u = _read_numbers(cfg["adjuster_file"], "s_l", "s_u")
     if s_l.size != n:
         raise ConfigError(
             f"adjuster_file: expected {n} rows, got {s_l.size}")
@@ -243,12 +250,12 @@ def _propensity(cfg: dict, sample) -> PropensityModel:
     if mode == "known_function":
         if not cfg.get("propensity.col"):
             raise ConfigError("propensity.col: required for known_function")
-        vals = _read_numbers(cfg["input"], cfg["propensity.col"])
+        [vals] = _read_numbers(cfg["input"], cfg["propensity.col"])
         return PropensityModel(mode=mode, p_of_x=vals)
     if mode == "group":
         if not cfg.get("group.col"):
             raise ConfigError("group.col: required for group mode")
-        raw = _read_column(cfg["input"], cfg["group.col"])
+        [raw] = _read_columns(cfg["input"], cfg["group.col"])
         _, codes = np.unique(raw, return_inverse=True)
         return PropensityModel(mode=mode, group_of=codes)
     return PropensityModel(mode="in_sample")

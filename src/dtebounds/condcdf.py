@@ -393,19 +393,28 @@ def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
 
     Returns one (s_lower, s_upper) pair of arrays per row set. When the two
     specs agree, one extraction yields both sides.
+
+    The fits and extractions run with numpy's BLAS held to one thread (see
+    ``kernels._one_blas_thread``): the shift kernel's pool already runs a
+    thread per CPU, and the small products of the fits gain nothing from
+    more. The previous thread count is restored on return or raise. The
+    limit is process-global, so other threads' BLAS calls run on one thread
+    while any estimate is inside this function. The seed-7 report tests pin
+    that reports do not change with it.
     """
     treated = train.d == 1
     fitted = {}
-    for spec in dict.fromkeys((spec_l, spec_u)):
-        fitted[spec] = (
-            fit_arm_model(train.y[treated], train.x[treated], spec),
-            fit_arm_model(train.y[~treated], train.x[~treated], spec))
     out = []
-    for x_rows in row_sets:
-        s_lo, s_hi = extract_adjusters(*fitted[spec_l], x_rows, grid)
-        if spec_u != spec_l:
-            _, s_hi = extract_adjusters(*fitted[spec_u], x_rows, grid)
-        out.append((s_lo, s_hi))
+    with kernels._one_blas_thread():
+        for spec in dict.fromkeys((spec_l, spec_u)):
+            fitted[spec] = (
+                fit_arm_model(train.y[treated], train.x[treated], spec),
+                fit_arm_model(train.y[~treated], train.x[~treated], spec))
+        for x_rows in row_sets:
+            s_lo, s_hi = extract_adjusters(*fitted[spec_l], x_rows, grid)
+            if spec_u != spec_l:
+                _, s_hi = extract_adjusters(*fitted[spec_u], x_rows, grid)
+            out.append((s_lo, s_hi))
     return out
 
 

@@ -10,7 +10,7 @@ construction with pretesting lives in ``stoye``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .condcdf import GridSpec, crossfit_adjusters
 from .data import (
@@ -130,13 +130,13 @@ def estimate_crossfit(sample: Sample, s_lo, s_hi,
 def _p_lower_zero(theta_l, se):
     if se == 0.0:
         return 0.0 if theta_l > 0 else 1.0
-    return float(norm.sf(theta_l / se))
+    return float(ndtr(-(theta_l / se)))
 
 
 def _p_upper_one(theta_u, se):
     if se == 0.0:
         return 0.0 if theta_u < 1 else 1.0
-    return float(norm.cdf((theta_u - 1.0) / se))
+    return float(ndtr((theta_u - 1.0) / se))
 
 
 def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
@@ -152,7 +152,7 @@ def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
     n = n or est.n
-    z_a = float(norm.ppf(1 - alpha))
+    z_a = float(ndtri(1 - alpha))
     se_l = est.sigma_l / np.sqrt(n)
     se_u = est.sigma_u / np.sqrt(n)
     lo_raw = est.theta_l - z_a * se_l

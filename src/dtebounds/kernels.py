@@ -3,7 +3,9 @@ argmax/argmin of conditional-CDF differences.
 """
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 
 import numpy as np
 
@@ -281,6 +283,82 @@ def _drop_pool():
 os.register_at_fork(after_in_child=_drop_pool)
 
 
+# (get, set) thread-count functions of each OpenBLAS mapped into the process,
+# found on the first entry of ``_one_blas_thread``
+_BLAS = None
+_BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                 "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
+_BLAS_LOCK = threading.Lock()
+# open ``_one_blas_thread`` scopes, and the counts their first entry saved
+_blas_depth = 0
+_blas_saved = ()
+
+# a fork waits until no scope is being entered or left, so that a child
+# inherits a depth that matches its thread counts
+os.register_at_fork(before=_BLAS_LOCK.acquire,
+                    after_in_parent=_BLAS_LOCK.release,
+                    after_in_child=_BLAS_LOCK.release)
+
+
+def _find_blas():
+    """The (get, set) pair of every mapped shared object whose name holds
+    ``openblas`` and that exports one; none off Linux or with another BLAS.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {f[5].strip() for f in (line.split(None, 5) for line in fh)
+                     if len(f) == 6}
+    except OSError:
+        return ()
+    pairs = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SYMBOLS:
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pairs.append((get, put))
+                break
+    return tuple(pairs)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS in the process to one thread while any scope is
+    open, then restore the counts it had.
+
+    The shift kernel's pool already runs a thread per CPU; BLAS threads
+    spinning beside it only take CPUs from its workers. The limit is
+    process-global, so BLAS calls from other threads also run on one thread
+    meanwhile. Nested and concurrent scopes share it: the first entry saves
+    the counts and the last exit restores them, on every exit path.
+    """
+    global _BLAS, _blas_depth, _blas_saved
+    with _BLAS_LOCK:
+        if _BLAS is None:
+            _BLAS = _find_blas()
+        if _blas_depth == 0:
+            _blas_saved = tuple(get() for get, _ in _BLAS)
+            for _, put in _BLAS:
+                put(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, put), n in zip(_BLAS, _blas_saved):
+                    put(n)
+
+
 def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     """Per-row argmax/argmin over ``grid`` of Fe1(t - mu1) - Fe0(t - mu0),
     the location-shift conditional CDF difference built from residual ECDFs.
@@ -296,7 +374,10 @@ def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     A call of more than one block of ``_SHIFT_BLOCK_EVENTS`` events cuts
     its rows into one contiguous part per CPU, and runs the parts on a
     thread pool. Each row's result depends only on that row, so it does not
-    depend on the number of parts.
+    depend on the number of parts. The pool counts on having the CPUs to
+    itself: ``condcdf.fit_adjusters``, which makes every estimate's calls,
+    holds BLAS to one thread around them (``_one_blas_thread``), so that
+    BLAS threads do not spin on the CPUs of its workers.
     """
     mu1 = np.asarray(mu1, dtype=np.float64)
     mu0 = np.asarray(mu0, dtype=np.float64)

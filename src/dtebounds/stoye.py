@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, owens_t
-from scipy.stats import norm
 
 from .data import ConfigError
 from .reports import BoundsEstimate
@@ -144,8 +143,8 @@ def solve_critical_values(alpha: float, rho: float, lam_l: float,
     if not 0.0 < alpha < 0.5:
         raise ConfigError("alpha must lie in (0, 0.5) for two-sided intervals")
     target = 1.0 - alpha
-    z_a = float(norm.ppf(1 - alpha))
-    z_half = float(norm.ppf(1 - alpha / 2))
+    z_a = float(ndtri(1 - alpha))
+    z_half = float(ndtri(1 - alpha / 2))
     rho = float(np.clip(rho, -1.0, 1.0))
 
     def cl_required(c_u: float):
@@ -207,7 +206,7 @@ def stoye_ci(est: BoundsEstimate, alpha: float, n: int | None = None,
     lam = gap if gap > h_n else 0.0
     if sigma_l < 1e-10 or sigma_u < 1e-10:
         # degenerate variance: fall back to the conservative half-alpha pair
-        z_half = float(norm.ppf(1 - alpha / 2))
+        z_half = float(ndtri(1 - alpha / 2))
         c_l = c_u = z_half
     else:
         rho = est.sigma_lu / (sigma_l * sigma_u)

@@ -447,6 +447,39 @@ class TestExternalAdjusters:
         assert code == 2
         assert "row 7" in capsys.readouterr().err
 
+    def test_adjuster_file_is_read_once_s_l_checked_first(
+            self, data_csv, tmp_path, capsys, monkeypatch):
+        """One open of the file serves both columns; a bad s_u cell gives
+        the per-column message, and a bad s_l cell is still reported before
+        anything wrong with s_u, here a later row with no s_u field."""
+        import builtins
+
+        adjfile = tmp_path / "adj.csv"
+        rows = ["0.0,0.0"] * 160
+        rows[6] = "0.5,abc"
+        adjfile.write_text("s_l,s_u\n" + "\n".join(rows) + "\n")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        argv = ("analyze", "--input", data_csv, "--x-prefix", "x",
+                "--adjuster-file", str(adjfile))
+        assert run_cli(*argv) == 2
+        assert opened.count(str(adjfile)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {adjfile}: row 7: 's_u' value 'abc' is not a finite "
+            f"number\n")
+        rows[8] = "x"
+        adjfile.write_text("s_l,s_u\n" + "\n".join(rows) + "\n")
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {adjfile}: row 9: 's_l' value 'x' is not a finite "
+            f"number\n")
+
     @pytest.mark.parametrize("bad", ["high", "nan"])
     def test_bad_propensity_value_names_row(self, data_csv, tmp_path, capsys,
                                             bad):
@@ -475,3 +508,23 @@ class TestExternalAdjusters:
                        "--d-col", "d", "--x-prefix", "x",
                        "--adjuster-file", str(adjfile))
         assert code == 2
+
+
+def test_import_loads_no_scipy_stats():
+    """The normal CDF and quantile come from ``scipy.special``:
+    ``scipy.stats`` would add about half a second to every command's
+    start."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dtebounds
+
+    code = ("import sys\n"
+            "import dtebounds.cli\n"
+            "assert 'scipy.stats' not in sys.modules\n")
+    src = str(Path(dtebounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
