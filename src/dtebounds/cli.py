@@ -166,6 +166,9 @@ def _validate_config(cfg: dict, command: str):
         raise ConfigError("grid: size must be an integer")
     if command in ("analyze", "bounds-curve") and not cfg.get("input"):
         raise ConfigError("input: a data file is required")
+    if (command in _DATA and not cfg.get("adjuster_file")
+            and not _model_list(cfg)):
+        raise ConfigError("need at least one candidate model spec")
     if command == "simulate" and not cfg.get("cells"):
         raise ConfigError("cells: a cell file is required")
 

@@ -212,8 +212,7 @@ _KNN_BLOCK_VALUES = 1 << 15
 # neighbour rarely fails the certificate
 _KNN_PAD = 8
 # from this many training rows on, the Gram stage pays off (given also 2
-# training rows per Gram candidate), and so does an unstable sort of each
-# row's distances followed by a repair of its ties
+# training rows per Gram candidate)
 _KNN_WIDE_TRAIN = 48
 
 
@@ -265,23 +264,13 @@ def _knn_indices(train_x, query_x, k):
 
 
 def _knn_sorted(train_x, query_x, k):
-    """``_knn_indices`` from a sort of every distance of each row."""
+    """``_knn_indices`` from a stable sort of every distance of each row."""
     n, p = train_x.shape
     out = np.empty((query_x.shape[0], k), dtype=np.intp)
     rows = max(1, _KNN_BLOCK_VALUES // max(1, n * p))
     for a in range(0, query_x.shape[0], rows):
         d2 = _sq_dist(query_x[a:a + rows], train_x)
-        if n < _KNN_WIDE_TRAIN:
-            out[a:a + rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            continue
-        # only a row with equal values among its first k + 1 can differ
-        # from the stable order
-        order = np.argsort(d2, axis=1)
-        head = np.take_along_axis(d2, order[:, :k + 1], axis=1)
-        tie = (head[:, 1:] == head[:, :-1]).any(axis=1)
-        if tie.any():
-            order[tie] = np.argsort(d2[tie], axis=1, kind="stable")
-        out[a:a + rows] = order[:, :k]
+        out[a:a + rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return out
 
 
@@ -439,11 +428,8 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
     for k in range(1, folds.k_folds + 1):
         try:
             oof = sample.subset(folds.complement(k))
-            if len(specs) > 1:
-                spec_l, spec_u = select_model(specs, oof, select_folds,
-                                              seed + k, grid_spec)
-            else:
-                spec_l = spec_u = specs[0]
+            spec_l, spec_u = select_model(specs, oof, select_folds,
+                                          seed + k, grid_spec)
             members = folds.members(k)
             [(lo_k, hi_k)] = fit_adjusters(oof, spec_l, spec_u,
                                            [sample.x[members]], grid)

@@ -133,12 +133,6 @@ def _p_lower_zero(theta_l, se):
     return float(ndtr(-(theta_l / se)))
 
 
-def _p_upper_one(theta_u, se):
-    if se == 0.0:
-        return 0.0 if theta_u < 1 else 1.0
-    return float(ndtr((theta_u - 1.0) / se))
-
-
 def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
                   method: str = "cross-fit",
                   h_rules=H_RULES) -> IntervalReport:
@@ -184,7 +178,7 @@ def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
         upper_onesided_raw=hi_raw,
         two_sided_raw=two_raw,
         p_lower_zero=_p_lower_zero(est.theta_l, se_l),
-        p_upper_one=_p_upper_one(est.theta_u, se_u),
+        p_upper_one=_p_lower_zero(1.0 - est.theta_u, se_u),
         crit=crit,
         two_sided_by_rule=by_rule,
         meta={"n": n},

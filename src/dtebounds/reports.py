@@ -1,7 +1,7 @@
 """Result containers shared by the estimators."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,18 +42,7 @@ class BoundsEstimate:
         return float(np.sqrt(self.sigma2_u))
 
     def to_dict(self) -> dict:
-        return {
-            "theta_l": self.theta_l,
-            "theta_u": self.theta_u,
-            "t_l": self.t_l,
-            "t_u": self.t_u,
-            "sigma2_l": self.sigma2_l,
-            "sigma2_u": self.sigma2_u,
-            "sigma_lu": self.sigma_lu,
-            "pi_hat": self.pi_hat,
-            "n": self.n,
-            "diagnostics": list(self.diagnostics),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -103,22 +92,4 @@ class IntervalReport:
         return max(0.0, hi - lo)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "estimate": self.estimate.to_dict(),
-            "lower_onesided": self.lower_onesided,
-            "upper_onesided": self.upper_onesided,
-            "lower_onesided_raw": self.lower_onesided_raw,
-            "upper_onesided_raw": self.upper_onesided_raw,
-            "two_sided": list(self.two_sided),
-            "two_sided_raw": list(self.two_sided_raw),
-            "crossed": self.crossed,
-            "p_lower_zero": self.p_lower_zero,
-            "p_upper_one": self.p_upper_one,
-            "crit": self.crit,
-            "two_sided_by_rule": {k: list(v) for k, v in
-                                  self.two_sided_by_rule.items()},
-            "meta": self.meta,
-            "diagnostics": list(self.diagnostics),
-        }
+        return asdict(self)

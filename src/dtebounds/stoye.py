@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri, owens_t
 
 from .data import ConfigError
@@ -101,6 +100,10 @@ def _cl_required(fn, target: float):
     """The least c_l on [0, CL_MAX] with fn(c_l) >= target, to brentq's
     tolerance, for fn nondecreasing: 0 if fn(0) already reaches target,
     None if fn(CL_MAX) does not. The returned c_l always meets target."""
+    # imported on the first solve: scipy.optimize takes 0.2-0.3 s to load,
+    # which every command would otherwise pay on start, solve or not
+    from scipy.optimize import brentq
+
     gap = {}
     z_target = ndtri(target)
 

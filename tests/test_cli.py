@@ -406,6 +406,21 @@ class TestSettings:
                     flag, "0.5")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("models", [",", ""])
+    @pytest.mark.parametrize("command, method", [
+        ("analyze", "cross-fit"), ("analyze", "cross-fit-foldt"),
+        ("analyze", "sample-split"), ("bounds-curve", None)])
+    def test_empty_model_list_exits_2(self, command, method, models,
+                                      tmp_path, capsys):
+        # rejected before any file is read: the input does not exist
+        argv = [command, "--input", str(tmp_path / "nope.csv"),
+                "--models", models]
+        if method:
+            argv += ["--method", method]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            "error: need at least one candidate model spec\n")
+
 
 class TestExternalAdjusters:
     def test_adjuster_file_bypasses_models(self, data_csv, tmp_path):
@@ -433,6 +448,17 @@ class TestExternalAdjusters:
         est = estimate_crossfit(s, s_l, s_u)
         assert payload["report"]["estimate"]["theta_l"] == est.theta_l
         assert payload["report"]["estimate"]["theta_u"] == est.theta_u
+
+    @pytest.mark.parametrize("models", [",", ""])
+    @pytest.mark.parametrize("command", ["analyze", "bounds-curve"])
+    def test_adjuster_file_needs_no_models(self, command, models, data_csv,
+                                           tmp_path):
+        adjfile = tmp_path / "adj.csv"
+        adjfile.write_text("s_l,s_u\n" + "0.0,0.5\n" * 160)
+        code = run_cli(command, "--input", data_csv, "--x-prefix", "x",
+                       "--models", models, "--adjuster-file", str(adjfile),
+                       "--output", str(tmp_path / "out"))
+        assert code == 0
 
     @pytest.mark.parametrize("bad", ["0.5,abc", "0.5,nan", "0.5,inf", "0.5,",
                                      "0.5", ""])
@@ -513,7 +539,8 @@ class TestExternalAdjusters:
 def test_import_loads_no_scipy_stats():
     """The normal CDF and quantile come from ``scipy.special``:
     ``scipy.stats`` would add about half a second to every command's
-    start."""
+    start. ``scipy.optimize``, which only the Stoye solver needs, is
+    imported on the first solve."""
     import os
     import subprocess
     import sys
@@ -523,7 +550,8 @@ def test_import_loads_no_scipy_stats():
 
     code = ("import sys\n"
             "import dtebounds.cli\n"
-            "assert 'scipy.stats' not in sys.modules\n")
+            "assert 'scipy.stats' not in sys.modules\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
     src = str(Path(dtebounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True,

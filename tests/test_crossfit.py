@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from dtebounds.condcdf import GridSpec
@@ -57,6 +58,11 @@ class TestEstimateCrossfit:
         folds = make_folds(s, 3, seed=0)
         with pytest.raises(EstimationError, match="fold 1"):
             crossfit_adjusters(s, folds, ["knn_loc_shift:k=5000"])
+
+    def test_empty_model_list_names_fold(self):
+        with pytest.raises(EstimationError, match="^fold 1: need at least "
+                                                  "one candidate model spec$"):
+            estimate(make_sample(60, seed=2), "cross-fit", [])
 
     def test_fixed_adjusters_bypass_fitting(self):
         s = make_sample(80, seed=3)
@@ -247,6 +253,25 @@ class TestOneSidedCis:
         rep = one_sided_cis(est, 0.05, h_rules=())
         assert rep.p_upper_one == pytest.approx(norm.cdf((0.946 - 1) / 0.028),
                                                 rel=1e-10)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(theta_u=st.floats(-0.5, 1.5), sigma_u=st.floats(0.0, 10.0))
+    @example(theta_u=1.0, sigma_u=0.3)
+    @example(theta_u=1.0, sigma_u=0.0)
+    @example(theta_u=float(np.nextafter(1.0, 0.0)), sigma_u=0.0)
+    def test_upper_pvalue_is_normal_cdf_of_the_excess(self, theta_u, sigma_u):
+        # the upper p-value is Phi((theta_u - 1) / se) bit for bit, and with
+        # se = 0 it is 0 below a unit upper bound and 1 from it on
+        n = 400
+        est = BoundsEstimate(theta_l=0.1, theta_u=theta_u, t_l=0, t_u=0,
+                             sigma2_l=0.25, sigma2_u=sigma_u**2,
+                             sigma_lu=0.0, pi_hat=0.5, n=n)
+        p = one_sided_cis(est, 0.05, h_rules=()).p_upper_one
+        se = est.sigma_u / np.sqrt(n)
+        if se > 0.0:
+            assert p == float(ndtr((theta_u - 1.0) / se))
+        else:
+            assert p == (0.0 if theta_u < 1.0 else 1.0)
 
 
 class TestKnownPropensity:
