@@ -21,6 +21,8 @@ from .data import (
     CsvParseError,
     DegenerateDesignError,
     PropensityModel,
+    _csv_rows,
+    _read_text,
     load_csv,
     make_folds,
     shift_for_delta,
@@ -184,14 +186,15 @@ def _model_list(cfg: dict) -> list[str]:
 
 def _read_columns(path: str, *cols: str):
     """Each named column's stripped cells in turn, from one read of the
-    file. A column missing from the header raises ConfigError and a row
-    too short for it CsvParseError, when that column is reached."""
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        rows = list(reader)
+    file. A file that is not UTF-8 text or holds a field longer than
+    ``csv.field_size_limit()`` raises CsvParseError at once; a column
+    missing from the header raises ConfigError and a row too short for it
+    CsvParseError, when that column is reached."""
+    try:
+        rows = list(_csv_rows(_read_text(path)))
+    except CsvParseError as exc:
+        raise CsvParseError(f"{path}: {exc}") from None
+    header = [h.strip() for h in rows.pop(0)] if rows else []
     for col in cols:
         if col not in header:
             raise ConfigError(f"column {col!r} not found in {path}")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -186,51 +187,146 @@ def adjuster_arrays(adjusters, n: int):
 def load_csv(path, y_col: str, d_col: str, x_cols=None, x_prefix: str | None = None) -> Sample:
     """Read an experiment CSV into a Sample.
 
-    The file must have a header row; covariate columns are given either
-    explicitly (x_cols) or by shared prefix (x_prefix). Rows are kept in
-    file order. Missing or non-numeric cells raise CsvParseError naming the
-    offending row (1-based, excluding the header).
+    The file must be UTF-8 text with a header row; covariate columns are
+    given either explicitly (x_cols) or by shared prefix (x_prefix). Rows
+    are kept in file order. Missing or non-numeric cells, bytes that are not
+    UTF-8 and fields longer than ``csv.field_size_limit()`` raise
+    CsvParseError naming the offending row (1-based, excluding the header)
+    or line.
+
+    The file is read once. A plain numeric file is parsed by numpy's C
+    reader (``_load_clean``); any file that reader might read differently
+    goes to the row-by-row csv parser (``_load_rows``), which alone raises,
+    so the arrays and the errors do not depend on which parser ran.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    text = _read_text(path)
+    sample = _load_clean(text, y_col, d_col, x_cols, x_prefix)
+    if sample is None:
+        sample = _load_rows(text, y_col, d_col, x_cols, x_prefix)
+    return sample
+
+
+def _read_text(path) -> str:
+    """A file's text with its line ends as written; bytes that are not UTF-8
+    raise CsvParseError naming their line (1-based, the header is line 1)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the csv reader's line ends; the sentinel puts the bad byte's line last
+        head = raw[:exc.start].decode("utf-8") + "?"
+        line = len(io.StringIO(head, newline="").readlines())
+        raise CsvParseError(f"line {line}: not UTF-8 text ({exc.reason} at "
+                            f"byte {exc.start})") from None
+
+
+def _csv_rows(text: str):
+    """The csv module's rows of ``text``, the header first. A row it cannot
+    read (a field longer than ``csv.field_size_limit()``) raises
+    CsvParseError naming the header or the 1-based data row."""
+    rownum = 0  # rows read so far, so the number of a data row that fails
+    try:
+        for rownum, row in enumerate(
+                csv.reader(io.StringIO(text, newline="")), start=1):
+            yield row
+    except csv.Error as exc:
+        where = f"row {rownum}" if rownum else "header"
+        raise CsvParseError(f"{where}: {exc}") from None
+
+
+def _columns(header, y_col, d_col, x_cols, x_prefix):
+    """The indices of the outcome, the treatment and the covariates in a
+    stripped header; a column it lacks is a ConfigError."""
+    if y_col not in header or d_col not in header:
+        raise ConfigError(f"columns {y_col!r}/{d_col!r} not found in header")
+    if x_cols is None:
+        if x_prefix is None:
+            raise ConfigError("either x_cols or x_prefix is required")
+        x_cols = [h for h in header if h.startswith(x_prefix)
+                  and h not in (y_col, d_col)]
+    missing = [c for c in x_cols if c not in header]
+    if missing:
+        raise ConfigError(f"covariate columns not in header: {missing}")
+    return header.index(y_col), header.index(d_col), [header.index(c) for c in x_cols]
+
+
+def _load_clean(text, y_col, d_col, x_cols, x_prefix) -> Sample | None:
+    """The Sample of a plain numeric CSV, with the y and x columns parsed by
+    ``np.loadtxt``; None for any file that ``_load_rows`` might read
+    differently or reject.
+
+    It takes only files without quotes, carriage returns or NULs, with no
+    line longer than the csv field limit, a header holding every requested
+    column, exactly one field per header name on every line, a treatment
+    token of exactly ``0`` or ``1``, and y and x cells that numpy parses to
+    finite numbers, one row per line, in both arms. On such a file both
+    parsers split the same fields, and where ``loadtxt`` accepts a cell
+    it reads the same double as ``float()``: both convert with
+    ``PyOS_string_to_double`` after stripping whitespace.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    try:
+        yi, di, xi = _columns(header, y_col, d_col, x_cols, x_prefix)
+    except ConfigError:
+        return None
+    body = lines[1:]
+    commas = len(header) - 1
+    if any(line.count(",") != commas for line in body):
+        return None
+    d_tokens = [line.split(",", di + 1)[di] for line in body]
+    if not set(d_tokens) <= {"0", "1"}:
+        return None
+    d = np.array([t == "1" for t in d_tokens], dtype=np.int64)
+    if d.all() or not d.any():
+        return None
+    try:
+        yx = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
+                        usecols=[yi] + xi)
+    except ValueError:
+        return None
+    if yx.shape[0] != len(body) or not np.isfinite(yx).all():
+        return None
+    return Sample(yx[:, 0], d, yx[:, 1:])
+
+
+def _load_rows(text, y_col, d_col, x_cols, x_prefix) -> Sample:
+    """The row-by-row parser of ``load_csv``: a malformed file raises here,
+    at its first bad row."""
+    rows = _csv_rows(text)
+    try:
+        header = next(rows)
+    except StopIteration:
+        raise CsvParseError("empty file") from None
+    header = [h.strip() for h in header]
+    yi, di, xi = _columns(header, y_col, d_col, x_cols, x_prefix)
+    ys, ds, xs = [], [], []
+    for rownum, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise CsvParseError(f"row {rownum}: expected {len(header)} fields,"
+                                f" got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError("empty file") from None
-        header = [h.strip() for h in header]
-        if y_col not in header or d_col not in header:
-            raise ConfigError(f"columns {y_col!r}/{d_col!r} not found in header")
-        if x_cols is None:
-            if x_prefix is None:
-                raise ConfigError("either x_cols or x_prefix is required")
-            x_cols = [h for h in header if h.startswith(x_prefix)
-                      and h not in (y_col, d_col)]
-        missing = [c for c in x_cols if c not in header]
-        if missing:
-            raise ConfigError(f"covariate columns not in header: {missing}")
-        yi = header.index(y_col)
-        di = header.index(d_col)
-        xi = [header.index(c) for c in x_cols]
-        ys, ds, xs = [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise CsvParseError(f"row {rownum}: expected {len(header)} fields,"
-                                    f" got {len(row)}")
-            try:
-                yv = float(row[yi])
-                xv = [float(row[j]) for j in xi]
-            except ValueError as exc:
-                raise CsvParseError(f"row {rownum}: {exc}") from None
-            dv_raw = row[di].strip()
-            if dv_raw not in ("0", "1"):
-                raise CsvParseError(
-                    f"row {rownum}: treatment column must be 0 or 1,"
-                    f" got {dv_raw!r}")
-            if not math.isfinite(yv) or not all(math.isfinite(v) for v in xv):
-                raise CsvParseError(f"row {rownum}: non-finite value")
-            ys.append(yv)
-            ds.append(int(dv_raw))
-            xs.append(xv)
+            yv = float(row[yi])
+            xv = [float(row[j]) for j in xi]
+        except ValueError as exc:
+            raise CsvParseError(f"row {rownum}: {exc}") from None
+        dv_raw = row[di].strip()
+        if dv_raw not in ("0", "1"):
+            raise CsvParseError(
+                f"row {rownum}: treatment column must be 0 or 1,"
+                f" got {dv_raw!r}")
+        if not math.isfinite(yv) or not all(math.isfinite(v) for v in xv):
+            raise CsvParseError(f"row {rownum}: non-finite value")
+        ys.append(yv)
+        ds.append(int(dv_raw))
+        xs.append(xv)
     if not ys:
         raise CsvParseError("file has no data rows")
     try:

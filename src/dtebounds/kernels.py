@@ -289,15 +289,31 @@ _BLAS = None
 _BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
                  "scipy_openblas_{}_num_threads", "openblas_{}_num_threads")
 _BLAS_LOCK = threading.Lock()
-# open ``_one_blas_thread`` scopes, and the counts their first entry saved
+# open ``_one_blas_thread`` scopes in the process and in each thread, and the
+# counts the process's first entry saved
 _blas_depth = 0
+_blas_local = threading.local()
 _blas_saved = ()
+
+
+def _blas_after_fork_in_child():
+    """A child runs only the forking thread, so the scopes other threads held
+    open will never close in it: keep the forking thread's own, and restore
+    the saved counts if it held none."""
+    global _blas_depth
+    own = getattr(_blas_local, "depth", 0)
+    if own == 0 and _blas_depth > 0:
+        for (_, put), n in zip(_BLAS, _blas_saved):
+            put(n)
+    _blas_depth = own
+    _BLAS_LOCK.release()
+
 
 # a fork waits until no scope is being entered or left, so that a child
 # inherits a depth that matches its thread counts
 os.register_at_fork(before=_BLAS_LOCK.acquire,
                     after_in_parent=_BLAS_LOCK.release,
-                    after_in_child=_BLAS_LOCK.release)
+                    after_in_child=_blas_after_fork_in_child)
 
 
 def _find_blas():
@@ -338,7 +354,8 @@ def _one_blas_thread():
     spinning beside it only take CPUs from its workers. The limit is
     process-global, so BLAS calls from other threads also run on one thread
     meanwhile. Nested and concurrent scopes share it: the first entry saves
-    the counts and the last exit restores them, on every exit path.
+    the counts and the last exit restores them, on every exit path. A
+    forked child keeps only the scopes its forking thread had open.
     """
     global _BLAS, _blas_depth, _blas_saved
     with _BLAS_LOCK:
@@ -349,11 +366,13 @@ def _one_blas_thread():
             for _, put in _BLAS:
                 put(1)
         _blas_depth += 1
+        _blas_local.depth = getattr(_blas_local, "depth", 0) + 1
     try:
         yield
     finally:
         with _BLAS_LOCK:
             _blas_depth -= 1
+            _blas_local.depth -= 1
             if _blas_depth == 0:
                 for (_, put), n in zip(_BLAS, _blas_saved):
                     put(n)

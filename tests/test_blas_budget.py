@@ -263,6 +263,46 @@ def test_fork_while_another_thread_enters_and_leaves(blas):
     assert _counts(blas) == [RAISED] * len(blas)
 
 
+def test_child_forked_beside_another_threads_scope(blas):
+    """A child forked while another thread is held inside a scope, and none
+    is open in the forking thread, inherits no open scope: it starts at the
+    saved counts and ends at them after a scope of its own."""
+    entered, leave = threading.Event(), threading.Event()
+
+    def hold():
+        with kernels._one_blas_thread():
+            entered.set()
+            leave.wait(20)
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    try:
+        assert entered.wait(10)
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                seen = [kernels._blas_depth, _counts(blas)]
+                with kernels._one_blas_thread():
+                    seen.append(_counts(blas))
+                seen += [kernels._blas_depth, _counts(blas)]
+                os.write(w, json.dumps(seen).encode())
+            finally:
+                os._exit(0)
+        os.close(w)
+        with os.fdopen(r) as fh:
+            seen = json.loads(fh.read())
+        assert _exit_code(pid, 20) == 0
+        assert _counts(blas) == [1] * len(blas)
+    finally:
+        leave.set()
+        thread.join(20)
+    assert not thread.is_alive()
+    raised, one = [RAISED] * len(blas), [1] * len(blas)
+    assert seen == [0, raised, one, 0, raised]
+    assert _counts(blas) == raised
+
+
 def test_unresolved_library_leaves_counts_alone(blas, monkeypatch):
     monkeypatch.setattr(kernels, "_BLAS", ())
     with kernels._one_blas_thread():

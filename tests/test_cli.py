@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -77,6 +78,27 @@ class TestAnalyze:
         path.write_text("y,d,x1\n1.0,1,0.0\n2.0,1,0.1\n")
         code = run_cli("analyze", "--input", str(path), "--x-prefix", "x")
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["latin1", "big"])
+    def test_undecodable_or_oversized_input_exits_2(self, data_csv, tmp_path,
+                                                    capsys, bad):
+        """A byte that is not UTF-8 or a field over the csv module's limit
+        is a typed input error naming its line or row, not a traceback."""
+        import csv
+
+        lines = Path(data_csv).read_bytes().split(b"\n")
+        if bad == "latin1":
+            lines[4] = lines[4].replace(b",", b",\xe9", 1)
+            want = "line 5: not UTF-8 text (invalid continuation byte at byte "
+        else:
+            lines[4] = lines[4] + b"1" * csv.field_size_limit()
+            want = "row 4: field larger than field limit "
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(lines))
+        code = run_cli("analyze", "--input", str(path), "--x-prefix", "x",
+                       "--models", "constant")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {want}")
 
     def test_determinism(self, data_csv, tmp_path):
         outs = []
@@ -519,6 +541,25 @@ class TestExternalAdjusters:
                        "--propensity-col", "pscore")
         assert code == 2
         assert "row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["latin1", "big"])
+    def test_undecodable_or_oversized_adjuster_file_exits_2(
+            self, data_csv, tmp_path, capsys, bad):
+        import csv
+
+        adjfile = tmp_path / "adj.csv"
+        rows = [b"0.0,0.0"] * 160
+        if bad == "latin1":
+            rows[6] = b"0.0,0.\xff"
+            want = "line 8: not UTF-8 text (invalid start byte at byte "
+        else:
+            rows[6] = b"0.0," + b"5" * (csv.field_size_limit() + 1)
+            want = "row 7: field larger than field limit "
+        adjfile.write_bytes(b"s_l,s_u\n" + b"\n".join(rows) + b"\n")
+        code = run_cli("analyze", "--input", data_csv, "--x-prefix", "x",
+                       "--adjuster-file", str(adjfile))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {adjfile}: {want}")
 
     def test_empty_adjuster_file_is_config_error(self, data_csv, tmp_path):
         adjfile = tmp_path / "adj.csv"

@@ -1,6 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dtebounds import data
 from dtebounds.data import (
     ConfigError,
     CsvParseError,
@@ -81,6 +86,211 @@ class TestLoadCsv:
         assert s.p == 2
         with pytest.raises(ConfigError):
             load_csv(f, "y", "d", x_cols=["age", "nope"])
+
+
+# Malformed files and the exact error each raised before numpy's reader
+# parsed clean files; (file text, load_csv keywords beyond y/d, type, message)
+MALFORMED = [
+    ("", {}, CsvParseError, "empty file"),
+    ("y,d,x1,x2\n", {}, CsvParseError, "file has no data rows"),
+    ("a,d,x1,x2\n1,1,0,0\n", {}, ConfigError,
+     "columns 'y'/'d' not found in header"),
+    ("\ufeffy,d,x1,x2\n1,1,0,0\n0,0,0,0\n", {}, ConfigError,
+     "columns 'y'/'d' not found in header"),
+    ("y,d,x1,x2\n1,1,0,0\n", {"x_prefix": None}, ConfigError,
+     "either x_cols or x_prefix is required"),
+    ("y,d,x1,x2\n1,1,0,0\n", {"x_cols": ["x1", "x9"]}, ConfigError,
+     "covariate columns not in header: ['x9']"),
+    ("y,d,x1,x2\n1,1,0,0\n1,1,2\n", {}, CsvParseError,
+     "row 2: expected 4 fields, got 3"),
+    ("y,d,x1,x2\n1,5,1,0,0\n", {}, CsvParseError,
+     "row 1: expected 4 fields, got 5"),
+    ("y,d,x1,x2\n1,1,0,0\n\n0,0,0,0\n", {}, CsvParseError,
+     "row 2: expected 4 fields, got 0"),
+    ("y,d,x1,x2\n1,1,0,0\n0,0,0,0\n\n", {}, CsvParseError,
+     "row 3: expected 4 fields, got 0"),
+    ("y,d,x1,x2\n1,1,0,0\n2.0,0,,0\n", {}, CsvParseError,
+     "row 2: could not convert string to float: ''"),
+    ("y,d,x1,x2\n#,1,0,0\n", {}, CsvParseError,
+     "row 1: could not convert string to float: '#'"),
+    ('y,d,x1,x2\n"1,5",1,0,0\n', {}, CsvParseError,
+     "row 1: could not convert string to float: '1,5'"),
+    ("y,d,x1,x2\n1,1,0,0\n2.0,2,0,0\n", {}, CsvParseError,
+     "row 2: treatment column must be 0 or 1, got '2'"),
+    ("y,d,x1,x2\n1,1.0,0,0\n", {}, CsvParseError,
+     "row 1: treatment column must be 0 or 1, got '1.0'"),
+    ("y,d,x1,x2\n1,,0,0\n", {}, CsvParseError,
+     "row 1: treatment column must be 0 or 1, got ''"),
+    ("y,d,x1,x2\n1,١,0,0\n", {}, CsvParseError,
+     "row 1: treatment column must be 0 or 1, got '١'"),
+    ("y,d,x1,x2\n1,1,0,0\ninf,0,0,0\n", {}, CsvParseError,
+     "row 2: non-finite value"),
+    ("y,d,x1,x2\n1,1,0,nan\n", {}, CsvParseError, "row 1: non-finite value"),
+    ("y,d,x1,x2\n1e400,1,0,0\n", {}, CsvParseError, "row 1: non-finite value"),
+    ("y,d,x1,x2\na,7,0,0\n", {}, CsvParseError,
+     "row 1: could not convert string to float: 'a'"),
+    ("y,d,x1,x2\ninf,7,0,0\n", {}, CsvParseError,
+     "row 1: treatment column must be 0 or 1, got '7'"),
+    ("y,d,x1,x2\na,1,0\n", {}, CsvParseError,
+     "row 1: expected 4 fields, got 3"),
+    ("y,d,x1,x2\n1,1,0,0\n2,1,0,0\n", {}, DegenerateDesignError,
+     "file contains only treated or only control rows"),
+    ("y,d,x1,x2\n1,0,0,0\n2,0,0,0\n", {}, DegenerateDesignError,
+     "file contains only treated or only control rows"),
+    ("y,d,x1,x2\r\n1,1,0,0\r\n1,0\r\n", {}, CsvParseError,
+     "row 2: expected 4 fields, got 2"),
+    ("y,d,x1,x2\n1,1,0,0\n0,0,1\0,0\n", {}, CsvParseError,
+     "row 2: could not convert string to float: '1\\x00'"),
+]
+
+
+@pytest.mark.parametrize("text,kwargs,exc,message", MALFORMED)
+def test_malformed_file_message(tmp_path, text, kwargs, exc, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(exc) as info:
+        load_csv(str(path), "y", "d", **{"x_prefix": "x", **kwargs})
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_not_utf8_names_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"y,d,x1,x2\n1,1,0,0\r\n0,0,\xe9,0\n")
+    with pytest.raises(CsvParseError) as info:
+        load_csv(str(path), "y", "d", x_prefix="x")
+    assert str(info.value) == (
+        "line 3: not UTF-8 text (invalid continuation byte at byte 23)")
+
+
+@pytest.mark.parametrize("where", ["header", "row 2"])
+def test_oversized_field_names_row(tmp_path, where):
+    big = "1" * (csv.field_size_limit() + 1)
+    lines = ["y,d,x1,x2", "1,1,0,0", "0,0,0,0"]
+    if where == "header":
+        lines[0] += "," + big
+        lines[1:] = [line + ",0" for line in lines[1:]]
+    else:
+        lines[2] = f"0,0,{big},0"
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvParseError) as info:
+        load_csv(str(path), "y", "d", x_prefix="x")
+    assert str(info.value) == (
+        f"{where}: field larger than field limit ({csv.field_size_limit()})")
+
+
+def _benchmark_shaped(path, n=2000, p=20, seed=0):
+    # repr() cells and 0/1 treatment, as perfbench writes its inputs
+    rng = np.random.default_rng(seed)
+    d = rng.integers(0, 2, size=n)
+    y = rng.normal(size=n) * 10.0 ** rng.integers(-5, 5, size=n)
+    x = rng.normal(size=(n, p))
+    lines = [",".join(["y", "d"] + [f"x{j + 1:02d}" for j in range(p)])]
+    for i in range(n):
+        lines.append(",".join([repr(float(y[i])), str(d[i])]
+                              + [repr(v) for v in x[i].tolist()]))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _same_arrays(a, b):
+    for u, v in ((a.y, b.y), (a.d, b.d), (a.x, b.x)):
+        assert (u.dtype, u.shape) == (v.dtype, v.shape)
+        assert u.tobytes() == v.tobytes()
+
+
+def test_clean_file_never_reaches_the_row_parser(tmp_path, monkeypatch):
+    """A clean benchmark-shaped file is parsed by numpy alone, to the
+    arrays the row parser reads from it."""
+    f = _benchmark_shaped(tmp_path / "clean.csv")
+    with monkeypatch.context() as mp:
+        mp.setattr(data, "_load_clean", lambda *args: None)
+        rows = load_csv(f, "y", "d", x_prefix="x")
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("csv.reader called on a clean file")
+
+    monkeypatch.setattr(csv, "reader", no_reader)
+    fast = load_csv(f, "y", "d", x_prefix="x")
+    _same_arrays(fast, rows)
+    assert (fast.n, fast.p) == (2000, 20)
+
+
+# cells that numpy and float() both read, and cells or lines that one of
+# them rejects or that the csv module reads differently
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0", "5e-324", "1e-400", "-1.7976931348623157e308",
+                     " 1.5 ", "\t2", "1.5\x0c", "1\x85", "+.5", "1."]))
+ODD_CELLS = st.sampled_from([
+    "1_000", "١٢", "infinity", "-Infinity", "nan", "1e400", "", " ", "#",
+    "#1", '"3"', "1,5", "a", "1\0", "0\r", "0x10", "1d5"])
+ODD_D = st.sampled_from(["1.0", " 1", "0 ", "2", "", '"1"', "١"])
+NOTES = st.sampled_from(["", "a", "b c", "1", "#"])
+ODD_NOTES = st.sampled_from(['"', '"a,b"', 'a"b', '"a\nb"', '"\n1,1,0,0,"'])
+ODD_LINES = st.sampled_from(["", " ", "#", "# 1,1,0,0,", "1,1,0,0",
+                             "1,1,0,0,a,b"])
+
+
+@st.composite
+def csv_texts(draw):
+    """A small y,d,x1,x2,note file of clean rows with up to three changes,
+    each a token or a line layout that may send it to the row parser. The
+    note column is read by neither parser."""
+    rows = draw(st.lists(
+        st.tuples(CELLS, st.sampled_from(["0", "1"]), CELLS, CELLS,
+                  NOTES).map(list),
+        min_size=2, max_size=6))
+    lines = ["y,d,x1,x2,note"] + [",".join(r) for r in rows]
+    end, last, bom = "\n", "\n", ""
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["cell", "d", "note", "line", "end",
+                                     "last", "bom"]))
+        at = draw(st.integers(1, len(lines) - 1))
+        if kind in ("cell", "d", "note"):
+            cells = lines[at].split(",")
+            col = {"d": 1, "note": -1}.get(kind) or draw(
+                st.sampled_from([0, 2, 3]))
+            if col < len(cells):
+                cells[col] = draw({"cell": ODD_CELLS, "d": ODD_D,
+                                   "note": ODD_NOTES}[kind])
+            lines[at] = ",".join(cells)
+        elif kind == "line":
+            lines.insert(at, draw(ODD_LINES))
+        elif kind == "end":
+            end = draw(st.sampled_from(["\r\n", "\r"]))
+            last = end
+        elif kind == "last":
+            last = draw(st.sampled_from(["", "\n\n", " "]))
+        else:
+            bom = "\ufeff"
+    return bom + end.join(lines) + last
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(csv_texts())
+@example("y,d,x1,x2\n1,1,0,0\n2,0,1\x85, 1")
+@example("y,d,x1,x2\r\n1,1,0,0\r\n2,0,1,1\r\n")
+@example("y,d,x1,x2\n1_000,1,0,0\n2,0,1,1\n")
+@example("y,d,x1,x2\n١٢,1,0,0\n2,0,1,1\n")
+def test_fast_path_reads_what_the_row_parser_reads(text):
+    """Where numpy's reader takes a file, the row parser reads the same
+    y, d and x from it, dtype and bytes included; otherwise it declines."""
+    fast = data._load_clean(text, "y", "d", None, "x")
+    if fast is not None:
+        _same_arrays(fast, data._load_rows(text, "y", "d", None, "x"))
+
+
+def test_fast_path_takes_odd_but_exact_cells():
+    """Cells numpy and float() read alike stay on the fast path: a negative
+    zero, a subnormal, padding whitespace, a trailing form feed."""
+    text = "y,d,x1,x2\n-0,1,5e-324,1.5\x0c\n2.5,0, 1.5 ,\t2\n"
+    fast = data._load_clean(text, "y", "d", None, "x")
+    assert fast is not None
+    _same_arrays(fast, data._load_rows(text, "y", "d", None, "x"))
+    assert np.signbit(fast.y[0]) and fast.x[0, 0] == 5e-324
 
 
 class TestShiftForDelta:
