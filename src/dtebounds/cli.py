@@ -22,7 +22,7 @@ from .data import (
     DegenerateDesignError,
     PropensityModel,
     _csv_rows,
-    _read_text,
+    _read_lines,
     load_csv,
     make_folds,
     shift_for_delta,
@@ -191,7 +191,7 @@ def _read_columns(path: str, *cols: str):
     missing from the header raises ConfigError and a row too short for it
     CsvParseError, when that column is reached."""
     try:
-        rows = list(_csv_rows(_read_text(path)))
+        rows = list(_csv_rows(_read_lines(path)))
     except CsvParseError as exc:
         raise CsvParseError(f"{path}: {exc}") from None
     header = [h.strip() for h in rows.pop(0)] if rows else []

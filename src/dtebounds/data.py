@@ -194,41 +194,54 @@ def load_csv(path, y_col: str, d_col: str, x_cols=None, x_prefix: str | None = N
     CsvParseError naming the offending row (1-based, excluding the header)
     or line.
 
-    The file is read once. A plain numeric file is parsed by numpy's C
-    reader (``_load_clean``); any file that reader might read differently
-    goes to the row-by-row csv parser (``_load_rows``), which alone raises,
-    so the arrays and the errors do not depend on which parser ran.
+    The file is read once, into lines. A plain numeric file is parsed by
+    numpy's C reader (``_load_clean``); any file that reader might read
+    differently goes to the row-by-row csv parser (``_load_rows``), which
+    alone raises, so the arrays and the errors do not depend on which parser
+    ran.
     """
-    text = _read_text(path)
-    sample = _load_clean(text, y_col, d_col, x_cols, x_prefix)
+    lines = _read_lines(path)
+    sample = _load_clean(lines, y_col, d_col, x_cols, x_prefix)
     if sample is None:
-        sample = _load_rows(text, y_col, d_col, x_cols, x_prefix)
+        sample = _load_rows(lines, y_col, d_col, x_cols, x_prefix)
     return sample
 
 
-def _read_text(path) -> str:
-    """A file's text with its line ends as written; bytes that are not UTF-8
-    raise CsvParseError naming their line (1-based, the header is line 1)."""
+def _read_lines(path) -> list[str]:
+    """A file's lines as the csv module reads them: split after each line
+    feed, carriage return or CR LF pair, line ends kept as written. Bytes
+    that are not UTF-8 raise CsvParseError naming their line (1-based, the
+    header is line 1).
+
+    The file is decoded a chunk at a time, never held as one string: a
+    buffer the size of the file, freed on return, would be mapped afresh
+    from the kernel on every call."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError:
+            pass  # its offsets count from a chunk, not from the file
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the csv reader's line ends; the sentinel puts the bad byte's line last
+        # the sentinel puts the bad byte's line last
         head = raw[:exc.start].decode("utf-8") + "?"
         line = len(io.StringIO(head, newline="").readlines())
         raise CsvParseError(f"line {line}: not UTF-8 text ({exc.reason} at "
                             f"byte {exc.start})") from None
+    # the file changed between the two reads
+    return io.StringIO(text, newline="").readlines()
 
 
-def _csv_rows(text: str):
-    """The csv module's rows of ``text``, the header first. A row it cannot
+def _csv_rows(lines):
+    """The csv module's rows of ``lines``, the header first. A row it cannot
     read (a field longer than ``csv.field_size_limit()``) raises
     CsvParseError naming the header or the 1-based data row."""
     rownum = 0  # rows read so far, so the number of a data row that fails
     try:
-        for rownum, row in enumerate(
-                csv.reader(io.StringIO(text, newline="")), start=1):
+        for rownum, row in enumerate(csv.reader(lines), start=1):
             yield row
     except csv.Error as exc:
         where = f"row {rownum}" if rownum else "header"
@@ -251,10 +264,10 @@ def _columns(header, y_col, d_col, x_cols, x_prefix):
     return header.index(y_col), header.index(d_col), [header.index(c) for c in x_cols]
 
 
-def _load_clean(text, y_col, d_col, x_cols, x_prefix) -> Sample | None:
-    """The Sample of a plain numeric CSV, with the y and x columns parsed by
-    ``np.loadtxt``; None for any file that ``_load_rows`` might read
-    differently or reject.
+def _load_clean(lines, y_col, d_col, x_cols, x_prefix) -> Sample | None:
+    """The Sample of a plain numeric CSV's lines, with the y and x columns
+    parsed by ``np.loadtxt``; None for any file that ``_load_rows`` might
+    read differently or reject.
 
     It takes only files without quotes, carriage returns or NULs, with no
     line longer than the csv field limit, a header holding every requested
@@ -265,12 +278,9 @@ def _load_clean(text, y_col, d_col, x_cols, x_prefix) -> Sample | None:
     it reads the same double as ``float()``: both convert with
     ``PyOS_string_to_double`` after stripping whitespace.
     """
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+    limit = csv.field_size_limit()
+    if len(lines) < 2 or any('"' in line or "\r" in line or "\0" in line
+                             or len(line) > limit for line in lines):
         return None
     header = [h.strip() for h in lines[0].split(",")]
     try:
@@ -281,7 +291,8 @@ def _load_clean(text, y_col, d_col, x_cols, x_prefix) -> Sample | None:
     commas = len(header) - 1
     if any(line.count(",") != commas for line in body):
         return None
-    d_tokens = [line.split(",", di + 1)[di] for line in body]
+    # the last field of a line holds its line end
+    d_tokens = [line.split(",", di + 1)[di].rstrip("\n") for line in body]
     if not set(d_tokens) <= {"0", "1"}:
         return None
     d = np.array([t == "1" for t in d_tokens], dtype=np.int64)
@@ -297,10 +308,10 @@ def _load_clean(text, y_col, d_col, x_cols, x_prefix) -> Sample | None:
     return Sample(yx[:, 0], d, yx[:, 1:])
 
 
-def _load_rows(text, y_col, d_col, x_cols, x_prefix) -> Sample:
+def _load_rows(lines, y_col, d_col, x_cols, x_prefix) -> Sample:
     """The row-by-row parser of ``load_csv``: a malformed file raises here,
     at its first bad row."""
-    rows = _csv_rows(text)
+    rows = _csv_rows(lines)
     try:
         header = next(rows)
     except StopIteration:
