@@ -9,6 +9,7 @@ deliberately simple and dependency-free: k-nearest-neighbor and ridge.
 """
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass
@@ -96,7 +97,7 @@ class ConstantCdfModel(ConditionalCdfModel):
         return out if np.ndim(t) else float(out[0])
 
     # location-shift view with a zero shift, for the fast argopt kernel
-    def predict_mu(self, X):
+    def predict_mu(self, X, rows=None):
         return np.zeros(len(X))
 
     @property
@@ -113,8 +114,11 @@ class LocationShiftModel(ConditionalCdfModel):
         self.regressor = regressor
         self.residuals = np.sort(residuals)
 
-    def predict_mu(self, X):
-        return self.regressor.predict(np.atleast_2d(X))
+    def predict_mu(self, X, rows=None):
+        # a regressor needs to take ``rows`` only if it is given them
+        if rows is None:
+            return self.regressor.predict(np.atleast_2d(X))
+        return self.regressor.predict(np.atleast_2d(X), rows)
 
     def eval_cdf(self, t, x):
         mu = float(self.predict_mu(np.atleast_2d(x))[0])
@@ -127,14 +131,17 @@ class QuantileGridModel(ConditionalCdfModel):
 
     Predictions are sorted per row (monotone rearrangement) before
     interpolation; outside the predicted range the CDF is clamped to 0/1.
+    ``rows`` is the estimate's neighbour table viewed at the rows of y and
+    x, or None (see ``fit_arm_model``).
     """
 
     kind = "quantile_grid"
 
-    def __init__(self, y, x, k, taus=TAU_GRID):
+    def __init__(self, y, x, k, taus=TAU_GRID, rows=None):
         self.y = np.asarray(y, dtype=np.float64)
         self.x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         self.k = int(k)
+        self.rows = rows
         self.taus = np.asarray(taus, dtype=np.float64)
         # the interpolated CDF is monotone, and the argopt kernel exact,
         # only for sorted levels in [0, 1]
@@ -146,9 +153,8 @@ class QuantileGridModel(ConditionalCdfModel):
         if self.k > self.y.size:
             raise ConfigError(f"k={self.k} exceeds arm size {self.y.size}")
 
-    def predict_quantiles(self, X):
-        X = np.atleast_2d(X)
-        idx = _knn_indices(self.x, X, self.k)
+    def predict_quantiles(self, X, rows=None):
+        idx = _neighbours(self, X, rows)
         q = np.quantile(self.y[idx], self.taus, axis=1).T
         return np.sort(q, axis=1)
 
@@ -160,14 +166,14 @@ class QuantileGridModel(ConditionalCdfModel):
 
 
 class _KnnMean:
-    def __init__(self, x, y, k):
+    def __init__(self, x, y, k, rows=None):
         self.x = x
         self.y = y
         self.k = k
+        self.rows = rows
 
-    def predict(self, X):
-        idx = _knn_indices(self.x, np.atleast_2d(X), self.k)
-        return self.y[idx].mean(axis=1)
+    def predict(self, X, rows=None):
+        return self.y[_neighbours(self, X, rows)].mean(axis=1)
 
 
 class _Ridge:
@@ -198,7 +204,7 @@ class _Ridge:
         self.lam = lam
         self.coef = vt.T @ (s / (s**2 + lam) * uty)
 
-    def predict(self, X):
+    def predict(self, X, rows=None):
         xs = (np.atleast_2d(X) - self.x_mean) / self.x_scale
         return self.y_mean + xs @ self.coef
 
@@ -282,6 +288,85 @@ def _sq_dist(q, t):
     return d.sum(axis=-1)
 
 
+# list entries per row beyond 2k: nested 5-fold training sets hold about
+# 64% of an arm's rows, so 2k entries hold about 1.3k of them on average,
+# and the pad covers the spread (at k = 25 on the simulation design, none
+# of 309 600 query rows of six 3-model estimates at n = 2000 fell back)
+_TABLE_PAD = 16
+
+
+class _NeighbourTable:
+    """The nearest-neighbour lists of one estimate's sample, shared by the
+    kNN searches of its nested cross-fit.
+
+    For each (arm, k) searched, one ``_knn_indices`` call lists, for every
+    row of the sample, its ``min(2k + _TABLE_PAD, arm size)`` nearest rows
+    of that arm in (distance, row) order. An instance is a view of those
+    lists: ``ids`` maps the rows it stands for (a subset's, an arm's or a
+    query set's) to rows of the sample.
+    """
+
+    def __init__(self, sample: Sample):
+        self.x = sample.x
+        self.d = sample.d
+        self.ids = np.arange(sample.n)
+        self.lists = {}
+
+    def subset(self, idx) -> "_NeighbourTable":
+        view = copy.copy(self)
+        view.ids = self.ids[idx]
+        return view
+
+    def knn(self, query: "_NeighbourTable", k: int) -> np.ndarray:
+        """``_knn_indices(x[train], x[query], k)`` for this view's rows as
+        training rows, which must lie in one arm in increasing order.
+
+        Restricted to a subset of the arm in increasing order, the arm's
+        (distance, row) order is the subset's own (distance, index) order,
+        so the first k entries of a row's list that lie in the training set
+        are its neighbours there. A row whose list holds fewer falls back to
+        a direct search.
+        """
+        train = self.ids
+        k = min(k, train.size)
+        key = (int(self.d[train[0]]), k)
+        lists = self.lists.get(key)
+        if lists is None:
+            arm = np.flatnonzero(self.d == key[0])
+            depth = min(2 * k + _TABLE_PAD, arm.size)
+            # 32-bit rows halve the table, which lives through the estimate
+            lists = arm.astype(np.int32)[_knn_indices(self.x[arm], self.x,
+                                                      depth)]
+            self.lists[key] = lists
+        cand = lists[query.ids]
+        in_train = np.zeros(len(self.x), dtype=bool)
+        in_train[train] = True
+        hit = in_train[cand]
+        rank = np.cumsum(hit, axis=1)
+        full = rank[:, -1] >= k
+        out = np.empty((query.ids.size, k), dtype=np.intp)
+        first = hit & (rank <= k) & full[:, None]
+        out[full] = np.searchsorted(train, cand[first]).reshape(-1, k)
+        short = np.flatnonzero(~full)
+        if short.size:
+            out[short] = _knn_indices(self.x[train],
+                                      self.x[query.ids[short]], k)
+        return out
+
+
+def _view(rows, idx):
+    """The view of the neighbour table ``rows`` at ``idx``, if any."""
+    return None if rows is None else rows.subset(idx)
+
+
+def _neighbours(learner, X, rows):
+    """Per row of X, the indices of its ``learner.k`` nearest training
+    rows: from the table when both sides are viewed in it."""
+    if learner.rows is None or rows is None:
+        return _knn_indices(learner.x, np.atleast_2d(X), learner.k)
+    return learner.rows.knn(rows, learner.k)
+
+
 def parse_model_spec(spec: str):
     """Split a model spec string like 'knn_loc_shift:k=15' into
     (name, params)."""
@@ -296,12 +381,14 @@ def parse_model_spec(spec: str):
     return name.strip(), params
 
 
-def fit_arm_model(y, x, spec: str) -> ConditionalCdfModel:
+def fit_arm_model(y, x, spec: str, rows=None) -> ConditionalCdfModel:
     """Fit one arm's conditional CDF model from outcomes y and covariates x.
 
     Degenerate (constant) covariates trigger a fallback to the constant
     model with a warning; an oversized k or a non-numeric parameter is a
-    ConfigError.
+    ConfigError. ``rows``, the estimate's neighbour table viewed at the
+    rows of y and x, answers the kNN searches among them for query rows
+    that are viewed in it too; the answers equal a direct search.
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -325,24 +412,25 @@ def fit_arm_model(y, x, spec: str) -> ConditionalCdfModel:
     if name == "knn_loc_shift":
         if k > y.size:
             raise ConfigError(f"k={k} exceeds arm size {y.size}")
-        reg = _KnnMean(x, y, k)
-        resid = y - reg.predict(x)
+        reg = _KnnMean(x, y, k, rows)
+        resid = y - reg.predict(x, rows)
         return LocationShiftModel(reg, resid)
     if name == "ridge_loc_shift":
         reg = _Ridge(x, y, lam)
         resid = y - reg.predict(x)
         return LocationShiftModel(reg, resid)
     if name == "knn_quantile":
-        return QuantileGridModel(y, x, k)
+        return QuantileGridModel(y, x, k, rows=rows)
     raise ConfigError(f"unknown model spec {spec!r}")
 
 
 def extract_adjusters(m1: ConditionalCdfModel, m0: ConditionalCdfModel,
-                      x_eval, grid: np.ndarray):
+                      x_eval, grid: np.ndarray, rows=None):
     """Per evaluation row, the grid argmax (lower) and argmin (upper) of
     F1(t|x) - F0(t|x); ties break toward the smallest grid point.
 
-    Returns the (s_lower, s_upper) pair of arrays.
+    Returns the (s_lower, s_upper) pair of arrays. ``rows`` is the
+    estimate's neighbour table viewed at the rows of x_eval, or None.
 
     The caller is responsible for fitting the models on data disjoint from
     x_eval's fold.
@@ -358,12 +446,12 @@ def extract_adjusters(m1: ConditionalCdfModel, m0: ConditionalCdfModel,
         return zero, zero
     loc_kinds = ("constant", "loc_shift")
     if m1.kind == "quantile_grid" and m0.kind == "quantile_grid":
-        q1 = m1.predict_quantiles(x_eval)
-        q0 = m0.predict_quantiles(x_eval)
+        q1 = m1.predict_quantiles(x_eval, rows)
+        q0 = m0.predict_quantiles(x_eval, rows)
         s_lo, s_hi = kernels.interp_cdf_argopt(q1, q0, m1.taus, grid)
     elif m1.kind in loc_kinds and m0.kind in loc_kinds:
         s_lo, s_hi = kernels.shift_cdf_argopt(
-            m1.predict_mu(x_eval), m0.predict_mu(x_eval),
+            m1.predict_mu(x_eval, rows), m0.predict_mu(x_eval, rows),
             m1.residuals, m0.residuals, grid)
     else:
         f1 = m1.cdf_matrix(grid, x_eval)
@@ -375,13 +463,15 @@ def extract_adjusters(m1: ConditionalCdfModel, m0: ConditionalCdfModel,
 
 
 def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
-                  grid: np.ndarray):
+                  grid: np.ndarray, rows=None):
     """Fit each distinct spec's arm models on ``train`` once, then evaluate
     per row set the lower-side values of spec_l's pair and the upper-side
     values of spec_u's pair.
 
-    Returns one (s_lower, s_upper) pair of arrays per row set. When the two
-    specs agree, one extraction yields both sides.
+    A row set is a pair: the covariate rows, and the estimate's neighbour
+    table viewed at them or None; ``rows`` is the table viewed at the rows
+    of ``train``, or None. Returns one (s_lower, s_upper) pair of arrays
+    per row set. When the two specs agree, one extraction yields both sides.
 
     The fits and extractions run with numpy's BLAS held to one thread (see
     ``kernels._one_blas_thread``): the shift kernel's pool already runs a
@@ -396,20 +486,23 @@ def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
     out = []
     with kernels._one_blas_thread():
         for spec in dict.fromkeys((spec_l, spec_u)):
-            fitted[spec] = (
-                fit_arm_model(train.y[treated], train.x[treated], spec),
-                fit_arm_model(train.y[~treated], train.x[~treated], spec))
-        for x_rows in row_sets:
-            s_lo, s_hi = extract_adjusters(*fitted[spec_l], x_rows, grid)
+            fitted[spec] = tuple(
+                fit_arm_model(train.y[arm], train.x[arm], spec,
+                              _view(rows, arm))
+                for arm in (treated, ~treated))
+        for x_rows, x_view in row_sets:
+            s_lo, s_hi = extract_adjusters(*fitted[spec_l], x_rows, grid,
+                                           x_view)
             if spec_u != spec_l:
-                _, s_hi = extract_adjusters(*fitted[spec_u], x_rows, grid)
+                _, s_hi = extract_adjusters(*fitted[spec_u], x_rows, grid,
+                                            x_view)
             out.append((s_lo, s_hi))
     return out
 
 
 def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
                        seed: int = 0, grid_spec: GridSpec = GridSpec(),
-                       select_folds: int = 5):
+                       select_folds: int = 5, rows=None):
     """Fit per-fold adjustment functions out-of-fold and evaluate them on
     the held-out fold rows; with several specs, each fold first selects
     one per side on its own out-of-fold data.
@@ -418,8 +511,15 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
     per fold and the per-fold adjuster dispersion diagnostic. A fold whose
     fit fails with one of ``FIT_ERRORS`` raises EstimationError naming the
     fold; any other exception propagates unchanged.
+
+    ``rows`` is the estimate's neighbour table viewed at the rows of
+    ``sample``. Without one, a call with several specs builds the table of
+    ``sample``, which every kNN search of the nested selections and of the
+    final fits then reads; a single-spec estimate searches directly.
     """
     specs = list(model_specs)
+    if rows is None and len(specs) > 1:
+        rows = _NeighbourTable(sample)
     s_lo = np.empty(sample.n)
     s_hi = np.empty(sample.n)
     chosen: list[tuple[str, str]] = []
@@ -427,12 +527,15 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
     grid = grid_spec.build(sample.y_lo, sample.y_hi, rng)
     for k in range(1, folds.k_folds + 1):
         try:
-            oof = sample.subset(folds.complement(k))
+            out_rows = folds.complement(k)
+            oof = sample.subset(out_rows)
+            oof_rows = _view(rows, out_rows)
             spec_l, spec_u = select_model(specs, oof, select_folds,
-                                          seed + k, grid_spec)
+                                          seed + k, grid_spec, oof_rows)
             members = folds.members(k)
-            [(lo_k, hi_k)] = fit_adjusters(oof, spec_l, spec_u,
-                                           [sample.x[members]], grid)
+            [(lo_k, hi_k)] = fit_adjusters(
+                oof, spec_l, spec_u,
+                [(sample.x[members], _view(rows, members))], grid, oof_rows)
             s_lo[members] = lo_k
             s_hi[members] = hi_k
             chosen.append((spec_l, spec_u))
@@ -447,7 +550,8 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
 
 
 def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
-                 grid_spec: GridSpec = GridSpec()) -> tuple[str, str]:
+                 grid_spec: GridSpec = GridSpec(),
+                 rows=None) -> tuple[str, str]:
     """Pick per side the candidate spec whose inner cross-validated bound is
     best: (spec with the largest lower bound, spec with the smallest upper
     bound).
@@ -459,18 +563,24 @@ def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
     are excluded with one warning each, and a side with no surviving
     candidate falls back to the constant model with a warning. A single
     candidate is returned for both sides without scoring.
+
+    ``rows`` is the estimate's neighbour table viewed at the rows of
+    ``train``; without one, the table of ``train`` is built for the
+    candidates' kNN searches (see ``crossfit_adjusters``).
     """
     if not candidates:
         raise ConfigError("need at least one candidate model spec")
     if len(candidates) == 1:
         return candidates[0], candidates[0]
+    if rows is None:
+        rows = _NeighbourTable(train)
     best_l = best_u = None
     score_l = score_u = -np.inf
     for spec in candidates:
         try:
             lo, hi, _ = crossfit_adjusters(
                 train, make_folds(train, cv_folds, seed), [spec], seed,
-                grid_spec)
+                grid_spec, rows=rows)
         except (EstimationError, *FIT_ERRORS) as exc:
             # the fit error's own message, without the fold prefix
             warnings.warn(f"candidate {spec!r} failed during selection: "

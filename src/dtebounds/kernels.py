@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "delta_profile",
     "profile_extrema",
-    "scan_extrema",
     "ecdf_at",
     "interp_cdf_argopt",
     "sample_cdf_argopt",
@@ -79,13 +78,6 @@ def profile_extrema(pts, d):
     t_sup = float(pts[imax]) if sup >= 0.0 else -np.inf
     t_inf = float(pts[imin]) if inf <= 0.0 else np.inf
     return max(sup, 0.0), t_sup, min(inf, 0.0), t_inf
-
-
-def scan_extrema(a, b, w1=None, w0=None):
-    """``profile_extrema`` of ``delta_profile(a, b, w1, w0)``: the exact
-    sup/inf of the difference of the treated-arm values ``a`` and the
-    control-arm values ``b``, weighted as in ``delta_profile``."""
-    return profile_extrema(*delta_profile(a, b, w1, w0))
 
 
 def ecdf_at(sample_sorted, t):

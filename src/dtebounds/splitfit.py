@@ -108,7 +108,8 @@ def estimate_split(sample: Sample, plan: SplitPlan, model_specs,
         main_arms = (plan.main_treated, plan.main_control)
         s_lo, s_hi = np.empty(sample.n), np.empty(sample.n)
         for rows, (lo, hi) in zip(main_arms, fit_adjusters(
-                aux, spec_l, spec_u, [sample.x[r] for r in main_arms], grid)):
+                aux, spec_l, spec_u, [(sample.x[r], None) for r in main_arms],
+                grid)):
             s_lo[rows], s_hi[rows] = lo, hi
 
     main = plan.main

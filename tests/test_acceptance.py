@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 from dtebounds.crossfit import variance_hat, variant_known_propensity
 from dtebounds.data import PropensityModel, Sample
-from dtebounds.kernels import scan_extrema
+from dtebounds.kernels import delta_profile, profile_extrema
 from dtebounds.reports import BoundsEstimate
 from dtebounds.simulate import DgpSpec, McCell, draw_dgp, oracle_theta0, run_table
 from dtebounds.splitfit import estimate_split, make_split
@@ -213,7 +213,8 @@ def test_c5_exact_dominance():
         t = d == 1
         w1 = 1.0 / (n * p[t])
         w0 = 1.0 / (n * (1.0 - p[~t]))
-        sup, _, _, _ = scan_extrema(y_adj[t], y_adj[~t], w1, w0)
+        sup, _, _, _ = profile_extrema(
+            *delta_profile(y_adj[t], y_adj[~t], w1, w0))
         theta_c = max(sup, float(np.mean(d * z / p - (1 - d) * z / (1 - p))))
         violations += theta_c < theta_s
         checked += 1
@@ -245,7 +246,7 @@ def test_c6_scan_equals_dense_brute_force():
         n0 = int(rng.integers(2, 80))
         a = np.round(rng.normal(size=n1), 1)
         b = np.round(rng.normal(size=n0), 1)
-        sup, _, inf, _ = scan_extrema(a, b)
+        sup, _, inf, _ = profile_extrema(*delta_profile(a, b))
         grid = np.linspace(min(a.min(), b.min()) - 0.5,
                            max(a.max(), b.max()) + 0.5, 100_000)
         pts = np.concatenate([grid, a, b])
@@ -272,7 +273,7 @@ def test_c7_variance_consistency_and_excess():
 
     sample, _ = draw_dgp(spec, 100_000, seed=0)
     t = sample.d == 1
-    _, t_hat, _, _ = scan_extrema(sample.y[t], sample.y[~t])
+    _, t_hat, _, _ = profile_extrema(*delta_profile(sample.y[t], sample.y[~t]))
     zeros = np.zeros(sample.n)
     s2l_hat, _, _, _ = variance_hat(sample, zeros, zeros, t_hat, 0.0)
     q1 = np.searchsorted(y1_sorted, t_hat, side="right") / m
@@ -294,10 +295,11 @@ def test_c7_variance_consistency_and_excess():
     for r in range(reps):
         smp, _ = draw_dgp(spec, n, rng=rng)
         tm = smp.d == 1
-        sup_a, _, _, _ = scan_extrema(smp.y[tm], smp.y[~tm])
+        sup_a, _, _, _ = profile_extrema(*delta_profile(smp.y[tm], smp.y[~tm]))
         w1 = 1.0 / (n * prop_p[: smp.n1])
         w0 = 1.0 / (n * (1.0 - prop_p[: smp.n0]))
-        sup_b, _, _, _ = scan_extrema(smp.y[tm], smp.y[~tm], w1, w0)
+        sup_b, _, _, _ = profile_extrema(
+            *delta_profile(smp.y[tm], smp.y[~tm], w1, w0))
         vals_a[r] = sup_a
         vals_b[r] = sup_b
     var_a, var_b = vals_a.var(), vals_b.var()

@@ -531,7 +531,7 @@ class TestExternalAdjusters:
     @pytest.mark.parametrize("bad", ["high", "nan"])
     def test_bad_propensity_value_names_row(self, data_csv, tmp_path, capsys,
                                             bad):
-        lines = open(data_csv).read().splitlines()
+        lines = Path(data_csv).read_text().splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0] + f",{bad}"
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(lines) + "\n")

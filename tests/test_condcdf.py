@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dtebounds import condcdf
 from dtebounds.condcdf import (
     _KNN_BLOCK_VALUES,
     ConstantCdfModel,
     GridSpec,
     QuantileGridModel,
     _knn_indices,
+    _NeighbourTable,
     extract_adjusters,
     fit_arm_model,
     parse_model_spec,
@@ -192,6 +194,101 @@ def test_knn_indices_memory_is_bounded_by_the_block(rounded):
         tracemalloc.stop()
     block_bytes = 8 * _KNN_BLOCK_VALUES
     assert peak < out.nbytes + 4 * block_bytes, (peak, block_bytes)
+
+
+@st.composite
+def _table_searches(draw):
+    # covariates with tied distances and duplicated rows, random arms, and
+    # the training rows of one arm of a one- or two-level nested
+    # out-of-fold set, as select_model makes them; arms of 48 rows or more
+    # let the table's build take the Gram path of _knn_indices
+    arm_size = st.one_of(st.integers(4, 40), st.integers(48, 120))
+    n1, n0 = draw(arm_size), draw(arm_size)
+    n, p = n1 + n0, draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.round(rng.normal(size=(n, p)), draw(st.integers(0, 1)))
+    if draw(st.booleans()):
+        x = x[rng.integers(0, max(1, n // 3), size=n)]
+    d = np.zeros(n, dtype=int)
+    d[rng.permutation(n)[:n1]] = 1
+    sample = Sample(np.zeros(n), d, x)
+    table = view = _NeighbourTable(sample)
+    for _ in range(draw(st.integers(1, 2))):
+        cv = draw(st.integers(2, min(sample.n1, sample.n0)))
+        folds = make_folds(sample, cv, draw(st.integers(0, 99)))
+        out = folds.complement(draw(st.integers(1, cv)))
+        sample, view = sample.subset(out), view.subset(out)
+    train = view.subset(sample.d == draw(st.integers(0, 1)))
+    # query rows of both arms, in any order
+    query = table.subset(rng.permutation(n)[:draw(st.integers(1, n))])
+    k = draw(st.one_of(st.integers(1, min(8, train.ids.size)),
+                       st.integers(1, train.ids.size)))
+    # lists shorter than 2k + 16, down to one entry, send rows to fallback
+    pad = draw(st.integers(1 - 2 * k, 16))
+    return table, train, query, k, pad
+
+
+@settings(max_examples=300, deadline=None)
+@given(search=_table_searches())
+def test_neighbour_table_equals_direct_search(search):
+    table, train, query, k, pad = search
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(condcdf, "_TABLE_PAD", pad)
+        got = train.knn(query, k)
+    np.testing.assert_array_equal(
+        got, _knn_indices(table.x[train.ids], table.x[query.ids], k))
+
+
+class TestNeighbourTableTraffic:
+    """Which kNN searches an estimate makes: with several candidates, one
+    table build per arm and distinct k, and every other search a fallback
+    of a table search; with one, direct searches only."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []  # (training rows, query rows, inside a table search)
+        inside = []
+        knn, search = condcdf._knn_indices, _NeighbourTable.knn
+
+        def counting_knn(train_x, query_x, k):
+            seen.append((len(train_x), len(query_x), bool(inside)))
+            return knn(train_x, query_x, k)
+
+        def counting_search(self, query, k):
+            inside.append(True)
+            try:
+                return search(self, query, k)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(condcdf, "_knn_indices", counting_knn)
+        monkeypatch.setattr(_NeighbourTable, "knn", counting_search)
+        return seen
+
+    def test_selecting_estimate_builds_one_table_per_arm_and_k(self, calls):
+        s = make_sample(n=300, seed=3)
+        crossfit_adjusters(s, make_folds(s, 3, 0),
+                           ["constant", "knn_loc_shift:k=10",
+                            "knn_quantile:k=12"],
+                           grid_spec=GridSpec("linear", 50))
+        builds = [c for c in calls if c[1] == s.n]
+        # two distinct k, each built once per arm
+        assert sorted(builds) == sorted(
+            [(s.n1, s.n, True), (s.n0, s.n, True)] * 2)
+        assert all(inside for _, _, inside in calls)
+
+    # per fold and arm: the location-shift fit's residuals, and the
+    # evaluation on the fold
+    @pytest.mark.parametrize("spec, per_fold", [("knn_loc_shift:k=10", 4),
+                                                ("knn_quantile:k=12", 2)])
+    def test_single_spec_estimate_builds_no_table(self, calls, spec,
+                                                  per_fold):
+        s = make_sample(n=300, seed=3)
+        folds = make_folds(s, 3, 0)
+        crossfit_adjusters(s, folds, [spec],
+                           grid_spec=GridSpec("linear", 50))
+        assert len(calls) == per_fold * folds.k_folds
+        assert not any(inside for _, _, inside in calls)
 
 
 def test_knn_k_too_large_errors():

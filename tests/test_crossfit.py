@@ -363,9 +363,9 @@ class TestSjls:
         prop = PropensityModel(mode="constant_known", pi=0.5)
         theta_s = sjls_estimate(s, np.zeros(4), prop)
         # direct scan with the same weights
-        from dtebounds.kernels import scan_extrema
+        from dtebounds.kernels import delta_profile, profile_extrema
         w = np.full(2, 1.0 / (4 * 0.5))
-        sup, _, _, _ = scan_extrema(y[:2], y[2:], w, w)
+        sup, _, _, _ = profile_extrema(*delta_profile(y[:2], y[2:], w, w))
         assert theta_s == pytest.approx(sup)
 
     def test_requires_known_propensity(self):
@@ -457,16 +457,18 @@ class TestFoldTVariant:
             adv = rng.normal(size=s.n)
             ft = variant_fold_t(s, folds, adv, adv)
             # reconstruct absorbed adjusters and scan them
-            from dtebounds.kernels import scan_extrema
+            from dtebounds.kernels import delta_profile, profile_extrema
             s_lo = adv.copy()
             for k in range(1, 5):
                 oof = folds.complement(k)
                 y_adj = s.y[oof] - adv[oof]
                 d_oof = s.d[oof]
-                _, tk, _, _ = scan_extrema(y_adj[d_oof == 1], y_adj[d_oof == 0])
+                _, tk, _, _ = profile_extrema(
+                    *delta_profile(y_adj[d_oof == 1], y_adj[d_oof == 0]))
                 s_lo[folds.members(k)] += tk if np.isfinite(tk) else 0.0
             y_abs = s.y - s_lo
-            sup, _, _, _ = scan_extrema(y_abs[s.d == 1], y_abs[s.d == 0])
+            sup, _, _, _ = profile_extrema(
+                *delta_profile(y_abs[s.d == 1], y_abs[s.d == 0]))
             assert ft.theta_l <= sup + 1e-12
 
     def test_validity_on_discrete_population(self):

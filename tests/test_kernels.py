@@ -38,7 +38,8 @@ def test_scan_matches_brute_force_on_random_samples():
         n0 = rng.integers(2, 60)
         a = np.round(rng.normal(size=n1), 1)  # rounding forces ties
         b = np.round(rng.normal(size=n0), 1)
-        sup, t_sup, inf, t_inf = kernels.scan_extrema(a, b)
+        sup, t_sup, inf, t_inf = kernels.profile_extrema(
+            *kernels.delta_profile(a, b))
         grid = np.linspace(min(a.min(), b.min()) - 1,
                            max(a.max(), b.max()) + 1, 1000)
         bf_sup, bf_inf = brute_force_extrema(a, b, extra_points=grid)
@@ -57,7 +58,8 @@ def test_scan_weighted_matches_brute_force():
         w0 = rng.random(n0) + 0.1
         w1 /= w1.sum()
         w0 /= w0.sum()
-        sup, _, inf, _ = kernels.scan_extrema(a, b, w1, w0)
+        sup, _, inf, _ = kernels.profile_extrema(
+            *kernels.delta_profile(a, b, w1, w0))
         bf_sup, bf_inf = brute_force_extrema(a, b, w1, w0)
         assert sup == pytest.approx(bf_sup, abs=1e-12)
         assert inf == pytest.approx(bf_inf, abs=1e-12)
@@ -67,7 +69,8 @@ def test_scan_argmax_is_smallest_maximizer():
     # two maximizing breakpoints: 0.0 and 2.0 both give delta = 0.5
     a = np.array([0.0, 2.0])
     b = np.array([1.0, 3.0])
-    sup, t_sup, inf, t_inf = kernels.scan_extrema(a, b)
+    sup, t_sup, inf, t_inf = kernels.profile_extrema(
+        *kernels.delta_profile(a, b))
     assert sup == 0.5
     assert t_sup == 0.0
 
@@ -77,10 +80,12 @@ def test_scan_normalized_curves_attain_zero_on_support():
     # everywhere-negative curve is attained at the top breakpoint
     a = np.array([0.0, 1.0])
     b = np.array([-2.0, -1.0])
-    sup, t_sup, inf, t_inf = kernels.scan_extrema(a, b)
+    sup, t_sup, inf, t_inf = kernels.profile_extrema(
+        *kernels.delta_profile(a, b))
     assert sup == 0.0 and t_sup == 1.0
     assert inf == -1.0 and t_inf == -1.0
-    sup, t_sup, inf, t_inf = kernels.scan_extrema(b, a)
+    sup, t_sup, inf, t_inf = kernels.profile_extrema(
+        *kernels.delta_profile(b, a))
     assert sup == 1.0 and t_sup == -1.0
     assert inf == 0.0 and t_inf == 1.0
 
@@ -90,10 +95,12 @@ def test_scan_sentinels_for_unnormalized_weights():
     # support; the sup is then 0 off-support, marked by the -inf sentinel
     a, w1 = np.array([5.0]), np.array([0.5])
     b, w0 = np.array([1.0]), np.array([1.0])
-    sup, t_sup, inf, t_inf = kernels.scan_extrema(a, b, w1, w0)
+    sup, t_sup, inf, t_inf = kernels.profile_extrema(
+        *kernels.delta_profile(a, b, w1, w0))
     assert sup == 0.0 and t_sup == -np.inf
     assert inf == -1.0 and t_inf == 1.0
-    sup, t_sup, inf, t_inf = kernels.scan_extrema(b, a, w0, w1)
+    sup, t_sup, inf, t_inf = kernels.profile_extrema(
+        *kernels.delta_profile(b, a, w0, w1))
     assert sup == 1.0 and t_sup == 1.0
     assert inf == 0.0 and t_inf == np.inf
 
@@ -483,7 +490,7 @@ def test_scan_reads_profile_extrema(data, a, b, weighted):
         direct = np.array([np.sum(w1 * (a <= t)) - np.sum(w0 * (b <= t))
                            for t in pts])
         np.testing.assert_allclose(d, direct, rtol=0, atol=1e-9)
-    sup, t_sup, inf, t_inf = kernels.scan_extrema(a, b, w1, w0)
+    sup, t_sup, inf, t_inf = kernels.profile_extrema(pts, d)
     assert sup == max(d.max(), 0.0)
     assert inf == min(d.min(), 0.0)
     assert t_sup == (pts[d == d.max()][0] if d.max() >= 0 else -np.inf)

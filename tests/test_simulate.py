@@ -114,7 +114,7 @@ class TestOracleAdjusterP20:
 
     def test_population_bounds_collapse_to_theta(self):
         # with the sharp adjusters the scanned bounds pinch the target
-        from dtebounds.kernels import scan_extrema
+        from dtebounds.kernels import delta_profile, profile_extrema
 
         spec = DgpSpec()
         sample, hidden = draw_dgp(spec, 60_000, seed=8)
@@ -122,9 +122,9 @@ class TestOracleAdjusterP20:
         theta = np.mean(hidden.y1 - hidden.y0 <= 0)
         t = sample.d == 1
         y_lo = sample.y - s_lo
-        sup, _, _, _ = scan_extrema(y_lo[t], y_lo[~t])
+        sup, _, _, _ = profile_extrema(*delta_profile(y_lo[t], y_lo[~t]))
         y_hi = sample.y - s_hi
-        _, _, inf, _ = scan_extrema(y_hi[t], y_hi[~t])
+        _, _, inf, _ = profile_extrema(*delta_profile(y_hi[t], y_hi[~t]))
         assert sup == pytest.approx(theta, abs=0.02)
         assert 1 + inf == pytest.approx(theta, abs=0.02)
 
@@ -138,15 +138,16 @@ class TestOracleAdjusterP10:
     def test_dominance_over_no_covariates(self):
         # population-scale check that the fitted-from-truth adjuster yields a
         # larger lower bound than the zero adjuster
-        from dtebounds.kernels import scan_extrema
+        from dtebounds.kernels import delta_profile, profile_extrema
 
         spec = DgpSpec(observed_p=10)
         sample, hidden = draw_dgp(spec, 20_000, seed=9)
         s_lo, s_hi = oracle_adjuster(spec, sample.x, inner_reps=400, seed=10)
         t = sample.d == 1
         y_adj = sample.y - s_lo
-        sup_adj, _, _, _ = scan_extrema(y_adj[t], y_adj[~t])
-        sup_raw, _, _, _ = scan_extrema(sample.y[t], sample.y[~t])
+        sup_adj, _, _, _ = profile_extrema(*delta_profile(y_adj[t], y_adj[~t]))
+        sup_raw, _, _, _ = profile_extrema(
+            *delta_profile(sample.y[t], sample.y[~t]))
         assert sup_adj > sup_raw
 
     def test_draws_do_not_depend_on_the_block_cut(self, monkeypatch):

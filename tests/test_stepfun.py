@@ -246,8 +246,10 @@ def test_scan_bounds_matches_two_separate_scans(data, n1, n0, equal,
     t = s.d == 1
     w1, w0 = (None, None) if w is None else (w[t], w[~t])
     y_lo, y_hi = s.y - s_lo, s.y - s_hi
-    sup, t_l, _, _ = kernels.scan_extrema(y_lo[t], y_lo[~t], w1, w0)
-    _, _, inf, t_u = kernels.scan_extrema(y_hi[t], y_hi[~t], w1, w0)
+    sup, t_l, _, _ = kernels.profile_extrema(
+        *kernels.delta_profile(y_lo[t], y_lo[~t], w1, w0))
+    _, _, inf, t_u = kernels.profile_extrema(
+        *kernels.delta_profile(y_hi[t], y_hi[~t], w1, w0))
     assert scan_bounds(s, s_lo, s_hi, w) == (sup, t_l, inf, t_u)
     lo, hi = side_profiles(s, s_lo, s_hi, w)
     assert (lo is hi) == np.array_equal(s_lo, s_hi)
