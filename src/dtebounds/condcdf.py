@@ -10,6 +10,7 @@ deliberately simple and dependency-free: k-nearest-neighbor and ridge.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -301,15 +302,17 @@ class _NeighbourTable:
 
     For each (arm, k) searched, one ``_knn_indices`` call lists, for every
     row of the sample, its ``min(2k + _TABLE_PAD, arm size)`` nearest rows
-    of that arm in (distance, row) order. An instance is a view of those
+    of that arm in (distance, row) order, where the arm holds only the rows
+    ``drawn_from`` (all rows by default). An instance is a view of those
     lists: ``ids`` maps the rows it stands for (a subset's, an arm's or a
     query set's) to rows of the sample.
     """
 
-    def __init__(self, sample: Sample):
+    def __init__(self, sample: Sample, drawn_from=None):
         self.x = sample.x
         self.d = sample.d
         self.ids = np.arange(sample.n)
+        self.pool = self.ids if drawn_from is None else np.unique(drawn_from)
         self.lists = {}
 
     def subset(self, idx) -> "_NeighbourTable":
@@ -319,7 +322,8 @@ class _NeighbourTable:
 
     def knn(self, query: "_NeighbourTable", k: int) -> np.ndarray:
         """``_knn_indices(x[train], x[query], k)`` for this view's rows as
-        training rows, which must lie in one arm in increasing order.
+        training rows, which must lie in one arm of the drawn rows in
+        increasing order.
 
         Restricted to a subset of the arm in increasing order, the arm's
         (distance, row) order is the subset's own (distance, index) order,
@@ -332,21 +336,21 @@ class _NeighbourTable:
         key = (int(self.d[train[0]]), k)
         lists = self.lists.get(key)
         if lists is None:
-            arm = np.flatnonzero(self.d == key[0])
+            arm = self.pool[self.d[self.pool] == key[0]]
             depth = min(2 * k + _TABLE_PAD, arm.size)
             # 32-bit rows halve the table, which lives through the estimate
             lists = arm.astype(np.int32)[_knn_indices(self.x[arm], self.x,
                                                       depth)]
             self.lists[key] = lists
-        cand = lists[query.ids]
-        in_train = np.zeros(len(self.x), dtype=bool)
-        in_train[train] = True
-        hit = in_train[cand]
+        # each listed row's position among the training rows, -1 outside
+        pos = np.full(len(self.x), -1, dtype=np.int32)
+        pos[train] = np.arange(train.size)
+        cand = pos[lists[query.ids]]
+        hit = cand >= 0
         rank = np.cumsum(hit, axis=1)
         full = rank[:, -1] >= k
         out = np.empty((query.ids.size, k), dtype=np.intp)
-        first = hit & (rank <= k) & full[:, None]
-        out[full] = np.searchsorted(train, cand[first]).reshape(-1, k)
+        out[full] = cand[hit & (rank <= k) & full[:, None]].reshape(-1, k)
         short = np.flatnonzero(~full)
         if short.size:
             out[short] = _knn_indices(self.x[train],
@@ -354,9 +358,19 @@ class _NeighbourTable:
         return out
 
 
-def _view(rows, idx):
-    """The view of the neighbour table ``rows`` at ``idx``, if any."""
-    return None if rows is None else rows.subset(idx)
+def _with_table(sample: Sample, drawn_from=None) -> Sample:
+    """``sample`` if it carries a neighbour-table view, else the same sample
+    viewed in a new table whose lists are drawn from the rows
+    ``drawn_from`` (all rows by default)."""
+    if sample._table is not None:
+        return sample
+    return dataclasses.replace(sample,
+                               _table=_NeighbourTable(sample, drawn_from))
+
+
+def _view(sample: Sample, idx):
+    """The neighbour-table view of ``sample`` at ``idx``, if it has one."""
+    return None if sample._table is None else sample._table.subset(idx)
 
 
 def _neighbours(learner, X, rows):
@@ -462,16 +476,15 @@ def extract_adjusters(m1: ConditionalCdfModel, m0: ConditionalCdfModel,
     return s_lo, s_hi
 
 
-def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
-                  grid: np.ndarray, rows=None):
+def fit_adjusters(train: Sample, spec_l: str, spec_u: str, sample: Sample,
+                  row_sets, grid: np.ndarray):
     """Fit each distinct spec's arm models on ``train`` once, then evaluate
-    per row set the lower-side values of spec_l's pair and the upper-side
-    values of spec_u's pair.
+    per row set, an index array of rows of ``sample``, the lower-side
+    values of spec_l's pair and the upper-side values of spec_u's pair.
 
-    A row set is a pair: the covariate rows, and the estimate's neighbour
-    table viewed at them or None; ``rows`` is the table viewed at the rows
-    of ``train``, or None. Returns one (s_lower, s_upper) pair of arrays
-    per row set. When the two specs agree, one extraction yields both sides.
+    Returns one (s_lower, s_upper) pair of arrays per row set. When the two
+    specs agree, one extraction yields both sides. The kNN searches read
+    the neighbour table that ``train`` and ``sample`` are viewed in, if any.
 
     The fits and extractions run with numpy's BLAS held to one thread (see
     ``kernels._one_blas_thread``): the shift kernel's pool already runs a
@@ -488,9 +501,10 @@ def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
         for spec in dict.fromkeys((spec_l, spec_u)):
             fitted[spec] = tuple(
                 fit_arm_model(train.y[arm], train.x[arm], spec,
-                              _view(rows, arm))
+                              _view(train, arm))
                 for arm in (treated, ~treated))
-        for x_rows, x_view in row_sets:
+        for idx in row_sets:
+            x_rows, x_view = sample.x[idx], _view(sample, idx)
             s_lo, s_hi = extract_adjusters(*fitted[spec_l], x_rows, grid,
                                            x_view)
             if spec_u != spec_l:
@@ -502,7 +516,7 @@ def fit_adjusters(train: Sample, spec_l: str, spec_u: str, row_sets,
 
 def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
                        seed: int = 0, grid_spec: GridSpec = GridSpec(),
-                       select_folds: int = 5, rows=None):
+                       select_folds: int = 5):
     """Fit per-fold adjustment functions out-of-fold and evaluate them on
     the held-out fold rows; with several specs, each fold first selects
     one per side on its own out-of-fold data.
@@ -512,14 +526,15 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
     fit fails with one of ``FIT_ERRORS`` raises EstimationError naming the
     fold; any other exception propagates unchanged.
 
-    ``rows`` is the estimate's neighbour table viewed at the rows of
-    ``sample``. Without one, a call with several specs builds the table of
-    ``sample``, which every kNN search of the nested selections and of the
-    final fits then reads; a single-spec estimate searches directly.
+    With several specs, every kNN search of the nested selections and of
+    the final fits reads the neighbour table that ``sample`` carries, or a
+    new one of ``sample``. A single-spec cross-fit reads the table only
+    when ``sample`` carries one, as a candidate's scoring inside a
+    selection does; otherwise it searches directly.
     """
     specs = list(model_specs)
-    if rows is None and len(specs) > 1:
-        rows = _NeighbourTable(sample)
+    if len(specs) > 1:
+        sample = _with_table(sample)
     s_lo = np.empty(sample.n)
     s_hi = np.empty(sample.n)
     chosen: list[tuple[str, str]] = []
@@ -527,15 +542,12 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
     grid = grid_spec.build(sample.y_lo, sample.y_hi, rng)
     for k in range(1, folds.k_folds + 1):
         try:
-            out_rows = folds.complement(k)
-            oof = sample.subset(out_rows)
-            oof_rows = _view(rows, out_rows)
+            oof = sample.subset(folds.complement(k))
             spec_l, spec_u = select_model(specs, oof, select_folds,
-                                          seed + k, grid_spec, oof_rows)
+                                          seed + k, grid_spec)
             members = folds.members(k)
-            [(lo_k, hi_k)] = fit_adjusters(
-                oof, spec_l, spec_u,
-                [(sample.x[members], _view(rows, members))], grid, oof_rows)
+            [(lo_k, hi_k)] = fit_adjusters(oof, spec_l, spec_u, sample,
+                                           [members], grid)
             s_lo[members] = lo_k
             s_hi[members] = hi_k
             chosen.append((spec_l, spec_u))
@@ -550,8 +562,7 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
 
 
 def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
-                 grid_spec: GridSpec = GridSpec(),
-                 rows=None) -> tuple[str, str]:
+                 grid_spec: GridSpec = GridSpec()) -> tuple[str, str]:
     """Pick per side the candidate spec whose inner cross-validated bound is
     best: (spec with the largest lower bound, spec with the smallest upper
     bound).
@@ -564,23 +575,27 @@ def select_model(candidates, train: Sample, cv_folds: int = 5, seed: int = 0,
     candidate falls back to the constant model with a warning. A single
     candidate is returned for both sides without scoring.
 
-    ``rows`` is the estimate's neighbour table viewed at the rows of
-    ``train``; without one, the table of ``train`` is built for the
-    candidates' kNN searches (see ``crossfit_adjusters``).
+    The candidates' kNN searches read the neighbour table that ``train``
+    carries, or a new one of ``train`` (see ``crossfit_adjusters``).
     """
     if not candidates:
         raise ConfigError("need at least one candidate model spec")
     if len(candidates) == 1:
         return candidates[0], candidates[0]
-    if rows is None:
-        rows = _NeighbourTable(train)
+    train = _with_table(train)
+    try:
+        folds, plan_error = make_folds(train, cv_folds, seed), None
+    except FIT_ERRORS as exc:
+        folds, plan_error = None, exc
     best_l = best_u = None
     score_l = score_u = -np.inf
     for spec in candidates:
         try:
-            lo, hi, _ = crossfit_adjusters(
-                train, make_folds(train, cv_folds, seed), [spec], seed,
-                grid_spec, rows=rows)
+            if plan_error is not None:
+                # without a fold plan no candidate can be scored
+                raise plan_error
+            lo, hi, _ = crossfit_adjusters(train, folds, [spec], seed,
+                                           grid_spec)
         except (EstimationError, *FIT_ERRORS) as exc:
             # the fit error's own message, without the fold prefix
             warnings.warn(f"candidate {spec!r} failed during selection: "

@@ -5,7 +5,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -49,12 +49,17 @@ class Sample:
     """An experiment sample: outcomes, binary treatment, covariates.
 
     Immutable after construction; all operations below return new samples.
+    ``_table`` is private to ``condcdf``: the view of an estimate's
+    neighbour table at this sample's rows, or None. Equality and repr ignore
+    it, ``subset`` keeps it, and samples with other data drop it.
     """
 
     y: np.ndarray
     d: np.ndarray
     x: np.ndarray
     transformed_scale: bool = False
+    _table: object = field(default=None, compare=False, repr=False,
+                           kw_only=True)
 
     def __post_init__(self):
         y = np.ascontiguousarray(self.y, dtype=np.float64)
@@ -103,7 +108,9 @@ class Sample:
 
     def subset(self, idx) -> "Sample":
         return Sample(self.y[idx], self.d[idx], self.x[idx],
-                      transformed_scale=self.transformed_scale)
+                      transformed_scale=self.transformed_scale,
+                      _table=None if self._table is None
+                      else self._table.subset(idx))
 
 
 @dataclass(frozen=True)

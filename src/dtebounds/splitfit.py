@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condcdf import GridSpec, fit_adjusters, select_model
+from .condcdf import GridSpec, _with_table, fit_adjusters, select_model
 from .data import (
     ConfigError,
     DegenerateDesignError,
@@ -100,16 +100,20 @@ def estimate_split(sample: Sample, plan: SplitPlan, model_specs,
         s_lo, s_hi = adjuster_arrays(adjusters, sample.n)
         spec_l = spec_u = "user"
     else:
+        specs = list(model_specs)
+        if len(specs) > 1:
+            # one neighbour table of the auxiliary rows answers the kNN
+            # searches of the selection and of the final fits
+            sample = _with_table(sample, plan.aux)
         aux = sample.subset(plan.aux)
-        spec_l, spec_u = select_model(list(model_specs), aux, select_folds,
-                                      seed, grid_spec)
+        spec_l, spec_u = select_model(specs, aux, select_folds, seed,
+                                      grid_spec)
         rng = np.random.default_rng(seed)
         grid = grid_spec.build(aux.y_lo, aux.y_hi, rng)
         main_arms = (plan.main_treated, plan.main_control)
         s_lo, s_hi = np.empty(sample.n), np.empty(sample.n)
         for rows, (lo, hi) in zip(main_arms, fit_adjusters(
-                aux, spec_l, spec_u, [(sample.x[r], None) for r in main_arms],
-                grid)):
+                aux, spec_l, spec_u, sample, main_arms, grid)):
             s_lo[rows], s_hi[rows] = lo, hi
 
     main = plan.main

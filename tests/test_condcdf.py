@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dtebounds import condcdf
+from dtebounds import DgpSpec, condcdf, draw_dgp
 from dtebounds.condcdf import (
     _KNN_BLOCK_VALUES,
     ConstantCdfModel,
@@ -14,13 +14,21 @@ from dtebounds.condcdf import (
     QuantileGridModel,
     _knn_indices,
     _NeighbourTable,
+    _view,
+    _with_table,
     extract_adjusters,
     fit_arm_model,
     parse_model_spec,
     select_model,
 )
-from dtebounds.crossfit import crossfit_adjusters
-from dtebounds.data import ConfigError, Sample, make_folds
+from dtebounds.crossfit import crossfit_adjusters, estimate
+from dtebounds.data import (
+    ConfigError,
+    Sample,
+    make_folds,
+    shift_for_delta,
+    squash_outcomes,
+)
 from dtebounds.splitfit import estimate_split, make_split
 
 
@@ -198,10 +206,11 @@ def test_knn_indices_memory_is_bounded_by_the_block(rounded):
 
 @st.composite
 def _table_searches(draw):
-    # covariates with tied distances and duplicated rows, random arms, and
-    # the training rows of one arm of a one- or two-level nested
-    # out-of-fold set, as select_model makes them; arms of 48 rows or more
-    # let the table's build take the Gram path of _knn_indices
+    # covariates with tied distances and duplicated rows, random arms, a
+    # table of all rows or of a split's auxiliary rows, and the training
+    # rows of one arm of a one- or two-level nested out-of-fold set, as
+    # select_model makes them; arms of 48 rows or more let the table's
+    # build take the Gram path of _knn_indices
     arm_size = st.one_of(st.integers(4, 40), st.integers(48, 120))
     n1, n0 = draw(arm_size), draw(arm_size)
     n, p = n1 + n0, draw(st.integers(1, 3))
@@ -211,21 +220,27 @@ def _table_searches(draw):
         x = x[rng.integers(0, max(1, n // 3), size=n)]
     d = np.zeros(n, dtype=int)
     d[rng.permutation(n)[:n1]] = 1
-    sample = Sample(np.zeros(n), d, x)
-    table = view = _NeighbourTable(sample)
+    whole = Sample(np.zeros(n), d, x)
+    pool = None
+    if draw(st.booleans()):
+        pool = make_split(whole, draw(st.floats(0.5, 0.9)),
+                          draw(st.integers(0, 99))).aux
+    whole = _with_table(whole, pool)
+    sample = whole if pool is None else whole.subset(pool)
     for _ in range(draw(st.integers(1, 2))):
+        if min(sample.n1, sample.n0) < 2:
+            break
         cv = draw(st.integers(2, min(sample.n1, sample.n0)))
         folds = make_folds(sample, cv, draw(st.integers(0, 99)))
-        out = folds.complement(draw(st.integers(1, cv)))
-        sample, view = sample.subset(out), view.subset(out)
-    train = view.subset(sample.d == draw(st.integers(0, 1)))
-    # query rows of both arms, in any order
-    query = table.subset(rng.permutation(n)[:draw(st.integers(1, n))])
+        sample = sample.subset(folds.complement(draw(st.integers(1, cv))))
+    train = _view(sample, sample.d == draw(st.integers(0, 1)))
+    # query rows of both arms, drawn or not, in any order
+    query = _view(whole, rng.permutation(n)[:draw(st.integers(1, n))])
     k = draw(st.one_of(st.integers(1, min(8, train.ids.size)),
                        st.integers(1, train.ids.size)))
     # lists shorter than 2k + 16, down to one entry, send rows to fallback
     pad = draw(st.integers(1 - 2 * k, 16))
-    return table, train, query, k, pad
+    return whole._table, train, query, k, pad
 
 
 @settings(max_examples=300, deadline=None)
@@ -276,6 +291,17 @@ class TestNeighbourTableTraffic:
         assert sorted(builds) == sorted(
             [(s.n1, s.n, True), (s.n0, s.n, True)] * 2)
         assert all(inside for _, _, inside in calls)
+
+    def test_selecting_sample_split_reads_one_table(self, calls):
+        # the table lists every row's neighbours among the auxiliary rows,
+        # so the selection, the final residual fits and the extractions on
+        # the main rows all read it
+        s, _ = draw_dgp(DgpSpec(), 400, seed=5)
+        estimate(s, "sample-split",
+                 ["knn_loc_shift:k=10", "knn_quantile:k=10"], seed=0)
+        aux_d = s.d[make_split(s, 0.5, 0).aux]
+        assert sorted(calls) == sorted([(int(aux_d.sum()), s.n, True),
+                                        (int((aux_d == 0).sum()), s.n, True)])
 
     # per fold and arm: the location-shift fit's residuals, and the
     # evaluation on the fold
@@ -438,16 +464,19 @@ class TestSelectModel:
         from dtebounds import condcdf, crossfit
         assert crossfit.crossfit_adjusters is condcdf.crossfit_adjusters
         original = condcdf.crossfit_adjusters
-        seen = []
+        seen, plans = [], []
 
         def counting(sample, folds, specs, *args, **kwargs):
             seen.append((folds.k_folds, list(specs)))
+            plans.append(folds)
             return original(sample, folds, specs, *args, **kwargs)
 
         monkeypatch.setattr(condcdf, "crossfit_adjusters", counting)
         select_model(["constant", "knn_loc_shift:k=10"], make_sample(),
                      cv_folds=4, seed=1)
         assert seen == [(4, ["constant"]), (4, ["knn_loc_shift:k=10"])]
+        # both candidates are scored on one fold plan
+        assert plans[0] is plans[1]
 
     def test_too_few_units_for_the_inner_folds(self):
         # 4 treated units cannot fill 5 inner folds: every candidate fails
@@ -487,6 +516,41 @@ class TestSelectModel:
                      "ridge_loc_shift:lambda=big"):
             with pytest.raises(ConfigError, match=r"k=0|malformed"):
                 fit_arm_model(s.y, s.x, spec)
+
+
+class TestSampleTable:
+    """The neighbour-table view a sample carries: private to condcdf, kept
+    by subsets, dropped by samples with other data."""
+
+    def test_equality_and_repr_ignore_the_view(self):
+        s = make_sample()
+        viewed = _with_table(s)
+        assert s._table is None and viewed._table is not None
+        assert _with_table(viewed) is viewed
+        assert viewed == s
+        assert repr(viewed) == repr(s)
+
+    def test_subset_keeps_the_view(self):
+        viewed = _with_table(make_sample())
+        idx = np.arange(0, viewed.n, 3)
+        sub = viewed.subset(idx)
+        np.testing.assert_array_equal(sub._table.ids, idx)
+        np.testing.assert_array_equal(sub.subset([1, 4])._table.ids,
+                                      idx[[1, 4]])
+        assert sub._table.lists is viewed._table.lists
+
+    def test_new_data_drops_the_view(self):
+        viewed = _with_table(make_sample())
+        assert shift_for_delta(viewed, 1.0)._table is None
+        assert squash_outcomes(viewed)._table is None
+
+    def test_selection_leaves_the_callers_sample_bare(self):
+        s = make_sample()
+        specs = ["constant", "knn_loc_shift:k=5"]
+        grid = GridSpec("linear", 50)
+        crossfit_adjusters(s, make_folds(s, 3, 0), specs, grid_spec=grid)
+        select_model(specs, s, cv_folds=3, grid_spec=grid)
+        assert s._table is None
 
 
 class TestExtractionCount:

@@ -81,6 +81,25 @@ def test_traced_estimates_complete(tmp_path):
         assert tracer.stats[layer].calls > 0, layer
 
 
+def test_traced_selecting_estimates_complete():
+    """A selecting cross-fit and a selecting sample split, whose kNN
+    searches read the estimate's neighbour table, run to completion under
+    the span wrappers."""
+    from dtebounds import DgpSpec, GridSpec, draw_dgp
+
+    _import_all()
+    sample, _ = draw_dgp(DgpSpec(), 120, seed=5)
+    with _load_spans().Tracer().installed() as tracer:
+        for method in ("cross-fit", "sample-split"):
+            rep = dtebounds.crossfit.estimate(
+                sample, method, ["constant", "knn_loc_shift:k=5"],
+                grid_spec=GridSpec("linear", 50))
+            assert rep.method == method
+    for layer in ("condcdf.select_model", "condcdf.fit_arm_model",
+                  "condcdf.predict"):
+        assert tracer.stats[layer].calls > 0, layer
+
+
 def test_traced_multi_block_shift_call_stays_in_private_functions():
     """The kernel's worker threads must reach no wrapped function: the
     tracer's span stack is not thread-safe."""
