@@ -51,7 +51,9 @@ class Sample:
     Immutable after construction; all operations below return new samples.
     ``_table`` is private to ``condcdf``: the view of an estimate's
     neighbour table at this sample's rows, or None. Equality and repr ignore
-    it, ``subset`` keeps it, and samples with other data drop it.
+    it, ``subset`` keeps it, and samples with other data drop it. Two
+    samples are equal when their arrays hold equal values and their
+    ``transformed_scale`` agrees, whether or not they share the arrays.
     """
 
     y: np.ndarray
@@ -81,6 +83,13 @@ class Sample:
         if self.n1 == 0 or self.n0 == 0:
             raise DegenerateDesignError(
                 "sample needs at least one treated and one control unit")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.transformed_scale == other.transformed_scale
+                and all(np.array_equal(a, b) for a, b in (
+                    (self.y, other.y), (self.d, other.d), (self.x, other.x))))
 
     @property
     def n(self) -> int:

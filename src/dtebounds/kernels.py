@@ -1,5 +1,18 @@
 """Numpy compute kernels: the exact breakpoint scan and the per-row grid
 argmax/argmin of conditional-CDF differences.
+
+Every grid search returns the first argmax and argmin over all grid
+points, bit for bit, while it evaluates the difference at only some of
+them, with the full scan's expression. The location-shift search
+(``shift_cdf_argopt``) has two paths. The event path evaluates a row where
+a residual enters a count, the only places where the counts change. The
+refine path counts residuals at every 128th grid index, then every 16th,
+then every index, each time only inside the segments whose bound can
+still reach the row's optimum: the counts are nondecreasing along the
+grid and the rounding of c/m and of a difference is monotone, so the
+counts at a segment's ends bound it exactly. A call takes the refine path
+when its m residuals (both arms) and g grid points satisfy
+m >= 128 + g/64, the crossover measured in ``BENCH_shift_refine.json``.
 """
 from __future__ import annotations
 
@@ -251,6 +264,18 @@ def _merge_first_max(recs):
 # allocator's heap, which would page-fault them in again on the next block
 _SHIFT_BLOCK_EVENTS = 1 << 14
 
+# the refine path of ``shift_cdf_argopt``: rows per block, grid strides
+# from coarse to fine (the last is 1), and cuts evaluated per pass over one
+# level of a block, which bound its temporaries (~128 KB per array) as
+# ``_INTERP_BLOCK_POINTS`` does. The blocks are large because the path's
+# numpy calls are short and hold the GIL between them: on 2 CPUs, the
+# 320-row calls of a cross-fit at n=2000 ran slower as parts of 128 to 256
+# rows on the pool than as one block on one thread, while a call of four
+# 512-row blocks ran faster on the pool (``BENCH_shift_refine.json``)
+_SHIFT_REFINE_ROWS = 512
+_SHIFT_STRIDES = (128, 16, 1)
+_SHIFT_REFINE_POINTS = 1 << 13
+
 # (thread pool, worker count) for the row parts of ``shift_cdf_argopt``,
 # made on its first call with more than one block
 _POOL = None
@@ -376,13 +401,25 @@ def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
 
     Ties break toward the smallest grid point; grid must be sorted. The
     value at grid index j is ``c1/m1 - c0/m0`` with cj the number of arm-j
-    residuals r satisfying r <= fl(grid[j] - mu). Row by row, the counts
-    only change at the grid indices where a residual enters them, so only
-    index 0 and those indices are evaluated (see ``_merged_argopt``), with
-    the same expression, and the result equals the argmax/argmin over every
-    grid point, ties included.
+    residuals r satisfying r <= fl(grid[j] - mu). Row by row, fl(grid[j] -
+    mu) is nondecreasing in j, so both counts are too. Two paths evaluate
+    that expression at a subset of the grid that holds the first optimizer,
+    so both return the argmax/argmin over every grid point, ties included:
 
-    A call of more than one block of ``_SHIFT_BLOCK_EVENTS`` events cuts
+    - the event path (``_event_block``) evaluates index 0 and the indices
+      where a residual enters a count, where alone the counts change (see
+      ``_merged_argopt``);
+    - the refine path (``_refine_block``) evaluates the counts at every
+      ``_SHIFT_STRIDES[0]``-th index, then, level by level, at the finer
+      strides inside the segments that can still hold an optimum.
+
+    The event path costs a binary search over the grid and a merge per
+    residual, the refine path a search over the residuals per evaluated
+    point, and neither wins everywhere; ``_refines`` picks one per call from
+    the residual counts and the grid size alone.
+
+    A call of more than one block of rows (``_SHIFT_BLOCK_EVENTS`` events
+    on the event path, ``_SHIFT_REFINE_ROWS`` rows on the refine path) cuts
     its rows into one contiguous part per CPU, and runs the parts on a
     thread pool. Each row's result depends only on that row, so it does not
     depend on the number of parts. The pool counts on having the CPUs to
@@ -398,8 +435,12 @@ def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     n = mu1.size
     s_lo = np.empty(n)
     s_hi = np.empty(n)
-    step = max(1, _SHIFT_BLOCK_EVENTS // (r1.size + r0.size))
-    args = (mu1, mu0, r1, r0, grid, s_lo, s_hi, step)
+    if _refines(r1.size + r0.size, grid.size):
+        block, step = _refine_block, _SHIFT_REFINE_ROWS
+    else:
+        block = _event_block
+        step = max(1, _SHIFT_BLOCK_EVENTS // (r1.size + r0.size))
+    args = (block, mu1, mu0, r1, r0, grid, s_lo, s_hi, step)
     if n <= step:
         _shift_rows(*args, 0, n)
     else:
@@ -415,19 +456,124 @@ def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     return s_lo, s_hi
 
 
-def _shift_rows(mu1, mu0, r1, r0, grid, s_lo, s_hi, step, start, stop):
+def _refines(m, g):
+    """Whether ``shift_cdf_argopt`` takes the refine path for rows of ``m``
+    residuals, both arms together, over a grid of ``g`` points.
+
+    The event path's cost grows with m, the refine path's with g (its first
+    stride alone counts at about g/64 points per row, both arms together).
+    Their crossover, measured over 320 rows (``BENCH_shift_refine.json``),
+    lies near m = 128 + g/64: 143 residuals at g = 1000, 284 at g = 10000.
+    """
+    return m >= 128 + g // 64
+
+
+def _shift_rows(block, mu1, mu0, r1, r0, grid, s_lo, s_hi, step, start,
+                stop):
     """``shift_cdf_argopt`` for rows [start, stop), in blocks of ``step``
-    rows, written into ``s_lo`` and ``s_hi``."""
-    r = np.concatenate([r1, r0])
+    rows run by ``block``, written into ``s_lo`` and ``s_hi``."""
     for a in range(start, stop, step):
         rows = slice(a, min(a + step, stop))
-        # both arms' entries side by side: each row's mean, once per residual
-        mu = np.repeat(np.stack([mu1[rows], mu0[rows]], axis=1),
-                       [r1.size, r0.size], axis=1)
-        k_max, k_min = _merged_argopt(_entry_index(grid, mu, r), r1.size,
-                                      r1.size, r0.size, grid.size)
+        k_max, k_min = block(mu1[rows], mu0[rows], r1, r0, grid)
         s_lo[rows] = grid[k_max]
         s_hi[rows] = grid[k_min]
+
+
+def _event_block(mu1, mu0, r1, r0, grid):
+    """First grid argmax and argmin indices of a block of rows, from the
+    grid indices where each residual enters its count."""
+    r = np.concatenate([r1, r0])
+    # both arms' entries side by side: each row's mean, once per residual
+    mu = np.repeat(np.stack([mu1, mu0], axis=1), [r1.size, r0.size], axis=1)
+    return _merged_argopt(_entry_index(grid, mu, r), r1.size, r1.size,
+                          r0.size, grid.size)
+
+
+def _refine_block(mu1, mu0, r1, r0, grid):
+    """First grid argmax and argmin indices of a block of rows, by counting
+    residuals only where a grid segment can hold the row's optimum.
+
+    Each row starts as one segment [0, g - 1], evaluated at both ends. Both
+    counts are nondecreasing in the grid index, and fl(c/m) and fl(a - b)
+    are monotone in each argument, so fl(c1(e)/m1) - fl(c0(s)/m0) bounds
+    the value on a segment [s, e] from above and fl(c1(s)/m1) - fl(c0(e)/m0)
+    from below, with no tolerance. Per stride of ``_SHIFT_STRIDES``, a
+    segment is cut at that stride, and the cuts evaluated, only if a bound
+    reaches the row's best value so far and its counts differ at its ends:
+    where they are equal at both ends the value is constant, and its left
+    end, already evaluated, is the smaller index. The last stride is 1, so
+    the first optimizer is among the evaluated points, and ties keep the
+    smallest index.
+    """
+    m1, m0, g = r1.size, r0.size, grid.size
+    b = mu1.size
+    # per row i, the largest d so far at best[i] and the largest -d at
+    # best[b + i], each with the smallest index attaining it
+    best = np.full(2 * b, -np.inf)
+    at = np.zeros(2 * b, dtype=np.intp)
+
+    def evaluate(row, j):
+        """Both arms' fl(c/m) at the sorted grid indices of each line of
+        ``j``, whose row is ``row``; each line's first optimum is folded
+        into its row's. The lines of a row are consecutive."""
+        f1 = np.searchsorted(r1, grid[j] - mu1[row, None], side="right") / m1
+        f0 = np.searchsorted(r0, grid[j] - mu0[row, None], side="right") / m0
+        d = f1 - f0
+        v = np.concatenate([d, -d])
+        lines = np.arange(v.shape[0])
+        col = np.argmax(v, axis=1)
+        rows, vmax, jmin = _first_max(np.concatenate([row, row + b]),
+                                      j[lines % row.size, col],
+                                      v[lines, col])
+        cur = best[rows]
+        win = (vmax > cur) | ((vmax == cur) & (jmin < at[rows]))
+        best[rows[win]] = vmax[win]
+        at[rows[win]] = jmin[win]
+        return f1, f0
+
+    def segments(row, j, f1, f0):
+        """The segments between neighbouring points of each line that can
+        still hold an optimum, as [row, then the (left, right) ends of j,
+        f1 and f0]."""
+        s, e = np.s_[:, :-1], np.s_[:, 1:]
+        reach = ((f1[e] - f0[s] >= best[row, None])
+                 | (f0[e] - f1[s] >= best[row + b, None]))
+        line, col = np.nonzero(reach & ((f1[s] != f1[e]) | (f0[s] != f0[e]))
+                               & (j[e] - j[s] >= 2))
+        ends = (line[:, None], col[:, None] + np.arange(2))
+        return [row[line], j[ends], f1[ends], f0[ends]]
+
+    row = np.arange(b)
+    j = np.stack([np.zeros_like(row), np.full_like(row, g - 1)], axis=1)
+    seg = [row, j, *evaluate(row, j)]
+    span = g - 1
+    for stride in _SHIFT_STRIDES:
+        # the best values may have grown since the segments were kept
+        row, j, f1, f0 = seg = segments(*seg)
+        if not row.size:
+            break
+        # at most k cuts inside a segment no longer than ``span``
+        k = -(-span // stride) - 1
+        span = min(span, stride)
+        if k < 1:
+            continue
+        out = []
+        # whole segments per pass, at most _SHIFT_REFINE_POINTS cuts
+        step = max(1, _SHIFT_REFINE_POINTS // k)
+        for a in range(0, row.size, step):
+            p = slice(a, a + step)
+            # a cut past a segment's end falls on the end, which is
+            # evaluated already
+            cut = np.minimum(j[p, :1] + stride * np.arange(1, k + 1),
+                             j[p, 1:])
+            cut1, cut0 = evaluate(row[p], cut)
+            if stride > 1:
+                out.append(segments(row[p], *(
+                    np.concatenate([x[p, :1], y, x[p, 1:]], axis=1)
+                    for x, y in ((j, cut), (f1, cut1), (f0, cut0)))))
+        if out:
+            seg = [np.concatenate(x) for x in zip(*out)]
+    return at[:b], at[b:]
 
 
 def sample_cdf_argopt(y1, y0, grid):

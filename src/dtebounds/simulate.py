@@ -8,6 +8,7 @@ coefficient default.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -79,7 +80,10 @@ class DgpSpec:
         return s
 
     def chol(self) -> np.ndarray:
-        return np.linalg.cholesky(self.sigma())
+        """The lower Cholesky factor of ``sigma()``, computed once per spec
+        (equal specs share it) and read-only, since every caller shares it.
+        """
+        return _chol(self)
 
     def beta0(self) -> np.ndarray:
         b = np.zeros(self.d)
@@ -110,6 +114,14 @@ class HiddenOutcomes:
     x_full: np.ndarray
     y0: np.ndarray
     y1: np.ndarray
+
+
+# a handful of specs per process: a table's cells share one spec
+@functools.lru_cache(maxsize=16)
+def _chol(spec: DgpSpec) -> np.ndarray:
+    factor = np.linalg.cholesky(spec.sigma())
+    factor.flags.writeable = False
+    return factor
 
 
 def draw_dgp(spec: DgpSpec, n: int, seed=None, rng=None):

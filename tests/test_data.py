@@ -342,6 +342,32 @@ def test_fast_path_takes_odd_but_exact_cells():
     assert np.signbit(fast.y[0]) and fast.x[0, 0] == 5e-324
 
 
+class TestSampleEquality:
+    def test_equal_data_in_distinct_arrays(self):
+        s = simple_sample()
+        other = Sample(s.y.copy(), s.d.copy(), s.x.copy())
+        assert s == other
+        assert not s != other
+
+    def test_unequal_data(self):
+        s = simple_sample()
+        y = s.y.copy()
+        y[3] += 1.0
+        assert s != Sample(y, s.d, s.x)
+        assert s != Sample(s.y, 1 - s.d, s.x)
+        assert s != Sample(s.y, s.d, s.x[:, :2])
+        assert s != Sample(s.y, s.d, s.x, transformed_scale=True)
+        assert s != (s.y, s.d, s.x)
+
+    def test_neighbour_table_view_is_ignored(self):
+        from dtebounds.condcdf import _with_table
+        s = simple_sample()
+        viewed = _with_table(s)
+        assert viewed._table is not None and s._table is None
+        assert viewed == s and s == viewed
+        assert viewed.subset(np.arange(5)) == s.subset(np.arange(5))
+
+
 class TestShiftForDelta:
     def test_zero_is_identity(self):
         s = simple_sample()

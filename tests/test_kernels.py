@@ -345,6 +345,91 @@ def test_shift_argopt_matches_dense_loop(inputs):
     assert s_hi.tobytes() == ref_hi.tobytes()
 
 
+@st.composite
+def _wide_shift_inputs(draw):
+    """Row means and residuals on a lattice of step h, so that values tie,
+    and a sorted grid of 1 to 60 or of 100 to 400 points: lattice points,
+    with repeats, and the points fl(r + mu) of random (row, residual)
+    pairs, exact or one ulp either side, where the count's comparison
+    fl(grid - mu) >= r goes either way. Up to 80 residuals per arm."""
+    h = draw(st.sampled_from([0.1, 0.3, 0.5, 1.0]))
+    lattice = st.integers(-8, 8).map(lambda k: k * h)
+    n = draw(st.integers(1, 6))
+    mu1, mu0 = (np.array(draw(st.lists(lattice, min_size=n, max_size=n)))
+                for _ in range(2))
+    r1, r0 = (np.array(draw(st.lists(lattice, min_size=1, max_size=80)))
+              for _ in range(2))
+    g = draw(st.integers(1, 60) | st.integers(100, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hits = int(rng.integers(0, g + 1))
+    i = rng.integers(0, n, size=hits)
+    x = np.where(rng.random(hits) < 0.5,
+                 r1[rng.integers(0, r1.size, size=hits)] + mu1[i],
+                 r0[rng.integers(0, r0.size, size=hits)] + mu0[i])
+    ulp = rng.choice([-np.inf, np.inf], size=hits)
+    x = np.where(rng.random(hits) < 0.5, x, np.nextafter(x, ulp))
+    lat = rng.integers(-20, 21, size=g - hits) * h
+    return mu1, mu0, r1, r0, np.sort(np.concatenate([x, lat]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_wide_shift_inputs(),
+       strides=st.sampled_from([(16, 4, 1), (9, 3, 1), (32, 8, 1), (5, 2, 1)]),
+       points=st.sampled_from([8, 64, 1 << 13]))
+def test_shift_paths_match_dense_loop(inputs, strides, points):
+    # each path on its own, whatever the routing rule picks; strides scaled
+    # down to a grid of a few hundred points run all three levels, and few
+    # points per pass cut each level into many passes
+    mu1, mu0, r1, r0, grid = inputs
+    ref_lo, ref_hi = _dense_shift_argopt(*inputs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_SHIFT_STRIDES", strides)
+        mp.setattr(kernels, "_SHIFT_REFINE_POINTS", points)
+        for block in (kernels._event_block, kernels._refine_block):
+            k_max, k_min = block(mu1, mu0, np.sort(r1), np.sort(r0), grid)
+            assert grid[k_max].tobytes() == ref_lo.tobytes(), block
+            assert grid[k_min].tobytes() == ref_hi.tobytes(), block
+
+
+def _shift_call(rows, m1, m0, g, seed=0):
+    """Inputs of a ``shift_cdf_argopt`` call of the given shape, at the
+    scales of the simulation design: means and residuals of unit order, and
+    a normal grid as wide as the outcome range."""
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=rows), rng.normal(size=rows) - 0.5,
+            rng.normal(size=m1), rng.normal(size=m0),
+            np.sort(rng.normal(0.0, 8.0, size=g)))
+
+
+class TestShiftRouting:
+    """The benchmark's workloads take the path the crossover rule of
+    ``kernels._refines`` names for them; a change to the rule must not
+    move one silently."""
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        seen = []
+        for name in ("_event_block", "_refine_block"):
+            def counting(*args, original=getattr(kernels, name), name=name):
+                seen.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(kernels, name, counting)
+        return seen
+
+    @pytest.mark.parametrize("shape", [(320, 640, 640), (400, 800, 800)])
+    def test_cross_fit_selection_refines(self, paths, shape):
+        # the 3-model cross-fit selection at n=2000: 320-row and 400-row
+        # calls over the default grid of 10000 points
+        kernels.shift_cdf_argopt(*_shift_call(*shape, 10_000))
+        assert paths == ["_refine_block"]
+
+    def test_sample_split_replication_takes_event_path(self, paths):
+        # one sample-split replication at n=160: about 40 residuals per arm
+        kernels.shift_cdf_argopt(*_shift_call(41, 38, 42, 10_000))
+        assert set(paths) == {"_event_block"}
+
+
 @pytest.fixture(scope="module")
 def pools():
     """Thread pools of 1 and 3 workers, to stand in for the kernel's own."""
@@ -355,17 +440,23 @@ def pools():
 
 
 @settings(max_examples=150, deadline=None)
-@given(inputs=_shift_inputs(max_rows=40), events=st.integers(8, 64))
-def test_shift_argopt_row_parts_match_dense_loop(pools, inputs, events):
-    # blocks of a few events split up to 40 rows into many blocks, and the
-    # blocks into one part per worker; no worker count may change a byte,
-    # with the threads switching as often as the interpreter allows
+@given(inputs=_shift_inputs(max_rows=40), events=st.integers(8, 64),
+       rows=st.integers(1, 8), refine=st.booleans())
+def test_shift_argopt_row_parts_match_dense_loop(pools, inputs, events, rows,
+                                                 refine):
+    # blocks of a few events, or of a few rows on the refine path, split up
+    # to 40 rows into many blocks, and the blocks into one part per worker;
+    # no worker count may change a byte, with the threads switching as
+    # often as the interpreter allows
     ref_lo, ref_hi = _dense_shift_argopt(*inputs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_SHIFT_BLOCK_EVENTS", events)
+            mp.setattr(kernels, "_SHIFT_REFINE_ROWS", rows)
+            mp.setattr(kernels, "_SHIFT_STRIDES", (8, 3, 1))
+            mp.setattr(kernels, "_refines", lambda m, g: refine)
             for pool in [kernels._shift_pool()] + pools:
                 mp.setattr(kernels, "_POOL", pool)
                 s_lo, s_hi = kernels.shift_cdf_argopt(*inputs)
@@ -376,11 +467,13 @@ def test_shift_argopt_row_parts_match_dense_loop(pools, inputs, events):
 
 
 def _multi_block_call():
-    """A ``shift_cdf_argopt`` call of 3 blocks at the default block size."""
+    """A ``shift_cdf_argopt`` call of 3 blocks on the event path at the
+    default block size."""
     rng = np.random.default_rng(11)
-    r1, r0 = rng.normal(size=200), rng.normal(size=210)
-    mu1, mu0 = rng.normal(size=100), rng.normal(size=100)
+    r1, r0 = rng.normal(size=50), rng.normal(size=60)
+    mu1, mu0 = rng.normal(size=400), rng.normal(size=400)
     grid = np.linspace(-4, 4, 301)
+    assert not kernels._refines(r1.size + r0.size, grid.size)
     assert mu1.size > kernels._SHIFT_BLOCK_EVENTS // (r1.size + r0.size) * 2
     return kernels.shift_cdf_argopt(mu1, mu0, r1, r0, grid)
 

@@ -102,22 +102,30 @@ def test_traced_selecting_estimates_complete():
 
 def test_traced_multi_block_shift_call_stays_in_private_functions():
     """The kernel's worker threads must reach no wrapped function: the
-    tracer's span stack is not thread-safe."""
+    tracer's span stack is not thread-safe. One call per path, each of
+    several blocks."""
     import numpy as np
 
     from dtebounds import kernels
 
     _import_all()
     rng = np.random.default_rng(4)
-    n, m1, m0 = 150, 200, 180
-    # 4 blocks at the default block size
-    assert n > 3 * (kernels._SHIFT_BLOCK_EVENTS // (m1 + m0))
-    args = (rng.normal(size=n), rng.normal(size=n), rng.normal(size=m1),
-            rng.normal(size=m0), np.linspace(-4, 4, 401))
-    untraced = kernels.shift_cdf_argopt(*args)
-    with _load_spans().Tracer().installed() as tracer:
-        traced = kernels.shift_cdf_argopt(*args)
-    assert list(tracer.stats) == ["kernels.shift_cdf_argopt"]
-    assert tracer.stats["kernels.shift_cdf_argopt"].calls == 1
-    for a, b in zip(traced, untraced):
-        assert a.tobytes() == b.tobytes()
+    calls = []
+    for n, m1, m0 in ((600, 50, 60), (1100, 200, 180)):
+        grid = np.linspace(-4, 4, 401)
+        refine = kernels._refines(m1 + m0, grid.size)
+        step = (kernels._SHIFT_REFINE_ROWS if refine
+                else kernels._SHIFT_BLOCK_EVENTS // (m1 + m0))
+        assert n > 2 * step
+        calls.append((refine, (rng.normal(size=n), rng.normal(size=n),
+                               rng.normal(size=m1), rng.normal(size=m0),
+                               grid)))
+    assert [refine for refine, _ in calls] == [False, True]
+    for _, args in calls:
+        untraced = kernels.shift_cdf_argopt(*args)
+        with _load_spans().Tracer().installed() as tracer:
+            traced = kernels.shift_cdf_argopt(*args)
+        assert list(tracer.stats) == ["kernels.shift_cdf_argopt"]
+        assert tracer.stats["kernels.shift_cdf_argopt"].calls == 1
+        for a, b in zip(traced, untraced):
+            assert a.tobytes() == b.tobytes()

@@ -66,6 +66,30 @@ class TestDgp:
         assert sample.p == 10
         np.testing.assert_array_equal(sample.x, hidden.x_full[:, :10])
 
+    def test_cholesky_factor_is_cached_and_read_only(self):
+        spec = DgpSpec()
+        factor = spec.chol()
+        assert DgpSpec().chol() is factor
+        assert DgpSpec(ar_coef=0.5).chol() is not factor
+        np.testing.assert_array_equal(factor,
+                                      np.linalg.cholesky(spec.sigma()))
+        with pytest.raises(ValueError):
+            factor[0, 0] = 2.0
+
+    def test_draws_match_a_fresh_factor(self):
+        # the draws a fresh factor per call gave, byte for byte
+        spec = DgpSpec()
+        fresh = np.linalg.cholesky(spec.sigma())
+        for seed in (0, 7):
+            sample, hidden = draw_dgp(spec, 300, seed=seed)
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((300, spec.d)) @ fresh.T
+            assert hidden.x_full.tobytes() == x.tobytes()
+            y0 = spec.outcome0(x)
+            y1 = y0 + spec.effect(x)
+            d = (rng.random(300) < spec.treat_prob).astype(np.int64)
+            assert sample.y.tobytes() == np.where(d == 1, y1, y0).tobytes()
+
     def test_consistency_of_observed_outcome(self):
         sample, hidden = draw_dgp(DgpSpec(), 500, seed=4)
         t = sample.d == 1
