@@ -300,9 +300,9 @@ class _NeighbourTable:
     """The nearest-neighbour lists of one estimate's sample, shared by the
     kNN searches of its nested cross-fit.
 
-    For each (arm, k) searched, one ``_knn_indices`` call lists, for every
-    row of the sample, its ``min(2k + _TABLE_PAD, arm size)`` nearest rows
-    of that arm in (distance, row) order, where the arm holds only the rows
+    For each (arm, k) searched, ``_knn_indices`` lists, for every row of the
+    sample, its ``min(2k + _TABLE_PAD, arm size)`` nearest rows of that arm
+    in (distance, row) order, where the arm holds only the rows
     ``drawn_from`` (all rows by default). An instance is a view of those
     lists: ``ids`` maps the rows it stands for (a subset's, an arm's or a
     query set's) to rows of the sample.
@@ -313,6 +313,10 @@ class _NeighbourTable:
         self.d = sample.d
         self.ids = np.arange(sample.n)
         self.pool = self.ids if drawn_from is None else np.unique(drawn_from)
+        # d * n + row for the drawn rows, -1 for the others: the keys of a
+        # valid training set increase and share one arm's block of n
+        self.key = np.full(sample.n, -1)
+        self.key[self.pool] = self.d[self.pool] * sample.n + self.pool
         self.lists = {}
 
     def subset(self, idx) -> "_NeighbourTable":
@@ -323,7 +327,7 @@ class _NeighbourTable:
     def knn(self, query: "_NeighbourTable", k: int) -> np.ndarray:
         """``_knn_indices(x[train], x[query], k)`` for this view's rows as
         training rows, which must lie in one arm of the drawn rows in
-        increasing order.
+        increasing order; any other training set raises ValueError.
 
         Restricted to a subset of the arm in increasing order, the arm's
         (distance, row) order is the subset's own (distance, index) order,
@@ -332,18 +336,30 @@ class _NeighbourTable:
         a direct search.
         """
         train = self.ids
+        n = len(self.x)
+        key = self.key[train]
+        if not (key[0] >= 0 and key[0] // n == key[-1] // n
+                and (key[1:] > key[:-1]).all()):
+            raise ValueError("neighbour-table training rows must be drawn "
+                             "rows of one arm in increasing order")
         k = min(k, train.size)
-        key = (int(self.d[train[0]]), k)
-        lists = self.lists.get(key)
+        arm_k = (int(self.d[train[0]]), k)
+        lists = self.lists.get(arm_k)
         if lists is None:
-            arm = self.pool[self.d[self.pool] == key[0]]
+            arm = self.pool[self.d[self.pool] == arm_k[0]]
             depth = min(2 * k + _TABLE_PAD, arm.size)
-            # 32-bit rows halve the table, which lives through the estimate
-            lists = arm.astype(np.int32)[_knn_indices(self.x[arm], self.x,
-                                                      depth)]
-            self.lists[key] = lists
+            arm_x = self.x[arm]
+            # 32-bit rows halve the table, which lives through the
+            # estimate; blocks of rows bound the search's 64-bit answers
+            lists = np.empty((n, depth), dtype=np.int32)
+            step = max(1, _KNN_BLOCK_VALUES // depth)
+            for a in range(0, n, step):
+                lists[a:a + step] = arm[_knn_indices(arm_x,
+                                                     self.x[a:a + step],
+                                                     depth)]
+            self.lists[arm_k] = lists
         # each listed row's position among the training rows, -1 outside
-        pos = np.full(len(self.x), -1, dtype=np.int32)
+        pos = np.full(n, -1, dtype=np.int32)
         pos[train] = np.arange(train.size)
         cand = pos[lists[query.ids]]
         hit = cand >= 0
@@ -531,16 +547,19 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
     new one of ``sample``. A single-spec cross-fit reads the table only
     when ``sample`` carries one, as a candidate's scoring inside a
     selection does; otherwise it searches directly.
+
+    The folds are independent, so they run on every CPU
+    (``kernels._fork_map``) unless every spec is ``constant``; a cross-fit
+    inside another's fold, as a selection's scoring is, runs its folds
+    inline.
     """
     specs = list(model_specs)
     if len(specs) > 1:
         sample = _with_table(sample)
-    s_lo = np.empty(sample.n)
-    s_hi = np.empty(sample.n)
-    chosen: list[tuple[str, str]] = []
     rng = np.random.default_rng(seed)
     grid = grid_spec.build(sample.y_lo, sample.y_hi, rng)
-    for k in range(1, folds.k_folds + 1):
+
+    def fold(k):
         try:
             oof = sample.subset(folds.complement(k))
             spec_l, spec_u = select_model(specs, oof, select_folds,
@@ -548,13 +567,24 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
             members = folds.members(k)
             [(lo_k, hi_k)] = fit_adjusters(oof, spec_l, spec_u, sample,
                                            [members], grid)
-            s_lo[members] = lo_k
-            s_hi[members] = hi_k
-            chosen.append((spec_l, spec_u))
         except FIT_ERRORS as exc:
             raise EstimationError(f"fold {k}: {exc}") from exc
+        return members, lo_k, hi_k, (spec_l, spec_u)
+
+    ks = range(1, folds.k_folds + 1)
+    # constant models' folds take microseconds, far less than a fork
+    if all(spec.partition(":")[0].strip() == "constant"
+           for spec in specs):
+        results = [fold(k) for k in ks]
+    else:
+        results = kernels._fork_map(fold, ks)
+    s_lo = np.empty(sample.n)
+    s_hi = np.empty(sample.n)
+    for members, lo_k, hi_k, _ in results:
+        s_lo[members] = lo_k
+        s_hi[members] = hi_k
     meta = {
-        "models_per_fold": chosen,
+        "models_per_fold": [pair for *_, pair in results],
         "adjuster_sd_l": float(np.std(s_lo)),
         "adjuster_sd_u": float(np.std(s_hi)),
     }

@@ -13,12 +13,20 @@ grid and the rounding of c/m and of a difference is monotone, so the
 counts at a segment's ends bound it exactly. A call takes the refine path
 when its m residuals (both arms) and g grid points satisfy
 m >= 128 + g/64, the crossover measured in ``BENCH_shift_refine.json``.
+
+The module also owns the process's CPU budget: the shift kernel's thread
+pool, the hold of BLAS to one thread (``_one_blas_thread``) and the
+ordered fork map (``_fork_map``) that runs a cross-fit's folds on every
+CPU.
 """
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
+import signal
 import threading
+import warnings
 
 import numpy as np
 
@@ -395,6 +403,111 @@ def _one_blas_thread():
                     put(n)
 
 
+# set while an ordered fork map runs, in its process and in its children:
+# the map's processes already use every CPU, so a map started inside it
+# runs inline and the shift kernel adds no threads
+_MAPPING = False
+
+
+def _fork_map(fn, items):
+    """``[fn(item) for item in items]``, with the items shared among the
+    CPUs, one process each.
+
+    On w CPUs the calling process runs the first ceil(n / w) of n items, and
+    w - 1 forked children run the rest in contiguous shares. A child keeps
+    an item's result only if ``fn`` returned it with no warning, stops at its
+    first item that warns or raises, and sends what it kept through a pipe.
+    The caller takes the results in item order and runs every item that has
+    none itself, so results, warnings and exceptions are those of the plain
+    loop; an item that warns or raises in a child only runs twice. Results
+    must pickle.
+
+    The whole map holds BLAS to one thread (``_one_blas_thread``): BLAS
+    threads left to spin in the caller, or re-created in a child, take the
+    CPUs of the other processes. With BLAS on 2 threads, a 3-model estimate
+    at n = 2000 took 0.76-2.35 s forked on a 2-CPU Xeon VM, against 0.57 s
+    inline. So the map runs inline when that scope finds no BLAS to hold,
+    and also on one CPU, without ``os.fork``, for one item and inside a
+    running map.
+
+    A child leaves only through ``os._exit``, so it never flushes the
+    caller's stdio buffers or runs its exit handlers, and the caller kills
+    and reaps every child on every exit path.
+    """
+    global _MAPPING
+    items = list(items)
+    n = len(items)
+    w = min(len(os.sched_getaffinity(0)), n) if hasattr(os, "fork") else 1
+    children = []  # (pid, read end of its pipe, its first item, its end)
+    with _one_blas_thread():
+        if _MAPPING or w < 2 or not _BLAS:
+            return [fn(item) for item in items]
+        own = -(-n // w)
+        parts = min(w - 1, n - own)
+        cuts = [own + (n - own) * p // parts for p in range(parts + 1)]
+        _MAPPING = True
+        try:
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                children.append((*_fork_share(fn, items[lo:hi]), lo, hi))
+            out = [fn(item) for item in items[:own]]
+            for _, reader, lo, hi in children:
+                try:
+                    kept = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    kept = []  # the child died before it sent them all
+                out += kept
+                out += [fn(item) for item in items[lo + len(kept):hi]]
+            return out
+        finally:
+            _MAPPING = False
+            for pid, reader, _, _ in children:
+                reader.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_share(fn, items):
+    """Fork a child that sends ``_kept_results(fn, items)`` through a pipe;
+    returns its pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork beside threads; the shift pool's
+            # threads are idle whenever a map forks
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                with open(w, "wb") as fh:
+                    pickle.dump(_kept_results(fn, items), fh,
+                                pickle.HIGHEST_PROTOCOL)
+            finally:
+                os._exit(0)
+    except BaseException:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return pid, open(r, "rb")
+
+
+def _kept_results(fn, items):
+    """``fn`` over ``items``, up to the first item that warns or raises.
+    An interrupt or exit propagates, and the child then sends nothing."""
+    out = []
+    for item in items:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = fn(item)
+            except Exception:
+                break
+        if caught:
+            break
+        out.append(result)
+    return out
+
+
 def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     """Per-row argmax/argmin over ``grid`` of Fe1(t - mu1) - Fe0(t - mu0),
     the location-shift conditional CDF difference built from residual ECDFs.
@@ -421,7 +534,8 @@ def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     A call of more than one block of rows (``_SHIFT_BLOCK_EVENTS`` events
     on the event path, ``_SHIFT_REFINE_ROWS`` rows on the refine path) cuts
     its rows into one contiguous part per CPU, and runs the parts on a
-    thread pool. Each row's result depends only on that row, so it does not
+    thread pool, except inside a ``_fork_map``, whose processes already use
+    every CPU. Each row's result depends only on that row, so it does not
     depend on the number of parts. The pool counts on having the CPUs to
     itself: ``condcdf.fit_adjusters``, which makes every estimate's calls,
     holds BLAS to one thread around them (``_one_blas_thread``), so that
@@ -441,7 +555,7 @@ def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
         block = _event_block
         step = max(1, _SHIFT_BLOCK_EVENTS // (r1.size + r0.size))
     args = (block, mu1, mu0, r1, r0, grid, s_lo, s_hi, step)
-    if n <= step:
+    if n <= step or _MAPPING:
         _shift_rows(*args, 0, n)
     else:
         pool, workers = _shift_pool()

@@ -254,14 +254,52 @@ def test_neighbour_table_equals_direct_search(search):
         got, _knn_indices(table.x[train.ids], table.x[query.ids], k))
 
 
+class TestNeighbourTableOrder:
+    """The table answers only for training rows of one arm among its drawn
+    rows, in increasing order; any other training set raises instead of
+    returning wrong neighbours."""
+
+    @pytest.fixture
+    def table(self):
+        rng = np.random.default_rng(8)
+        d = np.array([1, 0] * 30)
+        whole = Sample(np.zeros(60), d, rng.normal(size=(60, 2)))
+        # drawn rows: the first 40
+        return _with_table(whole, np.arange(40))._table
+
+    def _search(self, table, train):
+        return table.subset(np.asarray(train)).knn(table.subset([45, 3]), 2)
+
+    def test_drawn_rows_of_one_arm_in_order_are_answered(self, table):
+        train = np.arange(0, 40, 2)
+        np.testing.assert_array_equal(
+            self._search(table, train),
+            _knn_indices(table.x[train], table.x[[45, 3]], 2))
+
+    @pytest.mark.parametrize("train", [
+        [0, 4, 2, 6, 8],        # shuffled
+        [0, 2, 2, 4, 6],        # a repeated row
+        [0, 2, 4, 6, 40],       # a treated row that was not drawn
+        [42, 44, 46],           # no drawn row at all
+        [0, 2, 3, 4],           # a control row among treated ones
+        [1, 3, 5, 6],           # a treated row among control ones
+    ])
+    def test_other_training_sets_raise(self, table, train):
+        with pytest.raises(ValueError, match="drawn rows of one arm in "
+                                             "increasing order"):
+            self._search(table, train)
+
+
 class TestNeighbourTableTraffic:
     """Which kNN searches an estimate makes: with several candidates, one
     table build per arm and distinct k, and every other search a fallback
     of a table search; with one, direct searches only."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []  # (training rows, query rows, inside a table search)
+    def calls(self, monkeypatch, process_log):
+        # (training rows, query rows, inside a table search), from every
+        # process of the estimate
+        seen = process_log
         inside = []
         knn, search = condcdf._knn_indices, _NeighbourTable.knn
 
@@ -286,10 +324,12 @@ class TestNeighbourTableTraffic:
                            ["constant", "knn_loc_shift:k=10",
                             "knn_quantile:k=12"],
                            grid_spec=GridSpec("linear", 50))
-        builds = [c for c in calls if c[1] == s.n]
-        # two distinct k, each built once per arm
-        assert sorted(builds) == sorted(
-            [(s.n1, s.n, True), (s.n0, s.n, True)] * 2)
+        # each process that runs folds reads a table of its own
+        for seen in calls.by_process():
+            builds = [c for c in seen if c[1] == s.n]
+            # two distinct k, each built once per arm
+            assert sorted(builds) == sorted(
+                [(s.n1, s.n, True), (s.n0, s.n, True)] * 2)
         assert all(inside for _, _, inside in calls)
 
     def test_selecting_sample_split_reads_one_table(self, calls):
@@ -300,8 +340,12 @@ class TestNeighbourTableTraffic:
         estimate(s, "sample-split",
                  ["knn_loc_shift:k=10", "knn_quantile:k=10"], seed=0)
         aux_d = s.d[make_split(s, 0.5, 0).aux]
-        assert sorted(calls) == sorted([(int(aux_d.sum()), s.n, True),
-                                        (int((aux_d == 0).sum()), s.n, True)])
+        # a candidate's scoring runs folds in a child, which builds the
+        # lists it reads unless the table held them when it forked
+        for seen in calls.by_process():
+            assert sorted(seen) == sorted([(int(aux_d.sum()), s.n, True),
+                                           (int((aux_d == 0).sum()), s.n,
+                                            True)])
 
     # per fold and arm: the location-shift fit's residuals, and the
     # evaluation on the fold
@@ -557,9 +601,9 @@ class TestExtractionCount:
     """Each fitted pair is extracted once per row set, for both sides."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, monkeypatch, process_log):
         from dtebounds import condcdf
-        seen = []
+        seen = process_log
         original = condcdf.extract_adjusters
 
         def counting(*args, **kwargs):

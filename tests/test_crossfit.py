@@ -95,9 +95,9 @@ class TestEstimateAdjusters:
     FITTED = [m for m in METHODS if m != "sample-split"]
 
     @pytest.fixture
-    def fits(self, monkeypatch):
+    def fits(self, monkeypatch, process_log):
         from dtebounds import condcdf, crossfit
-        seen = []
+        seen = process_log
         for module, name in ((crossfit, "crossfit_adjusters"),
                              (condcdf, "fit_arm_model")):
             monkeypatch.setattr(module, name,
