@@ -300,9 +300,9 @@ class _NeighbourTable:
     """The nearest-neighbour lists of one estimate's sample, shared by the
     kNN searches of its nested cross-fit.
 
-    For each (arm, k) searched, ``_knn_indices`` lists, for every row of the
-    sample, its ``min(2k + _TABLE_PAD, arm size)`` nearest rows of that arm
-    in (distance, row) order, where the arm holds only the rows
+    For each (arm, k) searched, one ``_knn_indices`` call lists, for every
+    row of the sample, its ``min(2k + _TABLE_PAD, arm size)`` nearest rows
+    of that arm in (distance, row) order, where the arm holds only the rows
     ``drawn_from`` (all rows by default). An instance is a view of those
     lists: ``ids`` maps the rows it stands for (a subset's, an arm's or a
     query set's) to rows of the sample.
@@ -348,15 +348,9 @@ class _NeighbourTable:
         if lists is None:
             arm = self.pool[self.d[self.pool] == arm_k[0]]
             depth = min(2 * k + _TABLE_PAD, arm.size)
-            arm_x = self.x[arm]
-            # 32-bit rows halve the table, which lives through the
-            # estimate; blocks of rows bound the search's 64-bit answers
-            lists = np.empty((n, depth), dtype=np.int32)
-            step = max(1, _KNN_BLOCK_VALUES // depth)
-            for a in range(0, n, step):
-                lists[a:a + step] = arm[_knn_indices(arm_x,
-                                                     self.x[a:a + step],
-                                                     depth)]
+            # 32-bit rows halve the table, which lives through the estimate
+            lists = arm.astype(np.int32)[_knn_indices(self.x[arm], self.x,
+                                                      depth)]
             self.lists[arm_k] = lists
         # each listed row's position among the training rows, -1 outside
         pos = np.full(n, -1, dtype=np.int32)
@@ -397,10 +391,16 @@ def _neighbours(learner, X, rows):
     return learner.rows.knn(rows, learner.k)
 
 
+def _model_name(spec: str) -> str:
+    """The model name of a spec string like 'knn_loc_shift:k=15'. It never
+    raises, so a malformed spec still fails inside the fold that fits it."""
+    return spec.partition(":")[0].strip()
+
+
 def parse_model_spec(spec: str):
     """Split a model spec string like 'knn_loc_shift:k=15' into
     (name, params)."""
-    name, _, rest = spec.partition(":")
+    _, _, rest = spec.partition(":")
     params = {}
     if rest:
         for item in rest.split(","):
@@ -408,7 +408,7 @@ def parse_model_spec(spec: str):
             if not val:
                 raise ConfigError(f"malformed model spec {spec!r}")
             params[key.strip()] = val.strip()
-    return name.strip(), params
+    return _model_name(spec), params
 
 
 def fit_arm_model(y, x, spec: str, rows=None) -> ConditionalCdfModel:
@@ -549,9 +549,9 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
     selection does; otherwise it searches directly.
 
     The folds are independent, so they run on every CPU
-    (``kernels._fork_map``) unless every spec is ``constant``; a cross-fit
-    inside another's fold, as a selection's scoring is, runs its folds
-    inline.
+    (``kernels._fork_map``) when the rows times the model fits a fold makes
+    reach ``kernels._FORK_MIN_WORK``; a cross-fit inside another's fold, as
+    a selection's scoring is, runs its folds inline.
     """
     specs = list(model_specs)
     if len(specs) > 1:
@@ -571,13 +571,13 @@ def crossfit_adjusters(sample: Sample, folds: FoldPlan, model_specs,
             raise EstimationError(f"fold {k}: {exc}") from exc
         return members, lo_k, hi_k, (spec_l, spec_u)
 
-    ks = range(1, folds.k_folds + 1)
-    # constant models' folds take microseconds, far less than a fork
-    if all(spec.partition(":")[0].strip() == "constant"
-           for spec in specs):
-        results = [fold(k) for k in ks]
-    else:
-        results = kernels._fork_map(fold, ks)
+    # a fold fits each non-constant spec once, and a selecting fold first
+    # scores each by a select_folds-fold cross-fit
+    fits = sum(_model_name(spec) != "constant" for spec in specs)
+    if len(specs) > 1:
+        fits *= select_folds + 1
+    results = kernels._fork_map(fold, range(1, folds.k_folds + 1),
+                                work=sample.n * fits)
     s_lo = np.empty(sample.n)
     s_hi = np.empty(sample.n)
     for members, lo_k, hi_k, _ in results:

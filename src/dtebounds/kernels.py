@@ -408,10 +408,15 @@ def _one_blas_thread():
 # runs inline and the shift kernel adds no threads
 _MAPPING = False
 
+# the least work, in row fits, for which a map forks; see ``_fork_map``
+_FORK_MIN_WORK = 700
 
-def _fork_map(fn, items):
+
+def _fork_map(fn, items, work):
     """``[fn(item) for item in items]``, with the items shared among the
-    CPUs, one process each.
+    CPUs, one process each, when ``work`` (the caller's measure of the
+    map's size; for a cross-fit, its rows times the model fits of one fold)
+    is worth a fork.
 
     On w CPUs the calling process runs the first ceil(n / w) of n items, and
     w - 1 forked children run the rest in contiguous shares. A child keeps
@@ -427,8 +432,16 @@ def _fork_map(fn, items):
     CPUs of the other processes. With BLAS on 2 threads, a 3-model estimate
     at n = 2000 took 0.76-2.35 s forked on a 2-CPU Xeon VM, against 0.57 s
     inline. So the map runs inline when that scope finds no BLAS to hold,
-    and also on one CPU, without ``os.fork``, for one item and inside a
-    running map.
+    and also on one CPU, without ``os.fork`` or ``os.sched_getaffinity``,
+    for one item, inside a running map, and below ``_FORK_MIN_WORK``.
+
+    A fork and its child's exit cost 5-20 ms, more the larger the caller's
+    memory, so small maps lose by forking. On a 2-CPU Xeon VM, in a 100 MB
+    and a 1 GB process, 5-fold cross-fits gained from forking at every
+    size whose work reached 700 row fits (times 0.61-0.98 of inline), and
+    lost at 300 rows of one ``knn_loc_shift`` or ``ridge_loc_shift`` model
+    (1.23-1.29x) and at 40 rows of a 3-model selection (1.25x)
+    (``BENCH_fold_fork.json``, ``size_rule``).
 
     A child leaves only through ``os._exit``, so it never flushes the
     caller's stdio buffers or runs its exit handlers, and the caller kills
@@ -437,10 +450,15 @@ def _fork_map(fn, items):
     global _MAPPING
     items = list(items)
     n = len(items)
-    w = min(len(os.sched_getaffinity(0)), n) if hasattr(os, "fork") else 1
+    w = 1
+    if not (_MAPPING or work < _FORK_MIN_WORK) and all(
+            hasattr(os, f) for f in ("fork", "sched_getaffinity")):
+        w = min(len(os.sched_getaffinity(0)), n)
+    if w < 2:
+        return [fn(item) for item in items]
     children = []  # (pid, read end of its pipe, its first item, its end)
     with _one_blas_thread():
-        if _MAPPING or w < 2 or not _BLAS:
+        if not _BLAS:
             return [fn(item) for item in items]
         own = -(-n // w)
         parts = min(w - 1, n - own)

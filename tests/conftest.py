@@ -4,13 +4,16 @@ A cross-fit runs its folds in forked children (``kernels._fork_map``).
 A test that leaves a child process behind, running or unreaped, fails:
 the process twin of the ``filterwarnings`` rule in ``pyproject.toml`` that
 fails a test leaking a file. ``process_log`` lets a test that counts calls
-count those its children make as well.
+count those its children make as well, and ``cpus`` fixes the CPU count
+the map sees.
 """
 import ast
 import os
 from collections.abc import Sequence
 
 import pytest
+
+from dtebounds import kernels
 
 
 @pytest.fixture(autouse=True)
@@ -22,6 +25,21 @@ def _no_child_process_left():
         return
     pytest.fail(f"the test left a child process behind "
                 f"({f'pid {pid}, exited' if pid else 'still running'})")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(w)`` makes the map see w CPUs."""
+    with kernels._one_blas_thread():
+        if not kernels._BLAS:
+            pytest.skip("no BLAS thread count to hold: the map runs inline")
+    # the shift pool sizes itself on first use: not from a patched count
+    kernels._shift_pool()
+
+    def on(w):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(w)))
+    return on
 
 
 class ProcessLog(Sequence):

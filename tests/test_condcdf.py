@@ -318,34 +318,37 @@ class TestNeighbourTableTraffic:
         monkeypatch.setattr(_NeighbourTable, "knn", counting_search)
         return seen
 
-    def test_selecting_estimate_builds_one_table_per_arm_and_k(self, calls):
+    def test_selecting_estimate_builds_one_table_per_arm_and_k(self, calls,
+                                                                 cpus):
+        # on 2 CPUs the folds run in the caller and one forked child, and
+        # each of the two processes builds the lists it reads
+        cpus(2)
         s = make_sample(n=300, seed=3)
         crossfit_adjusters(s, make_folds(s, 3, 0),
                            ["constant", "knn_loc_shift:k=10",
                             "knn_quantile:k=12"],
                            grid_spec=GridSpec("linear", 50))
-        # each process that runs folds reads a table of its own
-        for seen in calls.by_process():
-            builds = [c for c in seen if c[1] == s.n]
-            # two distinct k, each built once per arm
-            assert sorted(builds) == sorted(
-                [(s.n1, s.n, True), (s.n0, s.n, True)] * 2)
+        per_process = calls.by_process()
+        assert len(per_process) == 2
+        # two distinct k, each built once per arm
+        once = sorted([(s.n1, s.n, True), (s.n0, s.n, True)] * 2)
+        for seen in per_process:
+            assert sorted(c for c in seen if c[1] == s.n) == once
+        assert sum(c[1] == s.n for c in calls) == 2 * len(once)
         assert all(inside for _, _, inside in calls)
 
-    def test_selecting_sample_split_reads_one_table(self, calls):
+    def test_selecting_sample_split_reads_one_table(self, calls, cpus):
         # the table lists every row's neighbours among the auxiliary rows,
         # so the selection, the final residual fits and the extractions on
-        # the main rows all read it
+        # the main rows all read it; each candidate's scoring is a
+        # one-model cross-fit of 200 rows, too small to fork
+        cpus(2)
         s, _ = draw_dgp(DgpSpec(), 400, seed=5)
         estimate(s, "sample-split",
                  ["knn_loc_shift:k=10", "knn_quantile:k=10"], seed=0)
         aux_d = s.d[make_split(s, 0.5, 0).aux]
-        # a candidate's scoring runs folds in a child, which builds the
-        # lists it reads unless the table held them when it forked
-        for seen in calls.by_process():
-            assert sorted(seen) == sorted([(int(aux_d.sum()), s.n, True),
-                                           (int((aux_d == 0).sum()), s.n,
-                                            True)])
+        assert sorted(calls) == sorted([(int(aux_d.sum()), s.n, True),
+                                        (int((aux_d == 0).sum()), s.n, True)])
 
     # per fold and arm: the location-shift fit's residuals, and the
     # evaluation on the fold

@@ -6,7 +6,8 @@ child runs again in the caller. These tests pin that nothing a caller can
 see depends on it: adjusters, meta, warnings, errors and buffered output
 equal those of the inline loop, one fork is made per outermost cross-fit,
 and none where the map runs inline. Affinity is patched, so the forking
-paths run on a host of any CPU count.
+paths run on a host of any CPU count, and the size rule is lowered so
+that small samples fork.
 """
 import io
 import os
@@ -33,19 +34,15 @@ def make_sample(n=200, seed=0):
     return Sample(y, d, x)
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """``cpus(w)`` makes the map see w CPUs."""
-    with kernels._one_blas_thread():
-        if not kernels._BLAS:
-            pytest.skip("no BLAS thread count to hold: the map runs inline")
-    # the shift pool sizes itself on first use: not from a patched count
-    kernels._shift_pool()
+# the real size rule, before ``_fork_any_size`` lowers it
+FORK_MIN_WORK = kernels._FORK_MIN_WORK
 
-    def on(w):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(w)))
-    return on
+
+@pytest.fixture(autouse=True)
+def _fork_any_size(monkeypatch):
+    """Let the small samples here fork: any fold work that is not all
+    ``constant`` reaches the rule (``test_size_rule`` restores it)."""
+    monkeypatch.setattr(kernels, "_FORK_MIN_WORK", 1)
 
 
 @pytest.fixture
@@ -103,7 +100,7 @@ def test_more_cpus_fork_one_child_per_share(cpus, forks, w, k_folds):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
 def test_caller_runs_the_first_share(cpus, w, n):
     cpus(w)
-    got = kernels._fork_map(lambda i: (i * i, os.getpid()), range(n))
+    got = kernels._fork_map(lambda i: (i * i, os.getpid()), range(n), 1)
     assert [v for v, _ in got] == [i * i for i in range(n)]
     own = -(-n // min(w, n))
     assert [pid == os.getpid() for _, pid in got] == (
@@ -208,6 +205,30 @@ def test_no_fork_for_constant_models_or_one_cpu(cpus, forks):
     assert len(forks) == 0
 
 
+def test_size_rule(cpus, forks, monkeypatch):
+    # a map forks from FORK_MIN_WORK; a cross-fit counts rows times the
+    # non-constant fits of a fold, six per candidate when it selects
+    monkeypatch.setattr(kernels, "_FORK_MIN_WORK", FORK_MIN_WORK)
+    cpus(2)
+    assert kernels._fork_map(abs, [-1, -2], FORK_MIN_WORK - 1) == [1, 2]
+    assert len(forks) == 0
+    assert kernels._fork_map(abs, [-1, -2], FORK_MIN_WORK) == [1, 2]
+    assert len(forks) == 1
+    _crossfit(make_sample(n=FORK_MIN_WORK - 1, seed=5), 5,
+              ["knn_loc_shift:k=10"])
+    assert len(forks) == 1
+    _crossfit(make_sample(n=FORK_MIN_WORK, seed=5), 5,
+              ["knn_loc_shift:k=10"])
+    assert len(forks) == 2
+    selecting = -(-FORK_MIN_WORK // 12)
+    _crossfit(make_sample(n=selecting - 1, seed=5), 5,
+              ["constant", "knn_loc_shift:k=10", "ridge_loc_shift"])
+    assert len(forks) == 2
+    _crossfit(make_sample(n=selecting, seed=5), 5,
+              ["constant", "knn_loc_shift:k=10", "ridge_loc_shift"])
+    assert len(forks) == 3
+
+
 def test_no_fork_without_blas_control(cpus, forks, monkeypatch):
     sample = make_sample(seed=5)
     cpus(1)
@@ -218,12 +239,14 @@ def test_no_fork_without_blas_control(cpus, forks, monkeypatch):
     assert len(forks) == 0
 
 
-def test_no_fork_without_os_fork(cpus, monkeypatch):
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_no_fork_without_os_fork(cpus, monkeypatch, missing):
+    # macOS has os.fork but no os.sched_getaffinity
     sample = make_sample(seed=5)
     cpus(1)
     inline = _crossfit(sample, 4, ["knn_loc_shift:k=10"])
     cpus(2)
-    monkeypatch.delattr(os, "fork")
+    monkeypatch.delattr(os, missing)
     _assert_same(_crossfit(sample, 4, ["knn_loc_shift:k=10"]), inline)
 
 
@@ -244,7 +267,8 @@ def test_direct_selection_forks_per_candidate_cross_fit(cpus, forks):
 def test_nested_map_runs_inline(cpus, forks):
     cpus(2)
     got = kernels._fork_map(
-        lambda i: kernels._fork_map(lambda j: (i, j), range(3)), range(2))
+        lambda i: kernels._fork_map(lambda j: (i, j), range(3), 1), range(2),
+        1)
     assert got == [[(i, j) for j in range(3)] for i in range(2)]
     assert len(forks) == 1
     assert not kernels._MAPPING
@@ -265,7 +289,7 @@ def test_no_shift_pool_inside_a_map(cpus, monkeypatch):
     monkeypatch.setattr(kernels, "_shift_pool", no_pool)
     cpus(2)
     for lo, hi in kernels._fork_map(
-            lambda i: kernels.shift_cdf_argopt(*args), range(2)):
+            lambda i: kernels.shift_cdf_argopt(*args), range(2), 1):
         assert lo.tobytes() == want[0].tobytes()
         assert hi.tobytes() == want[1].tobytes()
 
@@ -295,7 +319,7 @@ def test_children_are_killed_when_the_caller_raises(cpus, error):
     cpus(2)
     t0 = time.monotonic()
     with pytest.raises(error, match="caller fails"):
-        kernels._fork_map(item, range(2))
+        kernels._fork_map(item, range(2), 1)
     assert time.monotonic() - t0 < 10
     assert not kernels._MAPPING
 
@@ -311,4 +335,4 @@ def test_items_of_a_child_that_dies_run_in_the_caller(cpus):
         return i * i
 
     cpus(3)
-    assert kernels._fork_map(item, range(5)) == [i * i for i in range(5)]
+    assert kernels._fork_map(item, range(5), 1) == [i * i for i in range(5)]
