@@ -503,9 +503,10 @@ def fit_adjusters(train: Sample, spec_l: str, spec_u: str, sample: Sample,
     the neighbour table that ``train`` and ``sample`` are viewed in, if any.
 
     The fits and extractions run with numpy's BLAS held to one thread (see
-    ``kernels._one_blas_thread``): the shift kernel's pool already runs a
-    thread per CPU, and the small products of the fits gain nothing from
-    more. The previous thread count is restored on return or raise. The
+    ``kernels._one_blas_thread``): the small products of the fits gain no
+    wall time from more, while idle BLAS threads spin and burn CPU, and in
+    a forked cross-fit they would take the other processes' CPUs. The
+    previous thread count is restored on return or raise. The
     limit is process-global, so other threads' BLAS calls run on one thread
     while any estimate is inside this function. The seed-7 report tests pin
     that reports do not change with it.

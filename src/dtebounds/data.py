@@ -164,7 +164,13 @@ class PropensityModel:
             if self.pi is None or not (PROPENSITY_EPS < self.pi < 1 - PROPENSITY_EPS):
                 raise ConfigError("constant propensity must lie in (eps, 1-eps)")
         if self.mode == "known_function":
-            p = np.asarray(self.p_of_x, dtype=np.float64)
+            try:
+                p = np.asarray(self.p_of_x, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"propensity values: {exc}") from None
+            if p.ndim != 1 or not np.isfinite(p).all():
+                raise ConfigError("known_function mode requires a 1-D array "
+                                  "of finite propensity values")
             if np.any(p < PROPENSITY_EPS) or np.any(p > 1 - PROPENSITY_EPS):
                 bad = int(np.argmax((p < PROPENSITY_EPS) | (p > 1 - PROPENSITY_EPS)))
                 raise ConfigError(

@@ -14,10 +14,9 @@ counts at a segment's ends bound it exactly. A call takes the refine path
 when its m residuals (both arms) and g grid points satisfy
 m >= 128 + g/64, the crossover measured in ``BENCH_shift_refine.json``.
 
-The module also owns the process's CPU budget: the shift kernel's thread
-pool, the hold of BLAS to one thread (``_one_blas_thread``) and the
-ordered fork map (``_fork_map``) that runs a cross-fit's folds on every
-CPU.
+The module also owns the process's CPU budget: the hold of BLAS to one
+thread (``_one_blas_thread``) and the ordered fork map (``_fork_map``)
+that runs a cross-fit's folds on every CPU. It starts no thread.
 """
 from __future__ import annotations
 
@@ -275,38 +274,13 @@ _SHIFT_BLOCK_EVENTS = 1 << 14
 # the refine path of ``shift_cdf_argopt``: rows per block, grid strides
 # from coarse to fine (the last is 1), and cuts evaluated per pass over one
 # level of a block, which bound its temporaries (~128 KB per array) as
-# ``_INTERP_BLOCK_POINTS`` does. The blocks are large because the path's
-# numpy calls are short and hold the GIL between them: on 2 CPUs, the
-# 320-row calls of a cross-fit at n=2000 ran slower as parts of 128 to 256
-# rows on the pool than as one block on one thread, while a call of four
-# 512-row blocks ran faster on the pool (``BENCH_shift_refine.json``)
+# ``_INTERP_BLOCK_POINTS`` does. Blocks of rows also bound a long call's
+# per-level arrays, at no cost: a ridge sample split at n = 16000 (two
+# calls of about 4000 rows) took a median 0.245 s per estimate in 512-row
+# blocks and 0.252 s in one block per call, on a 2-CPU Xeon VM
 _SHIFT_REFINE_ROWS = 512
 _SHIFT_STRIDES = (128, 16, 1)
 _SHIFT_REFINE_POINTS = 1 << 13
-
-# (thread pool, worker count) for the row parts of ``shift_cdf_argopt``,
-# made on its first call with more than one block
-_POOL = None
-
-
-def _shift_pool():
-    global _POOL
-    if _POOL is None:
-        # imported on first use: a single-block call never needs it
-        from concurrent.futures import ThreadPoolExecutor
-        workers = len(os.sched_getaffinity(0))
-        _POOL = ThreadPoolExecutor(workers), workers
-    return _POOL
-
-
-def _drop_pool():
-    # a forked child inherits the pool but not its threads
-    global _POOL
-    _POOL = None
-
-
-os.register_at_fork(after_in_child=_drop_pool)
-
 
 # (get, set) thread-count functions of each OpenBLAS mapped into the process,
 # found on the first entry of ``_one_blas_thread``
@@ -375,12 +349,16 @@ def _one_blas_thread():
     """Hold every OpenBLAS in the process to one thread while any scope is
     open, then restore the counts it had.
 
-    The shift kernel's pool already runs a thread per CPU; BLAS threads
-    spinning beside it only take CPUs from its workers. The limit is
-    process-global, so BLAS calls from other threads also run on one thread
-    meanwhile. Nested and concurrent scopes share it: the first entry saves
-    the counts and the last exit restores them, on every exit path. A
-    forked child keeps only the scopes its forking thread had open.
+    The fits' small products gain nothing from BLAS threads, which only
+    spin between them: on a 2-CPU Xeon VM a ridge sample split at
+    n = 8000 took a median 0.121 s with the hold and 0.124 s without, but
+    0.12 s of process CPU with it against 0.25 s without. In a
+    ``_fork_map``, spinning threads would take the CPUs of the other
+    processes. The limit is process-global, so BLAS calls from other
+    threads also run on one thread meanwhile. Nested and concurrent scopes
+    share it: the first entry saves the counts and the last exit restores
+    them, on every exit path. A forked child keeps only the scopes its
+    forking thread had open.
     """
     global _BLAS, _blas_depth, _blas_saved
     with _BLAS_LOCK:
@@ -405,7 +383,7 @@ def _one_blas_thread():
 
 # set while an ordered fork map runs, in its process and in its children:
 # the map's processes already use every CPU, so a map started inside it
-# runs inline and the shift kernel adds no threads
+# runs inline
 _MAPPING = False
 
 # the least work, in row fits, for which a map forks; see ``_fork_map``
@@ -424,8 +402,10 @@ def _fork_map(fn, items, work):
     first item that warns or raises, and sends what it kept through a pipe.
     The caller takes the results in item order and runs every item that has
     none itself, so results, warnings and exceptions are those of the plain
-    loop; an item that warns or raises in a child only runs twice. Results
-    must pickle.
+    loop; an item that warns or raises in a child only runs twice. A share
+    whose fork fails (``os.fork`` or ``os.pipe`` raising ``OSError``, as
+    under a process limit) and every later share run in the caller too.
+    Results must pickle.
 
     The whole map holds BLAS to one thread (``_one_blas_thread``): BLAS
     threads left to spin in the caller, or re-created in a child, take the
@@ -456,7 +436,7 @@ def _fork_map(fn, items, work):
         w = min(len(os.sched_getaffinity(0)), n)
     if w < 2:
         return [fn(item) for item in items]
-    children = []  # (pid, read end of its pipe, its first item, its end)
+    children = []  # (pid, read end of its pipe, the end of its share)
     with _one_blas_thread():
         if not _BLAS:
             return [fn(item) for item in items]
@@ -466,19 +446,24 @@ def _fork_map(fn, items, work):
         _MAPPING = True
         try:
             for lo, hi in zip(cuts[:-1], cuts[1:]):
-                children.append((*_fork_share(fn, items[lo:hi]), lo, hi))
+                try:
+                    children.append((*_fork_share(fn, items[lo:hi]), hi))
+                except OSError:
+                    # no process or pipe to spare: the caller runs this
+                    # share and the later ones
+                    break
             out = [fn(item) for item in items[:own]]
-            for _, reader, lo, hi in children:
+            for _, reader, hi in children:
                 try:
                     kept = pickle.load(reader)
                 except (EOFError, pickle.UnpicklingError):
                     kept = []  # the child died before it sent them all
                 out += kept
-                out += [fn(item) for item in items[lo + len(kept):hi]]
-            return out
+                out += [fn(item) for item in items[len(out):hi]]
+            return out + [fn(item) for item in items[len(out):]]
         finally:
             _MAPPING = False
-            for pid, reader, _, _ in children:
+            for pid, reader, _ in children:
                 reader.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -490,8 +475,9 @@ def _fork_share(fn, items):
     r, w = os.pipe()
     try:
         with warnings.catch_warnings():
-            # Python 3.12 warns of a fork beside threads; the shift pool's
-            # threads are idle whenever a map forks
+            # Python 3.12 warns of a fork beside threads. The package starts
+            # none, and the one lock of its own that a caller's thread can
+            # hold, ``_BLAS_LOCK``, is taken around every fork
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
         if pid == 0:
@@ -549,15 +535,10 @@ def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     point, and neither wins everywhere; ``_refines`` picks one per call from
     the residual counts and the grid size alone.
 
-    A call of more than one block of rows (``_SHIFT_BLOCK_EVENTS`` events
-    on the event path, ``_SHIFT_REFINE_ROWS`` rows on the refine path) cuts
-    its rows into one contiguous part per CPU, and runs the parts on a
-    thread pool, except inside a ``_fork_map``, whose processes already use
-    every CPU. Each row's result depends only on that row, so it does not
-    depend on the number of parts. The pool counts on having the CPUs to
-    itself: ``condcdf.fit_adjusters``, which makes every estimate's calls,
-    holds BLAS to one thread around them (``_one_blas_thread``), so that
-    BLAS threads do not spin on the CPUs of its workers.
+    A call runs its rows in blocks, one after another, in the calling
+    thread: ``_SHIFT_BLOCK_EVENTS`` events per block on the event path,
+    ``_SHIFT_REFINE_ROWS`` rows on the refine path. Each row's result
+    depends only on that row, so it does not depend on the block size.
     """
     mu1 = np.asarray(mu1, dtype=np.float64)
     mu0 = np.asarray(mu0, dtype=np.float64)
@@ -572,19 +553,11 @@ def shift_cdf_argopt(mu1, mu0, resid1, resid0, grid):
     else:
         block = _event_block
         step = max(1, _SHIFT_BLOCK_EVENTS // (r1.size + r0.size))
-    args = (block, mu1, mu0, r1, r0, grid, s_lo, s_hi, step)
-    if n <= step or _MAPPING:
-        _shift_rows(*args, 0, n)
-    else:
-        pool, workers = _shift_pool()
-        blocks = -(-n // step)
-        parts = min(workers, blocks)
-        cuts = [blocks * p // parts * step for p in range(parts)] + [n]
-        # each part writes only its own rows of s_lo and s_hi
-        futures = [pool.submit(_shift_rows, *args, a, b)
-                   for a, b in zip(cuts[:-1], cuts[1:])]
-        for f in futures:
-            f.result()
+    for a in range(0, n, step):
+        rows = slice(a, a + step)
+        k_max, k_min = block(mu1[rows], mu0[rows], r1, r0, grid)
+        s_lo[rows] = grid[k_max]
+        s_hi[rows] = grid[k_min]
     return s_lo, s_hi
 
 
@@ -598,17 +571,6 @@ def _refines(m, g):
     lies near m = 128 + g/64: 143 residuals at g = 1000, 284 at g = 10000.
     """
     return m >= 128 + g // 64
-
-
-def _shift_rows(block, mu1, mu0, r1, r0, grid, s_lo, s_hi, step, start,
-                stop):
-    """``shift_cdf_argopt`` for rows [start, stop), in blocks of ``step``
-    rows run by ``block``, written into ``s_lo`` and ``s_hi``."""
-    for a in range(start, stop, step):
-        rows = slice(a, min(a + step, stop))
-        k_max, k_min = block(mu1[rows], mu0[rows], r1, r0, grid)
-        s_lo[rows] = grid[k_max]
-        s_hi[rows] = grid[k_min]
 
 
 def _event_block(mu1, mu0, r1, r0, grid):

@@ -3,17 +3,28 @@
 A cross-fit runs its folds in forked children (``kernels._fork_map``).
 A test that leaves a child process behind, running or unreaped, fails:
 the process twin of the ``filterwarnings`` rule in ``pyproject.toml`` that
-fails a test leaking a file. ``process_log`` lets a test that counts calls
-count those its children make as well, and ``cpus`` fixes the CPU count
-the map sees.
+fails a test leaking a file. So does a test that leaves a thread it
+started running: the package starts no thread of its own.
+``process_log`` lets a test that counts calls count those its children
+make as well, and ``cpus`` fixes the CPU count the map sees.
 """
 import ast
 import os
+import threading
 from collections.abc import Sequence
 
 import pytest
 
 from dtebounds import kernels
+
+
+@pytest.fixture(autouse=True)
+def _no_thread_left():
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"the test left threads behind: {left}")
 
 
 @pytest.fixture(autouse=True)
@@ -33,8 +44,6 @@ def cpus(monkeypatch):
     with kernels._one_blas_thread():
         if not kernels._BLAS:
             pytest.skip("no BLAS thread count to hold: the map runs inline")
-    # the shift pool sizes itself on first use: not from a patched count
-    kernels._shift_pool()
 
     def on(w):
         monkeypatch.setattr(os, "sched_getaffinity",

@@ -12,6 +12,7 @@ from dtebounds.data import (
     ConfigError,
     CsvParseError,
     DegenerateDesignError,
+    PropensityModel,
     Sample,
     adjuster_arrays,
     load_csv,
@@ -465,6 +466,35 @@ def test_adjuster_zero():
 def test_adjuster_rejects_non_numeric():
     with pytest.raises(ConfigError, match="adjusters"):
         adjuster_arrays((["a", "b"], np.zeros(2)), 2)
+
+
+class TestKnownFunctionPropensity:
+    """Known per-unit propensities are one finite value in (eps, 1 - eps)
+    per unit; anything else is a ConfigError when the model is made."""
+
+    @pytest.mark.parametrize("p_of_x", [
+        None,                                  # no values at all
+        np.full(4, np.nan),                    # NaN passes a range check
+        np.array([0.5, np.inf, 0.5]),
+        np.full((2, 2), 0.5),
+        0.5,
+    ], ids=["missing", "nan", "inf", "2-d", "scalar"])
+    def test_not_a_finite_vector(self, p_of_x):
+        with pytest.raises(ConfigError, match="1-D array of finite"):
+            PropensityModel(mode="known_function", p_of_x=p_of_x)
+
+    def test_not_numeric(self):
+        with pytest.raises(ConfigError, match="propensity values"):
+            PropensityModel(mode="known_function", p_of_x=["a", "b"])
+
+    def test_out_of_range(self):
+        with pytest.raises(ConfigError, match="at row 1"):
+            PropensityModel(mode="known_function", p_of_x=[0.5, 1.0])
+
+    def test_read_as_float64(self):
+        prop = PropensityModel(mode="known_function", p_of_x=[0.25, 0.75])
+        assert prop.p_of_x.dtype == np.float64
+        np.testing.assert_array_equal(prop.p_of_x, [0.25, 0.75])
 
 
 class TestGroupStratifiedFolds:

@@ -9,7 +9,9 @@ and none where the map runs inline. Affinity is patched, so the forking
 paths run on a host of any CPU count, and the size rule is lowered so
 that small samples fork.
 """
+import errno
 import io
+import json
 import os
 import sys
 import time
@@ -18,7 +20,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dtebounds import condcdf, kernels
+from dtebounds import DgpSpec, condcdf, draw_dgp, kernels
+from dtebounds.cli import main
 from dtebounds.condcdf import GridSpec, crossfit_adjusters, select_model
 from dtebounds.crossfit import estimate
 from dtebounds.data import ConfigError, EstimationError, Sample, make_folds
@@ -274,19 +277,14 @@ def test_nested_map_runs_inline(cpus, forks):
     assert not kernels._MAPPING
 
 
-def test_no_shift_pool_inside_a_map(cpus, monkeypatch):
-    # a call of several blocks runs them inline: the map's processes
-    # already use every CPU
+def test_multi_block_call_in_a_map_equals_the_call_outside(cpus):
+    # a shift-kernel call of several blocks, in the caller's share and in a
+    # child's
     rng = np.random.default_rng(11)
     args = (rng.normal(size=400), rng.normal(size=400), rng.normal(size=50),
             rng.normal(size=60), np.linspace(-4, 4, 301))
     assert 400 > kernels._SHIFT_BLOCK_EVENTS // 110
     want = kernels.shift_cdf_argopt(*args)
-
-    def no_pool():
-        raise AssertionError("the shift pool was used inside a map")
-
-    monkeypatch.setattr(kernels, "_shift_pool", no_pool)
     cpus(2)
     for lo, hi in kernels._fork_map(
             lambda i: kernels.shift_cdf_argopt(*args), range(2), 1):
@@ -336,3 +334,62 @@ def test_items_of_a_child_that_dies_run_in_the_caller(cpus):
 
     cpus(3)
     assert kernels._fork_map(item, range(5), 1) == [i * i for i in range(5)]
+
+
+def _failing_fork(monkeypatch, ok):
+    """``os.fork`` that forks ``ok`` times, then raises EAGAIN, as under a
+    process limit."""
+    real = os.fork
+    calls = []
+
+    def fork():
+        calls.append(None)
+        if len(calls) > ok:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+@pytest.mark.parametrize("w, ok", [(2, 0), (3, 0), (3, 1), (4, 1), (4, 2)])
+def test_shares_of_a_failed_fork_run_in_the_caller(cpus, monkeypatch, w, ok):
+    calls = _failing_fork(monkeypatch, ok)
+    cpus(w)
+    n = 7
+    got = kernels._fork_map(lambda i: (i * i, os.getpid()), range(n), 1)
+    assert [v for v, _ in got] == [i * i for i in range(n)]
+    assert len(calls) == ok + 1
+    # the children that forked run their shares; the caller runs its own
+    # and every share from the failed fork on
+    own = -(-n // w)
+    failed_at = own + (n - own) * ok // (w - 1)
+    assert [pid == os.getpid() for _, pid in got] == (
+        [True] * own + [False] * (failed_at - own)
+        + [True] * (n - failed_at))
+    assert not kernels._MAPPING
+
+
+def test_analyze_runs_on_when_a_fork_fails(cpus, monkeypatch, tmp_path):
+    sample, _ = draw_dgp(DgpSpec(), 400, seed=8)
+    csv = tmp_path / "data.csv"
+    p = sample.x.shape[1]
+    csv.write_text("\n".join(
+        [",".join(["y", "d"] + [f"x{j}" for j in range(p)])]
+        + [",".join([repr(y), str(d)] + [repr(v) for v in x])
+           for y, d, x in zip(sample.y.tolist(), sample.d.tolist(),
+                              sample.x.tolist())]) + "\n")
+
+    def report(name):
+        out = tmp_path / name
+        assert main(["analyze", "--input", str(csv), "--x-prefix", "x",
+                     "--method", "cross-fit", "--models",
+                     "knn_loc_shift:k=10", "--grid", "normal:500",
+                     "--output", str(out)]) == 0
+        return json.loads((tmp_path / f"{name}.json").read_text())["report"]
+
+    cpus(2)
+    want = report("forked")
+    calls = _failing_fork(monkeypatch, 0)
+    assert report("failed") == want
+    assert calls

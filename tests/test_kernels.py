@@ -2,7 +2,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from dtebounds import kernels
 from dtebounds.condcdf import GridSpec, fit_arm_model
+from dtebounds.crossfit import estimate
 from dtebounds.simulate import DgpSpec, draw_dgp
 
 
@@ -430,63 +430,72 @@ class TestShiftRouting:
         assert set(paths) == {"_event_block"}
 
 
-@pytest.fixture(scope="module")
-def pools():
-    """Thread pools of 1 and 3 workers, to stand in for the kernel's own."""
-    made = [(ThreadPoolExecutor(w), w) for w in (1, 3)]
-    yield made
-    for pool, _ in made:
-        pool.shutdown()
-
-
 @settings(max_examples=150, deadline=None)
 @given(inputs=_shift_inputs(max_rows=40), events=st.integers(8, 64),
        rows=st.integers(1, 8), refine=st.booleans())
-def test_shift_argopt_row_parts_match_dense_loop(pools, inputs, events, rows,
+def test_shift_argopt_row_parts_match_dense_loop(inputs, events, rows,
                                                  refine):
     # blocks of a few events, or of a few rows on the refine path, split up
-    # to 40 rows into many blocks, and the blocks into one part per worker;
-    # no worker count may change a byte, with the threads switching as
-    # often as the interpreter allows
+    # to 40 rows into many blocks; no block size may change a byte
     ref_lo, ref_hi = _dense_shift_argopt(*inputs)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_SHIFT_BLOCK_EVENTS", events)
-            mp.setattr(kernels, "_SHIFT_REFINE_ROWS", rows)
-            mp.setattr(kernels, "_SHIFT_STRIDES", (8, 3, 1))
-            mp.setattr(kernels, "_refines", lambda m, g: refine)
-            for pool in [kernels._shift_pool()] + pools:
-                mp.setattr(kernels, "_POOL", pool)
-                s_lo, s_hi = kernels.shift_cdf_argopt(*inputs)
-                assert s_lo.tobytes() == ref_lo.tobytes()
-                assert s_hi.tobytes() == ref_hi.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_SHIFT_BLOCK_EVENTS", events)
+        mp.setattr(kernels, "_SHIFT_REFINE_ROWS", rows)
+        mp.setattr(kernels, "_SHIFT_STRIDES", (8, 3, 1))
+        mp.setattr(kernels, "_refines", lambda m, g: refine)
+        s_lo, s_hi = kernels.shift_cdf_argopt(*inputs)
+    assert s_lo.tobytes() == ref_lo.tobytes()
+    assert s_hi.tobytes() == ref_hi.tobytes()
 
 
-def _multi_block_call():
-    """A ``shift_cdf_argopt`` call of 3 blocks on the event path at the
-    default block size."""
+# (rows, treated residuals, control residuals, grid points) of two calls
+# of 3 blocks each at the default block sizes, on the event path and then
+# on the refine path
+MULTI_BLOCK_SHAPES = ((400, 50, 60, 301), (1100, 200, 180, 401))
+
+
+def _multi_block_calls():
     rng = np.random.default_rng(11)
-    r1, r0 = rng.normal(size=50), rng.normal(size=60)
-    mu1, mu0 = rng.normal(size=400), rng.normal(size=400)
-    grid = np.linspace(-4, 4, 301)
-    assert not kernels._refines(r1.size + r0.size, grid.size)
-    assert mu1.size > kernels._SHIFT_BLOCK_EVENTS // (r1.size + r0.size) * 2
-    return kernels.shift_cdf_argopt(mu1, mu0, r1, r0, grid)
+    calls = []
+    for n, m1, m0, g in MULTI_BLOCK_SHAPES:
+        refine = kernels._refines(m1 + m0, g)
+        step = (kernels._SHIFT_REFINE_ROWS if refine
+                else kernels._SHIFT_BLOCK_EVENTS // (m1 + m0))
+        assert n > 2 * step
+        calls.append((refine, (rng.normal(size=n), rng.normal(size=n),
+                               rng.normal(size=m1), rng.normal(size=m0),
+                               np.linspace(-4, 4, g))))
+    assert [refine for refine, _ in calls] == [False, True]
+    return [args for _, args in calls]
 
 
-def test_single_block_call_starts_no_thread():
+def _multi_block_results():
+    return [kernels.shift_cdf_argopt(*args) for args in _multi_block_calls()]
+
+
+def _assert_same_results(got, want):
+    for (lo, hi), (lo_w, hi_w) in zip(got, want, strict=True):
+        assert lo.tobytes() == lo_w.tobytes()
+        assert hi.tobytes() == hi_w.tobytes()
+
+
+def test_no_shift_call_starts_a_thread():
+    # a fresh interpreter: one single-block call, then a call of several
+    # blocks on each path
     code = (
         "import threading\n"
         "import numpy as np\n"
         "from dtebounds import kernels\n"
         "g = np.linspace(-3, 3, 50)\n"
         "kernels.shift_cdf_argopt(np.zeros(45), np.ones(45), g[::2], g, g)\n"
-        "assert kernels._POOL is None\n"
+        "rng = np.random.default_rng(11)\n"
+        f"for n, m1, m0, g in {MULTI_BLOCK_SHAPES!r}:\n"
+        "    kernels.shift_cdf_argopt(\n"
+        "        rng.normal(size=n), rng.normal(size=n),\n"
+        "        rng.normal(size=m1), rng.normal(size=m0),\n"
+        "        np.linspace(-4, 4, g))\n"
         "assert threading.active_count() == 1, threading.enumerate()\n")
+    _multi_block_calls()  # each shape makes a call of several blocks
     src = str(Path(kernels.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -494,13 +503,28 @@ def test_single_block_call_starts_no_thread():
 
 
 def test_forked_child_runs_multi_block_calls():
-    # the child inherits the pool, but not its threads
-    lo, hi = _multi_block_call()
-    assert kernels._POOL is not None
+    want = _multi_block_results()
     with multiprocessing.get_context("fork").Pool(1) as child:
-        got_lo, got_hi = child.apply_async(_multi_block_call).get(timeout=60)
-    assert got_lo.tobytes() == lo.tobytes()
-    assert got_hi.tobytes() == hi.tobytes()
+        got = child.apply_async(_multi_block_results).get(timeout=60)
+    _assert_same_results(got, want)
+
+
+def test_calls_without_sched_getaffinity():
+    # macOS and Windows have no os.sched_getaffinity; a sample split at
+    # n = 500 makes calls of several blocks
+    sample, _ = draw_dgp(DgpSpec(), 500, seed=7)
+
+    def run():
+        return (repr(estimate(sample, "sample-split",
+                              ["knn_loc_shift:k=25"])),
+                _multi_block_results())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, "sched_getaffinity")
+        got = run()
+    want = run()
+    assert got[0] == want[0]
+    _assert_same_results(got[1], want[1])
 
 
 def _row_cdf_counts(samples, grid):

@@ -101,9 +101,9 @@ def test_traced_selecting_estimates_complete():
 
 
 def test_traced_multi_block_shift_call_stays_in_private_functions():
-    """The kernel's worker threads must reach no wrapped function: the
-    tracer's span stack is not thread-safe. One call per path, each of
-    several blocks."""
+    """A call of several blocks, one per path, is one span: its blocks
+    run in private functions, which the tracer does not wrap, and the
+    traced result equals the untraced one."""
     import numpy as np
 
     from dtebounds import kernels
