@@ -177,7 +177,7 @@ def _validate_config(cfg: dict, command: str):
 
 def _grid_spec(cfg: dict) -> GridSpec:
     kind, _, size = cfg["grid"].partition(":")
-    return GridSpec(kind=kind, size=int(size) if size else 10_000)
+    return GridSpec(kind, int(size)) if size else GridSpec(kind)
 
 
 def _model_list(cfg: dict) -> list[str]:
@@ -252,7 +252,9 @@ def _external_adjusters(cfg: dict, n: int):
 def _propensity(cfg: dict, sample) -> PropensityModel:
     mode = cfg["propensity.mode"]
     if mode == "constant_known":
-        return PropensityModel(mode=mode, pi=cfg.get("propensity.pi"))
+        if cfg.get("propensity.pi") is None:
+            raise ConfigError("propensity.pi: required for constant_known")
+        return PropensityModel(mode=mode, pi=cfg["propensity.pi"])
     if mode == "known_function":
         if not cfg.get("propensity.col"):
             raise ConfigError("propensity.col: required for known_function")

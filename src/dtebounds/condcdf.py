@@ -43,7 +43,9 @@ __all__ = [
 ]
 
 TAU_GRID = np.round(np.linspace(0.0, 1.0, 101), 2)
-MODEL_NAMES = ("constant", "knn_loc_shift", "ridge_loc_shift", "knn_quantile")
+# each model name and the spec parameters its fit reads
+MODEL_PARAMS = {"constant": (), "knn_loc_shift": ("k",),
+                "ridge_loc_shift": ("lambda",), "knn_quantile": ("k",)}
 # the ways a model can fail to fit its data; anything else is a bug
 FIT_ERRORS = (ConfigError, DegenerateDesignError, np.linalg.LinAlgError)
 
@@ -116,9 +118,6 @@ class LocationShiftModel(ConditionalCdfModel):
         self.residuals = np.sort(residuals)
 
     def predict_mu(self, X, rows=None):
-        # a regressor needs to take ``rows`` only if it is given them
-        if rows is None:
-            return self.regressor.predict(np.atleast_2d(X))
         return self.regressor.predict(np.atleast_2d(X), rows)
 
     def eval_cdf(self, t, x):
@@ -128,7 +127,8 @@ class LocationShiftModel(ConditionalCdfModel):
 
 
 class QuantileGridModel(ConditionalCdfModel):
-    """Per-row quantile predictions on a tau grid, linearly interpolated.
+    """Per-row quantile predictions on the levels ``TAU_GRID``, linearly
+    interpolated.
 
     Predictions are sorted per row (monotone rearrangement) before
     interpolation; outside the predicted range the CDF is clamped to 0/1.
@@ -137,20 +137,13 @@ class QuantileGridModel(ConditionalCdfModel):
     """
 
     kind = "quantile_grid"
+    taus = TAU_GRID
 
-    def __init__(self, y, x, k, taus=TAU_GRID, rows=None):
+    def __init__(self, y, x, k, rows=None):
         self.y = np.asarray(y, dtype=np.float64)
         self.x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         self.k = int(k)
         self.rows = rows
-        self.taus = np.asarray(taus, dtype=np.float64)
-        # the interpolated CDF is monotone, and the argopt kernel exact,
-        # only for sorted levels in [0, 1]
-        t = self.taus
-        if not (t.ndim == 1 and t.size and np.all(np.isfinite(t))
-                and np.all(np.diff(t) >= 0) and t[0] >= 0 and t[-1] <= 1):
-            raise ConfigError("taus must be a nonempty 1-D nondecreasing "
-                              "array of levels in [0, 1]")
         if self.k > self.y.size:
             raise ConfigError(f"k={self.k} exceeds arm size {self.y.size}")
 
@@ -399,26 +392,37 @@ def _model_name(spec: str) -> str:
 
 def parse_model_spec(spec: str):
     """Split a model spec string like 'knn_loc_shift:k=15' into
-    (name, params)."""
+    (name, params). A parameter given twice, or one that the named model
+    does not read (``MODEL_PARAMS``), is a ConfigError; an unknown name is
+    left to the caller."""
+    name = _model_name(spec)
     _, _, rest = spec.partition(":")
     params = {}
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
+            key = key.strip()
             if not val:
                 raise ConfigError(f"malformed model spec {spec!r}")
-            params[key.strip()] = val.strip()
-    return _model_name(spec), params
+            if key in params:
+                raise ConfigError(f"model spec {spec!r}: {key!r} is given "
+                                  "twice")
+            if name in MODEL_PARAMS and key not in MODEL_PARAMS[name]:
+                raise ConfigError(f"model spec {spec!r}: {name} reads no "
+                                  f"parameter {key!r}")
+            params[key] = val.strip()
+    return name, params
 
 
 def fit_arm_model(y, x, spec: str, rows=None) -> ConditionalCdfModel:
     """Fit one arm's conditional CDF model from outcomes y and covariates x.
 
     Degenerate (constant) covariates trigger a fallback to the constant
-    model with a warning; an oversized k or a non-numeric parameter is a
-    ConfigError. ``rows``, the estimate's neighbour table viewed at the
-    rows of y and x, answers the kNN searches among them for query rows
-    that are viewed in it too; the answers equal a direct search.
+    model with a warning; an oversized k, a non-numeric parameter or one
+    the model does not read is a ConfigError. ``rows``, the estimate's
+    neighbour table viewed at the rows of y and x, answers the kNN searches
+    among them for query rows that are viewed in it too; the answers equal
+    a direct search.
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))

@@ -111,9 +111,8 @@ def estimate_crossfit(sample: Sample, s_lo, s_hi,
     cross-fitted or fixed; the per-fold adjuster dispersion in ``meta``, the
     record of ``crossfit_adjusters``, becomes a diagnostic."""
     profiles = side_profiles(sample, s_lo, s_hi)
-    sup, t_l, inf, t_u = profile_bounds(*profiles)
-    sigma2_l, sigma2_u, sigma_lu, diags = variance_hat(
-        sample, s_lo, s_hi, t_l, t_u)
+    bounds = sup, t_l, inf, t_u = profile_bounds(*profiles)
+    *variances, diags = variance_hat(sample, s_lo, s_hi, t_l, t_u)
     for profile, target, which in zip(profiles, (sup, inf), ("max", "min")):
         msg = _flat_span_diagnostic(sample, profile, target, which)
         if msg:
@@ -121,10 +120,7 @@ def estimate_crossfit(sample: Sample, s_lo, s_hi,
     if meta is not None:
         diags.append(f"per-fold adjuster sd: L={meta['adjuster_sd_l']:.4g} "
                      f"U={meta['adjuster_sd_u']:.4g}")
-    return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
-                          sigma2_l=sigma2_l, sigma2_u=sigma2_u,
-                          sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
-                          n=sample.n, diagnostics=diags)
+    return BoundsEstimate.from_scan(sample, bounds, variances, diags)
 
 
 def _p_lower_zero(theta_l, se):
@@ -133,11 +129,11 @@ def _p_lower_zero(theta_l, se):
     return float(ndtr(-(theta_l / se)))
 
 
-def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
+def one_sided_cis(est: BoundsEstimate, alpha: float,
                   method: str = "cross-fit",
                   h_rules=H_RULES) -> IntervalReport:
     """One-sided normal intervals plus the pretested two-sided interval
-    under each threshold rule.
+    under each threshold rule, with the estimate's own sample size ``n``.
 
     The one-sided pair uses z_alpha; p-values test a zero lower bound and
     a unit upper bound. With no threshold rules (``h_rules=()``) the
@@ -145,7 +141,7 @@ def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
-    n = n or est.n
+    n = est.n
     z_a = float(ndtri(1 - alpha))
     se_l = est.sigma_l / np.sqrt(n)
     se_u = est.sigma_u / np.sqrt(n)
@@ -158,7 +154,7 @@ def one_sided_cis(est: BoundsEstimate, alpha: float, n: int | None = None,
     stoye_default = None
     if 0.0 < alpha < 0.5:
         for rule in h_rules:
-            si = stoye_ci(est, alpha, n, h_rule=rule)
+            si = stoye_ci(est, alpha, h_rule=rule)
             by_rule[rule] = (si.lo, si.hi)
             if rule == h_rules[0]:
                 stoye_default = si
@@ -243,12 +239,9 @@ def sjls_report(sample: Sample, s_lo, s_hi, propensity: PropensityModel,
     z_u = _indicator(sample, s_hi, 0.0)
     d_l = _ipw_mean(sample, p, z_l)
     d_u = _ipw_mean(sample, p, z_u)
-    sigma2_l, sigma2_u, sigma_lu = _ipw_sigma(sample, p, z_l, z_u, d_l, d_u)
-    est = BoundsEstimate(theta_l=d_l, theta_u=1.0 + d_u, t_l=0.0, t_u=0.0,
-                         sigma2_l=sigma2_l, sigma2_u=sigma2_u,
-                         sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
-                         n=sample.n)
-    return one_sided_cis(est, alpha, sample.n, method="sjls", h_rules=())
+    est = BoundsEstimate.from_scan(sample, (d_l, 0.0, d_u, 0.0), _ipw_sigma(
+        sample, p, z_l, z_u, d_l, d_u))
+    return one_sided_cis(est, alpha, method="sjls", h_rules=())
 
 
 def variant_known_propensity(sample: Sample, s_lo, s_hi,
@@ -269,13 +262,9 @@ def variant_known_propensity(sample: Sample, s_lo, s_hi,
     inf0 = _ipw_mean(sample, p, _indicator(sample, s_hi, 0.0))
     if inf0 < inf:
         inf, t_u = inf0, 0.0
-    sigma2_l, sigma2_u, sigma_lu = _ipw_sigma(
+    return BoundsEstimate.from_scan(sample, (sup, t_l, inf, t_u), _ipw_sigma(
         sample, p, _indicator(sample, s_lo, t_l),
-        _indicator(sample, s_hi, t_u), sup, inf)
-    return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
-                          sigma2_l=sigma2_l, sigma2_u=sigma2_u,
-                          sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
-                          n=sample.n)
+        _indicator(sample, s_hi, t_u), sup, inf))
 
 
 def ipw_excess_variance(mean_z1: float, mean_z0: float, pi: float) -> float:
@@ -311,13 +300,9 @@ def variant_group_propensity(sample: Sample, s_lo, s_hi,
         for mask in (t_mask, ~t_mask):
             cell = (g == gv) & mask
             w[cell] = 1.0 / (groups.size * cell.sum())
-    sup, t_l, inf, t_u = scan_bounds(sample, s_lo, s_hi, w)
-    sigma2_l, sigma2_u, sigma_lu, _ = variance_hat(
-        sample, s_lo, s_hi, t_l, t_u, group_of=g)
-    return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
-                          sigma2_l=sigma2_l, sigma2_u=sigma2_u,
-                          sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
-                          n=sample.n)
+    bounds = _, t_l, _, t_u = scan_bounds(sample, s_lo, s_hi, w)
+    *variances, _ = variance_hat(sample, s_lo, s_hi, t_l, t_u, group_of=g)
+    return BoundsEstimate.from_scan(sample, bounds, variances)
 
 
 def variant_fold_t(sample: Sample, folds: FoldPlan, s_lo,
@@ -340,14 +325,11 @@ def variant_fold_t(sample: Sample, folds: FoldPlan, s_lo,
     z_l = _indicator(sample, s_lo_t, 0.0)
     z_u = _indicator(sample, s_hi_t, 0.0)
     t_mask = sample.d == 1
-    theta_l = float(z_l[t_mask].mean() - z_l[~t_mask].mean())
-    theta_u = 1.0 + float(z_u[t_mask].mean() - z_u[~t_mask].mean())
-    sigma2_l, sigma2_u, sigma_lu, diags = variance_hat(sample, s_lo_t, s_hi_t,
-                                                       0.0, 0.0)
-    return BoundsEstimate(theta_l=theta_l, theta_u=theta_u, t_l=0.0, t_u=0.0,
-                          sigma2_l=sigma2_l, sigma2_u=sigma2_u,
-                          sigma_lu=sigma_lu, pi_hat=sample.n1 / sample.n,
-                          n=sample.n, diagnostics=diags)
+    sup = float(z_l[t_mask].mean() - z_l[~t_mask].mean())
+    inf = float(z_u[t_mask].mean() - z_u[~t_mask].mean())
+    *variances, diags = variance_hat(sample, s_lo_t, s_hi_t, 0.0, 0.0)
+    return BoundsEstimate.from_scan(sample, (sup, 0.0, inf, 0.0), variances,
+                                    diags)
 
 
 # ---------------------------------------------------------------------------
@@ -407,4 +389,4 @@ def estimate(sample: Sample, method: str, model_specs, alpha: float = 0.05,
         est = variant_group_propensity(sample, s_lo, s_hi, propensity)
     else:
         est = variant_fold_t(sample, folds, s_lo, s_hi)
-    return one_sided_cis(est, alpha, sample.n, method=method, h_rules=h_rules)
+    return one_sided_cis(est, alpha, method=method, h_rules=h_rules)

@@ -52,14 +52,13 @@ class Sample:
     ``_table`` is private to ``condcdf``: the view of an estimate's
     neighbour table at this sample's rows, or None. Equality and repr ignore
     it, ``subset`` keeps it, and samples with other data drop it. Two
-    samples are equal when their arrays hold equal values and their
-    ``transformed_scale`` agrees, whether or not they share the arrays.
+    samples are equal when their arrays hold equal values, whether or not
+    they share the arrays.
     """
 
     y: np.ndarray
     d: np.ndarray
     x: np.ndarray
-    transformed_scale: bool = False
     _table: object = field(default=None, compare=False, repr=False,
                            kw_only=True)
 
@@ -87,9 +86,8 @@ class Sample:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.transformed_scale == other.transformed_scale
-                and all(np.array_equal(a, b) for a, b in (
-                    (self.y, other.y), (self.d, other.d), (self.x, other.x))))
+        return all(np.array_equal(a, b) for a, b in (
+            (self.y, other.y), (self.d, other.d), (self.x, other.x)))
 
     @property
     def n(self) -> int:
@@ -117,7 +115,6 @@ class Sample:
 
     def subset(self, idx) -> "Sample":
         return Sample(self.y[idx], self.d[idx], self.x[idx],
-                      transformed_scale=self.transformed_scale,
                       _table=None if self._table is None
                       else self._table.subset(idx))
 
@@ -376,8 +373,7 @@ def shift_for_delta(sample: Sample, delta: float) -> Sample:
         raise ValueError("delta must be finite")
     y = sample.y.copy()
     y[sample.d == 0] += delta
-    return Sample(y, sample.d, sample.x,
-                  transformed_scale=sample.transformed_scale)
+    return Sample(y, sample.d, sample.x)
 
 
 def squash_outcomes(sample: Sample) -> Sample:
@@ -400,7 +396,7 @@ def squash_outcomes(sample: Sample) -> Sample:
             z = np.zeros_like(y)
         else:
             z = (y - sample.y_lo) / span - 0.5
-    return Sample(ndtr(z), sample.d, sample.x, transformed_scale=True)
+    return Sample(ndtr(z), sample.d, sample.x)
 
 
 def make_folds(sample: Sample, k: int, seed: int,

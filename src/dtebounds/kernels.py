@@ -50,10 +50,10 @@ def delta_profile(a, b, w1=None, w0=None):
     The function is right-continuous and 0 left of the smallest breakpoint.
     With no weights, W1 and W0 are plain ECDFs computed from integer
     counts, so each value equals mean(a <= t) - mean(b <= t) to the last
-    bit. Otherwise a missing weight vector means 1/len per observation, and
-    the values are cumulative sums of the signed weights over the sorted
-    merged sample, with exact ties collapsed. ``b`` may be empty, which
-    gives the (weighted) CDF of ``a`` alone.
+    bit. Otherwise both weight vectors are given, and the values are
+    cumulative sums of the signed weights over the sorted merged sample,
+    with exact ties collapsed. ``b`` may be empty, which gives the
+    (weighted) CDF of ``a`` alone.
 
     Returns (breakpoints, difference), breakpoints sorted and distinct.
     """
@@ -65,10 +65,6 @@ def delta_profile(a, b, w1=None, w0=None):
         if b.size:
             d -= np.searchsorted(np.sort(b), pts, side="right") / b.size
         return pts, d
-    if w1 is None:
-        w1 = np.full(a.size, 1.0 / a.size)
-    if w0 is None:
-        w0 = np.full(b.size, 1.0 / b.size)
     values = np.concatenate([a, b])
     signed = np.concatenate([np.asarray(w1, dtype=np.float64),
                              -np.asarray(w0, dtype=np.float64)])

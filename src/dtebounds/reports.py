@@ -33,6 +33,19 @@ class BoundsEstimate:
     n: int = 0
     diagnostics: list = field(default_factory=list)
 
+    @classmethod
+    def from_scan(cls, sample, bounds, variances=(float("nan"),) * 3,
+                  diagnostics=()) -> "BoundsEstimate":
+        """The estimate on all of ``sample`` of the bounds sup and 1 + inf,
+        from (sup, t_l, inf, t_u) and the (sigma2_l, sigma2_u, sigma_lu)
+        triple; n and the treated share are the sample's."""
+        sup, t_l, inf, t_u = bounds
+        sigma2_l, sigma2_u, sigma_lu = variances
+        return cls(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
+                   sigma2_l=sigma2_l, sigma2_u=sigma2_u, sigma_lu=sigma_lu,
+                   pi_hat=sample.n1 / sample.n, n=sample.n,
+                   diagnostics=list(diagnostics))
+
     @property
     def sigma_l(self) -> float:
         return float(np.sqrt(self.sigma2_l))

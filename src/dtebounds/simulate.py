@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .condcdf import MODEL_NAMES, parse_model_spec
+from .condcdf import MODEL_PARAMS, parse_model_spec
 from .crossfit import METHODS, EstimationError, estimate
 from .data import (
     ConfigError,
@@ -335,17 +335,22 @@ def _run_cell(cell: McCell, spec: DgpSpec, alpha: float, theta0: float,
 
 
 def _check_cell(cell: McCell):
-    """Reject a cell whose p, estimator or model name would fail every
-    replication."""
+    """Reject a cell whose p, estimator, model name or model parameters
+    would fail every replication."""
     if cell.p not in _OBSERVED_P:
         raise ConfigError(f"{cell.label()}: p must be 10 or 20")
     if cell.estimator not in ESTIMATORS:
         raise ConfigError(f"{cell.label()}: estimator must be one of "
                           f"{', '.join(ESTIMATORS)}")
-    if (cell.model not in MODELS
-            and parse_model_spec(cell.model)[0] not in MODEL_NAMES):
+    if cell.model in MODELS:
+        return
+    try:
+        name, _ = parse_model_spec(cell.model)
+    except ConfigError as exc:
+        raise ConfigError(f"{cell.label()}: {exc}") from None
+    if name not in MODEL_PARAMS:
         raise ConfigError(f"{cell.label()}: model must be one of "
-                          f"{', '.join(MODELS + MODEL_NAMES)}")
+                          f"{', '.join(MODELS + tuple(MODEL_PARAMS))}")
 
 
 def _run_estimator(estimator, sample, adjusters, specs, alpha, seed, k_folds,
@@ -373,11 +378,12 @@ def run_table(spec: DgpSpec, cells, replications: int = 1000,
     Rejections use the lower one-sided interval: of zero (power) and of the
     true target value (size). Replications use counter-based streams
     derived from (seed, cell index, replication index). A cell with a p
-    other than 10 or 20, or an unknown estimator or model name, raises
-    ConfigError before the oracle and any replication run. A replication
-    that fails with one of the package's domain errors is counted in the
-    cell's ``failures`` and skipped; any other exception propagates. A cell
-    with no completed replication reports NaN rates.
+    other than 10 or 20, an unknown estimator or model name, or a model
+    parameter that ``parse_model_spec`` rejects raises ConfigError before
+    the oracle and any replication run. A replication that fails with one
+    of the package's domain errors is counted in the cell's ``failures``
+    and skipped; any other exception propagates. A cell with no completed
+    replication reports NaN rates.
     """
     if replications < 1:
         raise ConfigError("need at least one replication")

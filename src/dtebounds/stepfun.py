@@ -67,6 +67,4 @@ def makarov_bounds(sample: Sample) -> BoundsEstimate:
     """Unadjusted bounds on P(Y(1) - Y(0) <= 0) from the two observed arms;
     equivalent to the adjusted machinery with a zero adjustment term."""
     zero = np.zeros(sample.n)
-    sup, t_l, inf, t_u = scan_bounds(sample, zero, zero)
-    return BoundsEstimate(theta_l=sup, theta_u=1.0 + inf, t_l=t_l, t_u=t_u,
-                          pi_hat=sample.n1 / sample.n, n=sample.n)
+    return BoundsEstimate.from_scan(sample, scan_bounds(sample, zero, zero))

@@ -199,10 +199,11 @@ def solve_critical_values(alpha: float, rho: float, lam_l: float,
             float(np.clip(best["c_u"], 0.0, z_half)))
 
 
-def stoye_ci(est: BoundsEstimate, alpha: float, n: int | None = None,
+def stoye_ci(est: BoundsEstimate, alpha: float,
              h_rule: str = "stoye") -> StoyeInterval:
-    """Pretested two-sided interval from a cross-fitting estimate."""
-    n = n or est.n
+    """Pretested two-sided interval from a cross-fitting estimate, with the
+    estimate's own sample size ``n``."""
+    n = est.n
     sigma_l, sigma_u = est.sigma_l, est.sigma_u
     h_n = h_threshold(n, h_rule)
     gap = est.theta_u - est.theta_l

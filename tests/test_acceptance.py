@@ -332,7 +332,7 @@ def test_c8_stoye_limits_and_nesting():
                              sigma2_l=s2l, sigma2_u=s2u,
                              sigma_lu=r * math.sqrt(s2l * s2u),
                              pi_hat=0.5, n=900)
-        si = stoye_ci(est, 0.05, 900)
+        si = stoye_ci(est, 0.05)
         bon_lo = tl - Z_HALF * math.sqrt(s2l / 900)
         bon_hi = tu + Z_HALF * math.sqrt(s2u / 900)
         nested &= (si.lo >= bon_lo - 1e-9) and (si.hi <= bon_hi + 1e-9)

@@ -1,8 +1,10 @@
 """The fitting loop's BLAS thread limit, ``kernels._one_blas_thread``.
 
 ``condcdf.fit_adjusters`` holds every OpenBLAS in the process to one thread
-while it fits and extracts, so that BLAS threads do not take the CPUs of the
-shift kernel's pool. The limit is process-global state: these tests pin that
+while it fits and extracts: the fits' small products gain no wall time from
+more, idle BLAS threads only spin and burn CPU, and in a forked cross-fit
+they would take the other processes' CPUs. The limit is process-global
+state: these tests pin that
 the previous count comes back on every exit path, under nesting, across
 threads and in a forked child, and that no report depends on it.
 """

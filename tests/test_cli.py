@@ -149,6 +149,30 @@ class TestAnalyze:
         payload = json.loads((tmp_path / f"{method}.json").read_text())
         assert payload["report"]["method"] == method
 
+    @pytest.mark.parametrize("method, mode, want", [
+        ("sjls", "constant_known",
+         "propensity.pi: required for constant_known"),
+        ("cross-fit-ipw", "known_function",
+         "propensity.col: required for known_function"),
+        ("cross-fit-group", "group", "group.col: required for group mode")])
+    def test_missing_propensity_setting_is_named(self, data_csv, capsys,
+                                                 method, mode, want):
+        code = run_cli("analyze", "--input", data_csv, "--x-prefix", "x",
+                       "--models", "constant", "--method", method,
+                       "--propensity-mode", mode)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+    def test_unread_model_parameter_fails_the_fold(self, data_csv, tmp_path,
+                                                   capsys):
+        code = run_cli("analyze", "--input", data_csv, "--x-prefix", "x",
+                       "--models", "knn_loc_shift:K=3",
+                       "--output", str(tmp_path / "k"))
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "estimation failed: fold 1: model spec 'knn_loc_shift:K=3': "
+            "knn_loc_shift reads no parameter 'K'\n")
+
     def test_group_method(self, data_csv, tmp_path):
         out = tmp_path / "grp"
         code = run_cli("analyze", "--input", data_csv, "--y-col", "y",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dtebounds import DgpSpec, condcdf, draw_dgp
 from dtebounds.condcdf import (
     _KNN_BLOCK_VALUES,
+    TAU_GRID,
     ConstantCdfModel,
     GridSpec,
     QuantileGridModel,
@@ -40,23 +41,14 @@ def test_constant_model_is_ecdf():
 
 
 def test_quantile_grid_interpolation_rule():
-    # predicted quantiles 1.0 at tau=0.2 and 2.0 at tau=0.3:
-    # F(1.5|x) = 0.2 + (0.3-0.2)/(2.0-1.0)*(1.5-1.0) = 0.25
-    m = QuantileGridModel(np.arange(9.0), np.zeros((9, 1)), k=9,
-                          taus=np.array([0.2, 0.3]))
-    m.predict_quantiles = lambda X: np.array([[1.0, 2.0]] * len(np.atleast_2d(X)))
-    assert m.eval_cdf(1.5, np.zeros(1)) == pytest.approx(0.25)
-
-
-@pytest.mark.parametrize("taus", [
-    [], [[0.2, 0.5]], [0.2, np.nan], [0.2, np.inf], [0.5, 0.2],
-    [-0.1, 0.5], [0.5, 1.1]])
-def test_quantile_grid_rejects_bad_taus(taus):
-    with pytest.raises(ConfigError, match="taus"):
-        QuantileGridModel(np.arange(9.0), np.zeros((9, 1)), k=3, taus=taus)
-    # repeated levels and the ends of [0, 1] are allowed
-    QuantileGridModel(np.arange(9.0), np.zeros((9, 1)), k=3,
-                      taus=[0.0, 0.5, 0.5, 1.0])
+    # predicted quantile 2 * tau at every level of TAU_GRID: 0.40 at
+    # tau=0.20 and 0.42 at tau=0.21, so
+    # F(0.41|x) = 0.20 + (0.21-0.20)/(0.42-0.40)*(0.41-0.40) = 0.205
+    m = QuantileGridModel(np.arange(9.0), np.zeros((9, 1)), k=9)
+    np.testing.assert_array_equal(m.taus, TAU_GRID)
+    m.predict_quantiles = lambda X: np.tile(2.0 * TAU_GRID,
+                                            (len(np.atleast_2d(X)), 1))
+    assert m.eval_cdf(0.41, np.zeros(1)) == pytest.approx(0.205)
 
 
 def test_location_shift_zero_mu_is_residual_ecdf():
@@ -66,7 +58,7 @@ def test_location_shift_zero_mu_is_residual_ecdf():
     y = rng.normal(size=50)
 
     class ZeroReg:
-        def predict(self, X):
+        def predict(self, X, rows=None):
             return np.zeros(len(X))
 
     m = LocationShiftModel(ZeroReg(), residuals=y.copy())
@@ -379,8 +371,26 @@ def test_constant_covariates_fall_back():
 def test_parse_model_spec():
     assert parse_model_spec("knn_loc_shift:k=15") == ("knn_loc_shift", {"k": "15"})
     assert parse_model_spec("constant") == ("constant", {})
+    assert parse_model_spec("ridge_loc_shift:lambda=auto") == (
+        "ridge_loc_shift", {"lambda": "auto"})
+    assert parse_model_spec("knn_quantile: k = 5") == (
+        "knn_quantile", {"k": "5"})
     with pytest.raises(ConfigError):
         parse_model_spec("knn_loc_shift:k")
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("knn_loc_shift:K=3", "knn_loc_shift reads no parameter 'K'"),
+    ("ridge_loc_shift:k=3", "ridge_loc_shift reads no parameter 'k'"),
+    ("constant:k=1", "constant reads no parameter 'k'"),
+    ("knn_quantile:lambda=1", "knn_quantile reads no parameter 'lambda'"),
+    ("knn_quantile:k=5,k=7", "'k' is given twice")])
+def test_model_spec_rejects_an_unread_or_repeated_parameter(spec, error):
+    want = f"^model spec {spec!r}: {error}$"
+    with pytest.raises(ConfigError, match=want):
+        parse_model_spec(spec)
+    with pytest.raises(ConfigError, match=want):
+        fit_arm_model(np.arange(8.0), np.arange(16.0).reshape(8, 2), spec)
 
 
 class TestExtractAdjusters:
@@ -563,6 +573,15 @@ class TestSelectModel:
                      "ridge_loc_shift:lambda=big"):
             with pytest.raises(ConfigError, match=r"k=0|malformed"):
                 fit_arm_model(s.y, s.x, spec)
+
+    def test_unread_parameter_drops_the_candidate(self):
+        with pytest.warns(UserWarning) as caught:
+            best = select_model(["knn_loc_shift:K=3", "constant"],
+                                make_sample(), cv_folds=4, seed=1)
+        assert [str(w.message) for w in caught] == [
+            "candidate 'knn_loc_shift:K=3' failed during selection: model "
+            "spec 'knn_loc_shift:K=3': knn_loc_shift reads no parameter 'K'"]
+        assert best == ("constant", "constant")
 
 
 class TestSampleTable:

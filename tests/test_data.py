@@ -357,7 +357,6 @@ class TestSampleEquality:
         assert s != Sample(y, s.d, s.x)
         assert s != Sample(s.y, 1 - s.d, s.x)
         assert s != Sample(s.y, s.d, s.x[:, :2])
-        assert s != Sample(s.y, s.d, s.x, transformed_scale=True)
         assert s != (s.y, s.d, s.x)
 
     def test_neighbour_table_view_is_ignored(self):
@@ -397,7 +396,6 @@ class TestSquashOutcomes:
         out = squash_outcomes(s)
         assert np.all(np.argsort(out.y) == np.argsort(s.y))
         assert out.y.min() > 0 and out.y.max() < 1
-        assert out.transformed_scale
 
     def test_constant_outcome_warns(self):
         s = Sample(np.ones(4), np.array([1, 1, 0, 0]), np.zeros((4, 1)))

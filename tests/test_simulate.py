@@ -246,6 +246,8 @@ class TestRunTable:
         McCell(100, 20, "knn_loc_shif:k=5", "cross-fit"),
         McCell(100, 20, "none", "cross-fit-group"),
         McCell(100, 15, "none", "cross-fit"),
+        McCell(100, 20, "knn_loc_shift:K=3", "cross-fit"),
+        McCell(100, 20, "knn_quantile:k=5,k=7", "cross-fit"),
     ])
     def test_bad_cell_rejected_before_any_replication(self, monkeypatch,
                                                       cell):

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from dtebounds import kernels
-from dtebounds.crossfit import crossfit_adjusters, estimate_crossfit
+from dtebounds.crossfit import crossfit_adjusters, estimate, estimate_crossfit
 from dtebounds.data import (
     DegenerateDesignError,
     Sample,
     make_folds,
+    shift_for_delta,
     squash_outcomes,
 )
 from dtebounds.simulate import DgpSpec, draw_dgp
+from dtebounds.reports import BoundsEstimate
 from dtebounds.splitfit import estimate_split, make_split
 from dtebounds.stepfun import (
     makarov_bounds,
@@ -294,3 +296,69 @@ class TestProfileCount:
         plan = make_split(sample, 0.5, seed=0)
         estimate_split(sample, plan, ["constant"])
         assert sizes == [plan.main.size]
+
+
+def unit_adjusters(rng, y0, y1, kind):
+    """One adjuster value per unit: a rounded random draw (kind 0), y0 (1),
+    y1 (2), their midpoint (3), or per unit any of these four (4)."""
+    options = np.stack([np.round(rng.normal(scale=2.0, size=y0.size), 1),
+                        y0, y1, 0.5 * (y0 + y1)])
+    if kind == 4:
+        return options[rng.integers(4, size=y0.size), np.arange(y0.size)]
+    return options[kind]
+
+
+def arm_counts(sample, s, t):
+    """(c1, c0): each arm's count of units with y - s <= t."""
+    hit = (sample.y - s) <= t
+    return int(hit[sample.d == 1].sum()), int(hit[sample.d == 0].sum())
+
+
+class TestValidityForAnyAdjuster:
+    """The bounds are valid for any adjuster, pinned as exact counts.
+
+    For a unit with outcomes y1 and y0' = fl(y0 + delta), any adjuster
+    value s and any t, 1{y1 - s <= t} - 1{y0' - s <= t} <= 1{y1 < y0'} and
+    1{y1 <= y0'} <= 1 + 1{y1 - s <= t} - 1{y0' - s <= t}; both hold in
+    floating point, because fl(v - s) is nondecreasing in v. So on a sample
+    whose treated arm holds every unit's y1 and whose control arm every
+    unit's y0', with one adjuster value per unit in both arms, the reported
+    bounds are fl(c1/n) - fl(c0/n) (plus 1 above) at their optimizers, with
+    c1 - c0 <= #{y1 < y0'} at t_l and #{y1 <= y0'} <= n + c1 - c0 at t_u.
+    Counts are compared, not floats: a bound can sit an ulp above the exact
+    ratio. ``makarov_bounds`` is the case s = 0."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 59), seed=st.integers(0, 2**32 - 1),
+           decimals=st.integers(0, 1),
+           delta=st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5, 8.0]),
+           kind_l=st.integers(0, 4), kind_u=st.integers(0, 4))
+    def test_counts_at_the_reported_optimizers(self, n, seed, decimals,
+                                               delta, kind_l, kind_u):
+        rng = np.random.default_rng(seed)
+        try:
+            _, hidden = draw_dgp(DgpSpec(), n, rng=rng)
+        except DegenerateDesignError:
+            reject()  # the draw's observed sample has one arm only
+        # rounded outcomes, so that ties occur
+        y0, y1 = np.round(hidden.y0, decimals), np.round(hidden.y1, decimals)
+        both = shift_for_delta(Sample(np.concatenate([y1, y0]),
+                                      np.repeat([1, 0], n),
+                                      np.zeros((2 * n, 1))), delta)
+        y0_shifted = both.y[n:]
+        below = int(np.sum(y1 < y0_shifted))
+        at_or_below = int(np.sum(y1 <= y0_shifted))
+        s_lo = np.tile(unit_adjusters(rng, y0, y1, kind_l), 2)
+        s_hi = np.tile(unit_adjusters(rng, y0, y1, kind_u), 2)
+        scanned = BoundsEstimate.from_scan(both, scan_bounds(both, s_lo, s_hi))
+        crossfit = estimate(both, "cross-fit", [], k_folds=2,
+                            adjusters=(s_lo, s_hi), h_rules=()).estimate
+        zero = np.zeros(2 * n)
+        for est, lo, hi in ((scanned, s_lo, s_hi), (crossfit, s_lo, s_hi),
+                            (makarov_bounds(both), zero, zero)):
+            c1, c0 = arm_counts(both, lo, est.t_l)
+            assert est.theta_l == c1 / n - c0 / n
+            assert c1 - c0 <= below
+            c1, c0 = arm_counts(both, hi, est.t_u)
+            assert est.theta_u == 1.0 + (c1 / n - c0 / n)
+            assert at_or_below <= n + c1 - c0

@@ -119,10 +119,10 @@ class TestStoyeCi:
     def test_lambda_threshold_rule(self):
         # gap 0.3 with h_n ~ 0.029: Lambda = 0.3; gap 0.02 -> Lambda = 0
         est = make_est(0.3, 0.6)
-        si = stoye_ci(est, 0.05, 1000)
+        si = stoye_ci(est, 0.05)
         assert si.lam == pytest.approx(0.3)
         est = make_est(0.3, 0.32)
-        si = stoye_ci(est, 0.05, 1000)
+        si = stoye_ci(est, 0.05)
         assert si.lam == 0.0
 
     def test_interval_nested_in_half_alpha_union(self):
@@ -134,15 +134,15 @@ class TestStoyeCi:
             r = rng.uniform(-0.9, 0.9)
             slu = r * np.sqrt(s2l * s2u)
             est = make_est(tl, tu, s2l, s2u, slu, n=800)
-            si = stoye_ci(est, 0.05, 800)
+            si = stoye_ci(est, 0.05)
             bon_lo = tl - Z_HALF * np.sqrt(s2l / 800)
             bon_hi = tu + Z_HALF * np.sqrt(s2u / 800)
             assert si.lo >= bon_lo - 1e-9
             assert si.hi <= bon_hi + 1e-9
 
     def test_wide_gap_narrower_than_half_alpha(self):
-        est = make_est(0.2, 0.8)
-        si = stoye_ci(est, 0.05, 2000)
+        est = make_est(0.2, 0.8, n=2000)
+        si = stoye_ci(est, 0.05)
         assert si.c_l < Z_HALF - 1e-3
         assert si.c_l >= Z_A - 1e-6
 
@@ -150,11 +150,11 @@ class TestStoyeCi:
         # |sigma_lu| > sigma_l * sigma_u: correlation 0.2 / 0.16 = 1.25
         est = make_est(0.3, 0.6, s2l=0.16, s2u=0.16, slu=0.2)
         with pytest.raises(ConfigError, match="positive semidefinite"):
-            stoye_ci(est, 0.05, 1000)
+            stoye_ci(est, 0.05)
 
     def test_degenerate_variance_falls_back(self):
-        est = make_est(0.4, 0.4, s2l=0.0, s2u=0.25, slu=0.0)
-        si = stoye_ci(est, 0.05, 500)
+        est = make_est(0.4, 0.4, s2l=0.0, s2u=0.25, slu=0.0, n=500)
+        si = stoye_ci(est, 0.05)
         assert si.c_l == pytest.approx(Z_HALF)
 
     def test_coverage_on_simulated_normal_pairs(self):
@@ -173,7 +173,7 @@ class TestStoyeCi:
             tl = true_l + sl * e1 / np.sqrt(n)
             tu = true_u + su * e2 / np.sqrt(n)
             est = make_est(tl, tu, sl**2, su**2, rho * sl * su, n=n)
-            si = stoye_ci(est, 0.1, n)
+            si = stoye_ci(est, 0.1)
             cover_l += si.lo <= true_l and true_l <= si.hi
             cover_u += si.lo <= true_u and true_u <= si.hi
         assert cover_l / reps >= 0.86
