@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -18,11 +17,10 @@ from .condcdf import GridSpec
 from .crossfit import METHODS, EstimationError, crossfit_adjusters, estimate
 from .data import (
     ConfigError,
+    CsvFile,
     CsvParseError,
     DegenerateDesignError,
     PropensityModel,
-    _csv_rows,
-    _read_lines,
     load_csv,
     make_folds,
     shift_for_delta,
@@ -184,52 +182,11 @@ def _model_list(cfg: dict) -> list[str]:
     return [m.strip() for m in str(cfg["models"]).split(",") if m.strip()]
 
 
-def _read_columns(path: str, *cols: str):
-    """Each named column's stripped cells in turn, from one read of the
-    file. A file that is not UTF-8 text or holds a field longer than
-    ``csv.field_size_limit()`` raises CsvParseError at once; a column
-    missing from the header raises ConfigError and a row too short for it
-    CsvParseError, when that column is reached."""
-    try:
-        rows = list(_csv_rows(_read_lines(path)))
-    except CsvParseError as exc:
-        raise CsvParseError(f"{path}: {exc}") from None
-    header = [h.strip() for h in rows.pop(0)] if rows else []
-    for col in cols:
-        if col not in header:
-            raise ConfigError(f"column {col!r} not found in {path}")
-        j = header.index(col)
-        out = []
-        for rownum, row in enumerate(rows, start=1):
-            if len(row) <= j:
-                raise CsvParseError(f"{path}: row {rownum}: no {col!r} field")
-            out.append(row[j].strip())
-        yield np.array(out)
-
-
-def _read_numbers(path: str, *cols: str) -> list[np.ndarray]:
-    """Numeric columns, checked in the order named; a cell that is not a
-    finite number raises CsvParseError naming its row (1-based, excluding
-    the header)."""
-    out = []
-    for col, raw in zip(cols, _read_columns(path, *cols)):
-        for rownum, val in enumerate(raw, start=1):
-            try:
-                ok = math.isfinite(float(val))
-            except ValueError:
-                ok = False
-            if not ok:
-                raise CsvParseError(f"{path}: row {rownum}: {col!r} value "
-                                    f"{str(val)!r} is not a finite number")
-        out.append(raw.astype(float))
-    return out
-
-
-def _load_sample(cfg: dict):
+def _load_sample(cfg: dict, data_file: CsvFile):
     x_cols = None
     if cfg.get("x_cols"):
         x_cols = [c.strip() for c in str(cfg["x_cols"]).split(",")]
-    sample = load_csv(cfg["input"], cfg["y_col"], cfg["d_col"],
+    sample = load_csv(data_file, cfg["y_col"], cfg["d_col"],
                       x_cols=x_cols, x_prefix=cfg.get("x_prefix"))
     if cfg["squash"]:
         sample = squash_outcomes(sample)
@@ -242,14 +199,13 @@ def _external_adjusters(cfg: dict, n: int):
     """Per-unit adjustment values fitted outside this package."""
     if not cfg.get("adjuster_file"):
         return None
-    s_l, s_u = _read_numbers(cfg["adjuster_file"], "s_l", "s_u")
+    s_l, s_u = CsvFile(cfg["adjuster_file"]).numbers("s_l", "s_u")
     if s_l.size != n:
-        raise ConfigError(
-            f"adjuster_file: expected {n} rows, got {s_l.size}")
+        raise ConfigError(f"adjuster_file: expected {n} rows, got {s_l.size}")
     return s_l, s_u
 
 
-def _propensity(cfg: dict, sample) -> PropensityModel:
+def _propensity(cfg: dict, data_file: CsvFile) -> PropensityModel:
     mode = cfg["propensity.mode"]
     if mode == "constant_known":
         if cfg.get("propensity.pi") is None:
@@ -258,23 +214,24 @@ def _propensity(cfg: dict, sample) -> PropensityModel:
     if mode == "known_function":
         if not cfg.get("propensity.col"):
             raise ConfigError("propensity.col: required for known_function")
-        [vals] = _read_numbers(cfg["input"], cfg["propensity.col"])
+        [vals] = data_file.numbers(cfg["propensity.col"])
         return PropensityModel(mode=mode, p_of_x=vals)
     if mode == "group":
         if not cfg.get("group.col"):
             raise ConfigError("group.col: required for group mode")
-        [raw] = _read_columns(cfg["input"], cfg["group.col"])
+        [raw] = data_file.labels(cfg["group.col"])
         _, codes = np.unique(raw, return_inverse=True)
         return PropensityModel(mode=mode, group_of=codes)
     return PropensityModel(mode="in_sample")
 
 
 def _run_analysis(cfg: dict):
-    sample = _load_sample(cfg)
+    data_file = CsvFile(cfg["input"])
+    sample = _load_sample(cfg, data_file)
     rules = [cfg["h_rule"]] + [r for r in H_RULES if r != cfg["h_rule"]]
     return estimate(sample, cfg["method"], _model_list(cfg), cfg["alpha"],
                     cfg["seed"], cfg["k_folds"], cfg["aux_fraction"],
-                    _grid_spec(cfg), _propensity(cfg, sample),
+                    _grid_spec(cfg), _propensity(cfg, data_file),
                     _external_adjusters(cfg, sample.n), rules)
 
 
@@ -316,7 +273,7 @@ def cmd_analyze(cfg: dict) -> int:
 
 
 def cmd_bounds_curve(cfg: dict) -> int:
-    sample = _load_sample(cfg)
+    sample = _load_sample(cfg, CsvFile(cfg["input"]))
     seed = cfg["seed"]
     adjusters = _external_adjusters(cfg, sample.n)
     if adjusters is None:

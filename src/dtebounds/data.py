@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import warnings
@@ -15,6 +16,7 @@ __all__ = [
     "FoldPlan",
     "PropensityModel",
     "adjuster_arrays",
+    "CsvFile",
     "CsvParseError",
     "DegenerateDesignError",
     "ConfigError",
@@ -64,18 +66,19 @@ class Sample:
 
     def __post_init__(self):
         y = np.ascontiguousarray(self.y, dtype=np.float64)
-        d = np.ascontiguousarray(self.d, dtype=np.int64)
+        d = np.asarray(self.d)
         x = np.ascontiguousarray(self.x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError("covariates must be a 2-d array")
+        if y.ndim != 1 or d.ndim != 1 or x.ndim != 2:
+            raise ValueError("y and d must be 1-d arrays, x a 2-d array")
         if not (y.shape[0] == d.shape[0] == x.shape[0]):
             raise ValueError("y, d, x must have equal length")
         if not np.all(np.isfinite(y)):
             raise ValueError("outcomes must be finite")
         if not np.all(np.isfinite(x)):
             raise ValueError("covariates must be finite")
-        if not np.all((d == 0) | (d == 1)):
+        if not np.all((d == 0) | (d == 1)):  # before the cast truncates
             raise ValueError("treatment indicator must be binary")
+        d = np.ascontiguousarray(d, dtype=np.int64)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "x", x)
@@ -171,7 +174,7 @@ class PropensityModel:
             if np.any(p < PROPENSITY_EPS) or np.any(p > 1 - PROPENSITY_EPS):
                 bad = int(np.argmax((p < PROPENSITY_EPS) | (p > 1 - PROPENSITY_EPS)))
                 raise ConfigError(
-                    f"propensity value out of (eps, 1-eps) at row {bad}")
+                    f"propensity value out of (eps, 1-eps) at row {bad + 1}")
             object.__setattr__(self, "p_of_x", p)
         if self.mode == "group" and self.group_of is None:
             raise ConfigError("group mode requires group indices")
@@ -203,8 +206,59 @@ def adjuster_arrays(adjusters, n: int):
     return s_lo, s_hi
 
 
+class CsvFile:
+    """One CSV file, read once: its path and its lines, read on first use.
+    ``load_csv`` builds the Sample from it; ``labels`` and ``numbers`` read
+    further columns, with errors that name the file."""
+
+    def __init__(self, path):
+        self.path = path
+
+    @functools.cached_property
+    def lines(self) -> list[str]:
+        return _read_lines(self.path)
+
+    def labels(self, *cols: str):
+        """Each named column's stripped cells in turn, a list of strings. A
+        file that is not UTF-8 text or holds a field longer than
+        ``csv.field_size_limit()`` raises CsvParseError at once; a column
+        missing from the header raises ConfigError and a row too short for
+        it CsvParseError, when that column is reached."""
+        try:
+            rows = list(_csv_rows(self.lines))
+        except CsvParseError as exc:
+            raise CsvParseError(f"{self.path}: {exc}") from None
+        header = [h.strip() for h in rows.pop(0)] if rows else []
+        for col in cols:
+            if col not in header:
+                raise ConfigError(f"column {col!r} not found in {self.path}")
+            j = header.index(col)
+            for rownum, row in enumerate(rows, start=1):
+                if len(row) <= j:
+                    raise CsvParseError(
+                        f"{self.path}: row {rownum}: no {col!r} field")
+            yield [row[j].strip() for row in rows]
+
+    def numbers(self, *cols: str) -> list[np.ndarray]:
+        """Numeric columns, each checked in full in the order named; a cell
+        that is not a finite number raises CsvParseError naming its row."""
+        out = []
+        for col, raw in zip(cols, self.labels(*cols)):
+            for rownum, val in enumerate(raw, start=1):
+                try:
+                    ok = math.isfinite(float(val))
+                except ValueError:
+                    ok = False
+                if not ok:
+                    raise CsvParseError(
+                        f"{self.path}: row {rownum}: {col!r} value {val!r} "
+                        "is not a finite number")
+            out.append(np.array(raw, dtype=np.float64))
+        return out
+
+
 def load_csv(path, y_col: str, d_col: str, x_cols=None, x_prefix: str | None = None) -> Sample:
-    """Read an experiment CSV into a Sample.
+    """Read an experiment CSV, by path or as a ``CsvFile``, into a Sample.
 
     The file must be UTF-8 text with a header row; covariate columns are
     given either explicitly (x_cols) or by shared prefix (x_prefix). Rows
@@ -219,7 +273,7 @@ def load_csv(path, y_col: str, d_col: str, x_cols=None, x_prefix: str | None = N
     alone raises, so the arrays and the errors do not depend on which parser
     ran.
     """
-    lines = _read_lines(path)
+    lines = (path if isinstance(path, CsvFile) else CsvFile(path)).lines
     sample = _load_clean(lines, y_col, d_col, x_cols, x_prefix)
     if sample is None:
         sample = _load_rows(lines, y_col, d_col, x_cols, x_prefix)
@@ -331,10 +385,9 @@ def _load_rows(lines, y_col, d_col, x_cols, x_prefix) -> Sample:
     """The row-by-row parser of ``load_csv``: a malformed file raises here,
     at its first bad row."""
     rows = _csv_rows(lines)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise CsvParseError("empty file") from None
+    header = next(rows, None)
+    if header is None:
+        raise CsvParseError("empty file")
     header = [h.strip() for h in header]
     yi, di, xi = _columns(header, y_col, d_col, x_cols, x_prefix)
     ys, ds, xs = [], [], []

@@ -163,6 +163,52 @@ class TestAnalyze:
         assert code == 2
         assert capsys.readouterr().err == f"error: {want}\n"
 
+    @pytest.mark.parametrize("method, flags", [
+        ("cross-fit-ipw", ("--propensity-mode", "known_function",
+                           "--propensity-col", "pscore")),
+        ("cross-fit-group", ("--propensity-mode", "group",
+                             "--group-col", "grp"))])
+    def test_input_is_read_once(self, data_csv, tmp_path, monkeypatch,
+                                method, flags):
+        """The sample and its propensity or group column come from one
+        open of the input file."""
+        import builtins
+
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code = run_cli("analyze", "--input", data_csv, "--x-cols", "x1",
+                       "--models", "constant", "--method", method, *flags,
+                       "--output", str(tmp_path / "out"))
+        assert code == 0
+        assert opened.count(data_csv) == 1
+
+    @pytest.mark.parametrize("bad, want", [
+        ("1.0", "propensity value out of (eps, 1-eps) at row 2"),
+        ("abc", "{path}: row 2: 'pscore' value 'abc' is not a finite "
+                "number")], ids=["out of range", "not a number"])
+    def test_bad_propensity_cells_name_their_data_row(self, data_csv,
+                                                      tmp_path, capsys,
+                                                      bad, want):
+        """A propensity out of range and one that is not a number, each in
+        data row 2, name the same row, as every other input error does."""
+        lines = Path(data_csv).read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + f",{bad}"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli("analyze", "--input", str(path), "--x-prefix", "x",
+                       "--method", "cross-fit-ipw",
+                       "--propensity-mode", "known_function",
+                       "--propensity-col", "pscore")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {want.format(path=path)}\n")
+
     def test_unread_model_parameter_fails_the_fold(self, data_csv, tmp_path,
                                                    capsys):
         code = run_cli("analyze", "--input", data_csv, "--x-prefix", "x",

@@ -343,6 +343,34 @@ def test_fast_path_takes_odd_but_exact_cells():
     assert np.signbit(fast.y[0]) and fast.x[0, 0] == 5e-324
 
 
+class TestSampleChecks:
+    """A Sample takes 0/1 treatment values and 1-D outcomes and treatment;
+    anything else is a ValueError when it is made, not a truncated
+    indicator or a broadcast error later."""
+
+    @pytest.mark.parametrize("d", [[0.5, 1.0, 0.0, 1.0],
+                                   [1.9, 1.0, 0.0, 0.0],
+                                   [1.0, 0.0, -0.5, 1.0],
+                                   [1.0, 0.0, np.nan, 1.0]])
+    def test_non_binary_treatment(self, d):
+        with pytest.raises(ValueError, match="binary"):
+            Sample(np.arange(4.0), d, np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("y, d", [
+        (np.zeros((4, 2)), [1, 0, 1, 0]),
+        (np.zeros(4), [[1], [0], [1], [0]]),
+    ], ids=["2-d y", "2-d d"])
+    def test_not_one_dimensional(self, y, d):
+        with pytest.raises(ValueError, match="1-d"):
+            Sample(y, d, np.zeros((4, 1)))
+
+    def test_float_and_bool_indicators_are_cast(self):
+        for d in ([1.0, 0.0, 1.0, 0.0], [True, False, True, False]):
+            s = Sample(np.arange(4.0), d, np.zeros((4, 1)))
+            assert s.d.dtype == np.int64
+            np.testing.assert_array_equal(s.d, [1, 0, 1, 0])
+
+
 class TestSampleEquality:
     def test_equal_data_in_distinct_arrays(self):
         s = simple_sample()
@@ -486,7 +514,7 @@ class TestKnownFunctionPropensity:
             PropensityModel(mode="known_function", p_of_x=["a", "b"])
 
     def test_out_of_range(self):
-        with pytest.raises(ConfigError, match="at row 1"):
+        with pytest.raises(ConfigError, match="at row 2"):
             PropensityModel(mode="known_function", p_of_x=[0.5, 1.0])
 
     def test_read_as_float64(self):

@@ -202,7 +202,7 @@ def test_no_fork_for_constant_models_or_one_cpu(cpus, forks):
     sample = make_sample(seed=5)
     cpus(2)
     _crossfit(sample, 5, ["constant"])
-    _crossfit(sample, 5, ["constant", "constant:x=1"])
+    _crossfit(sample, 5, ["constant", "constant"])
     cpus(1)
     _crossfit(sample, 5, ["knn_loc_shift:k=10"])
     assert len(forks) == 0

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from dtebounds import kernels
+from dtebounds import kernels, splitfit
+from dtebounds.condcdf import GridSpec
 from dtebounds.crossfit import crossfit_adjusters, estimate, estimate_crossfit
 from dtebounds.data import (
     DegenerateDesignError,
@@ -14,7 +15,7 @@ from dtebounds.data import (
 )
 from dtebounds.simulate import DgpSpec, draw_dgp
 from dtebounds.reports import BoundsEstimate
-from dtebounds.splitfit import estimate_split, make_split
+from dtebounds.splitfit import SplitPlan, estimate_split, make_split
 from dtebounds.stepfun import (
     makarov_bounds,
     profile_bounds,
@@ -362,3 +363,67 @@ class TestValidityForAnyAdjuster:
             c1, c0 = arm_counts(both, hi, est.t_u)
             assert est.theta_u == 1.0 + (c1 / n - c0 / n)
             assert at_or_below <= n + c1 - c0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(8, 59), seed=st.integers(0, 2**32 - 1),
+           decimals=st.integers(0, 1),
+           delta=st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5, 8.0]),
+           kind_l=st.integers(0, 4), kind_u=st.integers(0, 4))
+    def test_sample_split_main_half_counts(self, n, seed, decimals, delta,
+                                           kind_l, kind_u):
+        """The paper's finite-sample claim: on the main half of a split,
+        the bounds are the main half's own counts, for user adjusters and
+        for a kNN fit on the auxiliary half. Both copies of a unit share
+        its covariates, so a fitted adjuster gives them one value."""
+        rng = np.random.default_rng(seed)
+        try:
+            observed, hidden = draw_dgp(DgpSpec(), n, rng=rng)
+        except DegenerateDesignError:
+            reject()
+        y0, y1 = np.round(hidden.y0, decimals), np.round(hidden.y1, decimals)
+        both = shift_for_delta(Sample(np.concatenate([y1, y0]),
+                                      np.repeat([1, 0], n),
+                                      np.tile(observed.x[:, :2], (2, 1))),
+                               delta)
+        # m units in the main half; each auxiliary arm keeps 3 for k = 3
+        m = int(rng.integers(1, n - 2))
+        units = np.sort(rng.choice(n, size=m, replace=False))
+        rest = np.setdiff1d(np.arange(n), units)
+        plan = SplitPlan(0.5, units, units + n,
+                         np.concatenate([rest, rest + n]))
+        main = plan.main
+        y0_shifted = both.y[n:][units]
+        below = int(np.sum(y1[units] < y0_shifted))
+        at_or_below = int(np.sum(y1[units] <= y0_shifted))
+
+        user = [np.tile(unit_adjusters(rng, y0, y1, kind), 2)
+                for kind in (kind_l, kind_u)]
+        # each case: the estimate and its adjusters on the main half's rows,
+        # the m treated copies and then the m control copies
+        cases = [(estimate_split(both, plan, [], adjusters=user).estimate,
+                  user[0][main], user[1][main])]
+        fitted, real_fit = [], splitfit.fit_adjusters
+
+        def capture(*args):
+            out = real_fit(*args)
+            fitted.extend(out)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitfit, "fit_adjusters", capture)
+            knn = estimate_split(both, plan, ["knn_loc_shift:k=3"],
+                                 grid_spec=GridSpec("linear", 50)).estimate
+        (lo1, hi1), (lo0, hi0) = fitted
+        np.testing.assert_array_equal(lo1, lo0)
+        np.testing.assert_array_equal(hi1, hi0)
+        cases.append((knn, np.tile(lo1, 2), np.tile(hi1, 2)))
+
+        half = both.subset(main)
+        for est, lo, hi in cases:
+            assert est.n == 2 * m
+            c1, c0 = arm_counts(half, lo, est.t_l)
+            assert est.theta_l == c1 / m - c0 / m
+            assert c1 - c0 <= below
+            c1, c0 = arm_counts(half, hi, est.t_u)
+            assert est.theta_u == 1.0 + (c1 / m - c0 / m)
+            assert at_or_below <= m + c1 - c0
