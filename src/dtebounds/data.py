@@ -30,6 +30,11 @@ __all__ = [
 PROPENSITY_EPS = 1e-3
 
 
+def _in_open_band(p):
+    """Whether each propensity lies in the open interval (eps, 1 - eps)."""
+    return (PROPENSITY_EPS < p) & (p < 1 - PROPENSITY_EPS)
+
+
 class CsvParseError(ValueError):
     """Malformed input data; message carries the offending row number."""
 
@@ -161,7 +166,7 @@ class PropensityModel:
                              "known_function"):
             raise ConfigError(f"unknown propensity mode {self.mode!r}")
         if self.mode == "constant_known":
-            if self.pi is None or not (PROPENSITY_EPS < self.pi < 1 - PROPENSITY_EPS):
+            if self.pi is None or not _in_open_band(self.pi):
                 raise ConfigError("constant propensity must lie in (eps, 1-eps)")
         if self.mode == "known_function":
             try:
@@ -171,10 +176,10 @@ class PropensityModel:
             if p.ndim != 1 or not np.isfinite(p).all():
                 raise ConfigError("known_function mode requires a 1-D array "
                                   "of finite propensity values")
-            if np.any(p < PROPENSITY_EPS) or np.any(p > 1 - PROPENSITY_EPS):
-                bad = int(np.argmax((p < PROPENSITY_EPS) | (p > 1 - PROPENSITY_EPS)))
-                raise ConfigError(
-                    f"propensity value out of (eps, 1-eps) at row {bad + 1}")
+            ok = _in_open_band(p)
+            if not ok.all():
+                raise ConfigError("propensity value out of (eps, 1-eps) at "
+                                  f"row {int(np.argmin(ok)) + 1}")
             object.__setattr__(self, "p_of_x", p)
         if self.mode == "group" and self.group_of is None:
             raise ConfigError("group mode requires group indices")

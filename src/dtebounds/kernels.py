@@ -145,7 +145,7 @@ def _interp_values(q, taus, t, lo, hi, off=0):
     return out
 
 
-# knot cuts per block of rows in ``interp_cdf_argopt``, and segment-interior
+# knot pieces per block of rows in ``interp_cdf_argopt``, and evaluated
 # points per pass over a block: bounds the temporaries (~64 KB per array),
 # so that freeing them does not trim the allocator's heap, which would
 # page-fault them in again on the next block
@@ -161,73 +161,125 @@ def interp_cdf_argopt(q1, q0, taus, grid):
     and ``taus`` nondecreasing in [0, 1]. Returns (s_lower, s_upper), each
     of length q1.shape[0].
 
-    The grid indices where some knot of either row enters ``lo`` or ``hi``
-    of ``interp_cdf_row`` cut each row into segments of fixed knot state.
-    Inside one, each side's value is nondecreasing in the grid index (every
-    step of its expression is a monotone rounding of a monotone function),
-    so fl(F1(e) - F0(s)) bounds the difference from above on the segment
-    [s, e] and fl(F1(s) - F0(e)) from below. The difference is evaluated,
-    with the ``interp_cdf_row`` expression, at every segment end and inside
-    every segment whose bound reaches the row's best end value, unless both
-    sides are constant on it. The first maximizer lies among those points,
-    so the result equals the argmax/argmin over every grid point, ties
-    included.
+    Both rows' 2m knots, merged and sorted as v, cut the value axis into
+    the pieces [v[p - 1], v[p]), p = 0..2m (v[-1] = -inf, v[2m] = +inf).
+    Let c and e count an arm's knots <= and < a nonempty piece's left end.
+    Inside the piece the arm's ``interp_cdf_row`` state is lo = c - 1,
+    hi = c: its value is 0 for c = 0, 1 for c = m, and otherwise
+    fl(tl + fl(frac * fl(th - tl))) with tl = taus[c - 1], th = taus[c]
+    and 0 <= frac <= 1 in floating point. Every rounding step is monotone,
+    so it is nondecreasing there and lies in [tl, fl(tl + fl(th - tl))].
+    On the left end, if that is a knot of the arm, the value
+    fl(0.5 * fl(taus[e] + taus[c - 1])) lies in [taus[e], taus[c - 1]]. So
+    each side is nondecreasing over the piece's grid points, and
+    fl(ub1 - lb0) bounds the difference there from above, fl(lb1 - ub0)
+    from below.
+
+    Each row's best values are seeded with the difference at both ends of
+    the pieces of grid[0] and grid[g - 1] and of the two pieces of highest
+    and of lowest bound. Only pieces whose bound reaches the seed (not
+    strictly: a tie at an earlier point is kept) can hold the first
+    optimizer. Only they are placed on the grid and evaluated, with the
+    ``interp_cdf_row`` expression, at both ends, and inside where the bound
+    from their end values reaches the row's best end value, unless both
+    sides are constant there. The first maximizer lies among those points,
+    so the result is the argmax/argmin over every grid point, ties included.
     """
     q1 = np.asarray(q1, dtype=np.float64)
     q0 = np.asarray(q0, dtype=np.float64)
     taus = np.asarray(taus, dtype=np.float64)
     grid = np.asarray(grid, dtype=np.float64)
     n, m = q1.shape
+    # per knot count c (0..m), an arm's least and greatest value on the open
+    # part of a piece, and per count e < c the least at a knot hit
+    bounds = (np.r_[0.0, taus[:-1], 1.0],
+              np.r_[0.0, taus[:-1] + (taus[1:] - taus[:-1]), 1.0],
+              np.r_[taus, 1.0])
     j_lo = np.empty(n, dtype=np.intp)
     j_hi = np.empty(n, dtype=np.intp)
-    step = max(1, _INTERP_BLOCK_POINTS // (4 * m + 2))
+    step = max(1, _INTERP_BLOCK_POINTS // (2 * m + 1))
     for a in range(0, n, step):
         rows = slice(a, a + step)
         j_lo[rows], j_hi[rows] = _interp_block_argopt(
-            q1[rows], q0[rows], taus, grid)
+            q1[rows], q0[rows], taus, grid, bounds)
     return grid[j_lo], grid[j_hi]
 
 
-def _interp_block_argopt(q1, q0, taus, grid):
-    """First grid argmax and argmin indices of F1 - F0 for a block of rows."""
+def _interp_block_argopt(q1, q0, taus, grid, bounds):
+    """First grid argmax and argmin indices of F1 - F0 for a block of rows,
+    from the knot pieces whose bounds reach the row's optimum."""
+    lb, ub, hit = bounds
     b, m = q1.shape
-    g = grid.size
-    stride = g + 1
-    base = np.arange(b)[:, None] * stride
-    # knot k of a row counts in lo from grid index L[k] on, in hi from R[k]
-    L1, R1, L0, R0 = (np.searchsorted(grid, q, side=side) + base
-                      for q in (q1, q0) for side in ("left", "right"))
-    cuts = np.sort(np.concatenate([L1, R1, L0, R0, base, base + g],
-                                  axis=1), axis=None)
-    row, j = np.divmod(cuts, stride)
-    # a segment runs from a cut up to the next larger cut of the same row
-    opens = (cuts[1:] > cuts[:-1]) & (row[1:] == row[:-1])
-    seg_row, s, e = row[:-1][opens], j[:-1][opens], j[1:][opens] - 1
-    # knot state of each segment: ``lo``/``hi`` as in ``interp_cdf_row``
-    key = cuts[:-1][opens]
-    off = seg_row * m
-    lo1, hi1, lo0, hi0 = (np.searchsorted(K.ravel(), key, side="right") - off
-                          for K in (L1, R1, L0, R0))
-    lo1 -= 1
-    lo0 -= 1
-    q1f, q0f = q1.ravel(), q0.ravel()
+    n_p = 2 * m + 1
+    knots = np.concatenate([q1, q0], axis=1).ravel()
+    order = np.argsort(knots.reshape(b, 2 * m), axis=1, kind="stable")
+    # piece p of row i is [edges[i, p], edges[i, p + 1])
+    edges = np.empty((b, n_p + 1))
+    edges[:, 0], edges[:, -1] = -np.inf, np.inf
+    edges[:, 1:-1] = knots[order + 2 * m * np.arange(b)[:, None]]
+    # per arm, c: its knots <= a nonempty piece's left end; e: those below
+    # it, c at the first piece with the same left end
+    c1 = np.zeros((b, n_p), dtype=np.intp)
+    np.cumsum(order < m, axis=1, out=c1[:, 1:])
+    c0 = np.arange(n_p) - c1
+    run = np.zeros_like(c1)
+    run[:, 1:] = np.where(edges[:, 1:-1] > edges[:, :-2], np.arange(2 * m), 0)
+    np.maximum.accumulate(run, axis=1, out=run)
+    e1 = c1.ravel()[run + n_p * np.arange(b)[:, None]]
+    e0 = run - e1
+    up = ub[c1] - np.where(e0 < c0, hit[e0], lb[c0])
+    dn = np.where(e1 < c1, hit[e1], lb[c1]) - ub[c0]
+    empty = edges[:, 1:] <= edges[:, :-1]
+    up[empty], dn[empty] = -np.inf, np.inf
+    c1, c0, e1, e0, edges = (x.ravel() for x in (c1, c0, e1, e0, edges))
 
-    def values_at(seg, t):
-        return (_interp_values(q1f, taus, t, lo1[seg], hi1[seg], off[seg]),
-                _interp_values(q0f, taus, t, lo0[seg], hi0[seg], off[seg]))
+    def values_at(k, j):
+        # both arms at grid[j] in piece k; maxima of d at row i, of -d at b + i
+        row = k // n_p
+        t = grid[j]
+        at = t == edges[k + row]
+        f = _interp_values(
+            knots, taus, np.concatenate([t, t]),
+            np.concatenate([c1[k], c0[k]]) - 1,
+            np.concatenate([np.where(at, e1[k], c1[k]),
+                            np.where(at, e0[k], c0[k])]),
+            np.concatenate([2 * m * row, 2 * m * row + m]))
+        f1, f0 = f[:j.size], f[j.size:]
+        return f1, f0, _first_max(np.concatenate([row, row + b]),
+                                  np.concatenate([j, j]),
+                                  np.concatenate([f1 - f0, f0 - f1]))
 
-    # both ends of every segment, in grid order within each row
-    both = np.repeat(np.arange(s.size), 2)
-    ends = np.stack([s, e], axis=1).ravel()
-    f1, f0 = values_at(both, grid[ends])
-    d = f1 - f0
-    recs_hi = [_first_max(seg_row[both], ends, d)]
-    recs_lo = [_first_max(seg_row[both], ends, -d)]
-    best_hi = recs_hi[0][1]
-    best_lo = -recs_lo[0][1]
+    def place(k):
+        # the first and last grid index in each flat piece (last < first: none)
+        left = k + k // n_p
+        return (np.searchsorted(grid, edges[left]),
+                np.searchsorted(grid, edges[left + 1]) - 1)
+
+    # seeds: both ends of the pieces of grid[0] and grid[g - 1] and of each
+    # row's two of highest and of lowest bound (grid[0] if one holds none)
+    first = n_p * np.arange(b)
+    top = [first + (edges.reshape(b, -1)[:, 1:-1] <= t).sum(axis=1)
+           for t in grid[[0, -1]]]
+    for bound in (up.copy(), -dn):
+        for _ in range(2):
+            top.append(first + bound.argmax(axis=1))
+            bound.ravel()[top[-1]] = -np.inf
+    k = np.stack(top, axis=1).ravel()
+    s, e = place(k)
+    holds = s <= e
+    k = np.where(holds, k, np.repeat(top[0], len(top))).repeat(2)
+    recs = [values_at(k, np.where(holds, np.stack([s, e]), 0).T.ravel())[2]]
+    best = recs[0][1]
+    k = np.flatnonzero((up >= best[:b, None]) | (dn <= -best[b:, None]))
+    s, e = place(k)
+    k, s, e = k[s <= e], s[s <= e], e[s <= e]
+
+    # both ends of each placed piece; every row has one, its optimizer's
+    f1, f0, rec = values_at(k.repeat(2), np.stack([s, e], axis=1).ravel())
+    recs.append(rec)
+    best = np.maximum(best, rec[1])
     f1s, f1e, f0s, f0e = f1[0::2], f1[1::2], f0[0::2], f0[1::2]
-    reach = ((f1e - f0s >= best_hi[seg_row])
-             | (f1s - f0e <= best_lo[seg_row]))
+    reach = (f1e - f0s >= best[k // n_p]) | (f0e - f1s >= best[b + k // n_p])
     flag = reach & ((f1s != f1e) | (f0s != f0e)) & (e - s >= 2)
     cnt = np.where(flag, e - s - 1, 0)
     cum = np.cumsum(cnt)
@@ -236,11 +288,9 @@ def _interp_block_argopt(q1, q0, taus, grid):
         p = np.arange(a, min(a + _INTERP_BLOCK_POINTS, total))
         seg = np.searchsorted(cum, p, side="right")
         jj = s[seg] + 1 + p - (cum[seg] - cnt[seg])
-        f1, f0 = values_at(seg, grid[jj])
-        d = f1 - f0
-        recs_hi.append(_first_max(seg_row[seg], jj, d))
-        recs_lo.append(_first_max(seg_row[seg], jj, -d))
-    return _merge_first_max(recs_hi), _merge_first_max(recs_lo)
+        recs.append(values_at(k[seg], jj)[2])
+    j = _merge_first_max(recs)
+    return j[:b], j[b:]
 
 
 def _first_max(rows, j, v):

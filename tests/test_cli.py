@@ -209,6 +209,23 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"error: {want.format(path=path)}\n")
 
+    def test_propensity_on_the_band_edge_names_its_row(self, data_csv,
+                                                       tmp_path, capsys):
+        """The band (eps, 1 - eps) is open for known per-unit values, as
+        for a known constant: a propensity of exactly 0.001 in data row 2
+        is an error that names the row."""
+        lines = Path(data_csv).read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",0.001"
+        path = tmp_path / "edge.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = run_cli("analyze", "--input", str(path), "--x-prefix", "x",
+                       "--method", "cross-fit-ipw",
+                       "--propensity-mode", "known_function",
+                       "--propensity-col", "pscore")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: propensity value out of (eps, 1-eps) at row 2\n")
+
     def test_unread_model_parameter_fails_the_fold(self, data_csv, tmp_path,
                                                    capsys):
         code = run_cli("analyze", "--input", data_csv, "--x-prefix", "x",

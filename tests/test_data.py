@@ -517,6 +517,18 @@ class TestKnownFunctionPropensity:
         with pytest.raises(ConfigError, match="at row 2"):
             PropensityModel(mode="known_function", p_of_x=[0.5, 1.0])
 
+    @pytest.mark.parametrize("edge", [0.001, 0.999])
+    def test_band_is_open_in_both_modes(self, edge):
+        # one predicate for both modes: each edge of (eps, 1 - eps) is out,
+        # the next double inside it is in
+        with pytest.raises(ConfigError, match="at row 2"):
+            PropensityModel(mode="known_function", p_of_x=[0.5, edge])
+        with pytest.raises(ConfigError, match="constant propensity"):
+            PropensityModel(mode="constant_known", pi=edge)
+        inside = np.nextafter(edge, 0.5)
+        PropensityModel(mode="known_function", p_of_x=[0.5, inside])
+        PropensityModel(mode="constant_known", pi=inside)
+
     def test_read_as_float64(self):
         prop = PropensityModel(mode="known_function", p_of_x=[0.25, 0.75])
         assert prop.p_of_x.dtype == np.float64

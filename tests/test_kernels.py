@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import os
 import subprocess
@@ -6,12 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from dtebounds import kernels
-from dtebounds.condcdf import GridSpec, fit_arm_model
+from dtebounds.condcdf import TAU_GRID, GridSpec, fit_arm_model
 from dtebounds.crossfit import estimate
+from dtebounds.data import (
+    ConfigError,
+    DegenerateDesignError,
+    EstimationError,
+    Sample,
+)
 from dtebounds.simulate import DgpSpec, draw_dgp
 
 
@@ -178,11 +185,16 @@ def _dense_interp_argopt(q1, q0, taus, grid):
 def _interp_inputs(draw):
     """Sorted quantile rows on a lattice of step h, so that knots repeat in
     runs, some treated rows copied into the control rows, sorted levels with
-    repeats, and a sorted grid of 1 to 60 points with duplicates, lattice
-    points and points on drawn knots or one ulp either side of them."""
+    repeats (quarters, whose sums are exact, or drawn floats in [0, 1],
+    whose sums round), and a sorted grid of 1 to 60 points with duplicates,
+    lattice points and points on drawn knots or one ulp either side of
+    them."""
     m = draw(st.integers(1, 8))
-    taus = np.sort(np.array(draw(st.lists(
-        st.integers(0, 4).map(lambda k: k / 4), min_size=m, max_size=m))))
+    levels = st.integers(0, 4).map(lambda k: k / 4)
+    if draw(st.booleans()):
+        levels = st.sampled_from(draw(st.lists(st.floats(0.0, 1.0),
+                                               min_size=1, max_size=m)))
+    taus = np.sort(np.array(draw(st.lists(levels, min_size=m, max_size=m))))
     h = draw(st.sampled_from([0.1, 0.3, 1.0]))
     lattice = st.integers(-6, 6).map(lambda k: k * h)
     n = draw(st.integers(1, 4))
@@ -226,6 +238,44 @@ def test_interp_argopt_matches_dense_loop(inputs):
     assert s_hi.tobytes() == ref_hi.tobytes()
 
 
+def _plain_map(fn, items, work):
+    return [fn(item) for item in items]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(20, 150), seed=st.integers(0, 2**32 - 1),
+       decimals=st.integers(0, 1), k=st.integers(3, 9),
+       method=st.sampled_from(["cross-fit", "cross-fit-foldt",
+                               "sample-split"]),
+       grid=st.sampled_from([GridSpec("normal", 300),
+                             GridSpec("linear", 301)]))
+def test_quantile_estimate_matches_its_reference(n, seed, decimals, k,
+                                                 method, grid):
+    """A whole quantile-grid estimate reports the same numbers, or fails
+    with the same error (k above an arm's training size), with the
+    interpolation kernel replaced by the dense row loop and the fold map
+    by a plain loop."""
+    try:
+        sample, _ = draw_dgp(DgpSpec(), n, seed=seed)
+    except DegenerateDesignError:
+        reject()  # the draw has one arm only
+    sample = Sample(np.round(sample.y, decimals), sample.d, sample.x)
+    args = (sample, method, [f"knn_quantile:k={k}"])
+
+    def report():
+        try:
+            rep = estimate(*args, seed=seed, grid_spec=grid)
+        except (ConfigError, EstimationError) as exc:
+            return repr(exc)
+        return json.dumps(rep.to_dict(), sort_keys=True)
+
+    fast = report()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "interp_cdf_argopt", _dense_interp_argopt)
+        mp.setattr(kernels, "_fork_map", _plain_map)
+        assert report() == fast
+
+
 def test_interp_argopt_blocks_and_passes(monkeypatch):
     # rows split over several blocks, and interiors over several passes:
     # identical rows flag every segment that is not constant
@@ -240,6 +290,35 @@ def test_interp_argopt_blocks_and_passes(monkeypatch):
     got = kernels.interp_cdf_argopt(q1, q0, taus, grid)
     assert got[0].tobytes() == ref[0].tobytes()
     assert got[1].tobytes() == ref[1].tobytes()
+
+
+def test_interp_argopt_work_count(monkeypatch):
+    """A work count that host speed cannot blur: the points at which
+    ``interp_cdf_argopt`` evaluates the difference on one fixed case, 200
+    rows of ``knn_quantile:k=45`` quantiles at ``TAU_GRID`` over a
+    10 000-point normal grid. Placing only the knot pieces whose bound
+    reaches the seeds evaluates about 80 points per row and arm here (12
+    seeds, 41 piece ends and 27 interior points); evaluating both ends of
+    every knot segment takes about 343."""
+    sample, _ = draw_dgp(DgpSpec(), 600, seed=7)
+    fit, ev = np.arange(400), np.arange(400, 600)
+    d = sample.d[fit]
+    q1, q0 = (fit_arm_model(sample.y[fit][d == arm], sample.x[fit][d == arm],
+                            "knn_quantile:k=45").predict_quantiles(
+                                sample.x[ev]) for arm in (1, 0))
+    grid = GridSpec().build(sample.y.min(), sample.y.max(),
+                            np.random.default_rng(7))
+    assert grid.size == 10_000
+    points = []
+    real = kernels._interp_values
+
+    def counting(q, taus, t, *args):
+        points.append(t.size)
+        return real(q, taus, t, *args)
+
+    monkeypatch.setattr(kernels, "_interp_values", counting)
+    kernels.interp_cdf_argopt(q1, q0, TAU_GRID, grid)
+    assert sum(points) / (2 * 200) <= 120
 
 
 @st.composite
@@ -274,6 +353,61 @@ def test_interp_cdf_row_is_monotone_inside_one_knot_interval(inputs):
     q, taus, t = inputs
     out = kernels.interp_cdf_row(q, taus, t)
     assert np.all(np.diff(out) >= 0)
+
+
+def _knot_count_bounds(q, taus, t):
+    """The least and greatest ``interp_cdf_row`` value at points t from
+    their counts of knots alone: c knots <= t and e knots < t."""
+    m = taus.size
+    c = np.searchsorted(q, t, side="right")
+    e = np.searchsorted(q, t, side="left")
+    tl = taus[np.clip(c - 1, 0, m - 1)]
+    th = taus[np.clip(c, 0, m - 1)]
+    lower = np.where(c == 0, 0.0, np.where(c == m, 1.0, tl))
+    upper = np.where(c == 0, 0.0, np.where(c == m, 1.0, tl + (th - tl)))
+    # an exact hit: the midpoint of the levels of the first and last knot hit
+    hit = e < c
+    return (np.where(hit, taus[np.minimum(e, m - 1)], lower),
+            np.where(hit, tl, upper))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_interp_inputs())
+# just below the knot at 0, frac rounds to 1 and the value to
+# fl(0.06 + fl(0.83 - 0.06)), one ulp above the level 0.83
+@example(inputs=(np.array([[-0.6, 0.0]]), np.array([[-0.6, 0.0]]),
+                 np.array([0.06, 0.83]), np.array([-0.6, -5e-324, 0.0])))
+# runs of equal quantiles in both rows, no grid point on a knot
+@example(inputs=(np.array([[0.0, 1.0, 1.0, 1.0, 2.0]]),
+                 np.array([[0.5, 0.5, 1.5, 1.5, 2.5]]),
+                 np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+                 np.array([0.25, 0.75, 1.25, 1.75, 2.25])))
+# every grid point on a knot: each piece's points are its left end only
+@example(inputs=(np.array([[0.0, 1.0, 1.0, 2.0]]),
+                 np.array([[0.5, 1.0, 1.5, 1.5]]),
+                 np.array([0.0, 0.25, 0.5, 1.0]),
+                 np.array([0.0, 0.5, 1.0, 1.5, 2.0])))
+# the only maximizer, 1.0, is a knot of both rows
+@example(inputs=(np.array([[0.0, 0.5, 1.0]]), np.array([[0.0, 1.0, 1.1]]),
+                 np.array([0.0, 0.5, 1.0]),
+                 np.array([0.25, 0.75, 1.0, 1.05, 1.5])))
+# the seed at grid[2] reads the maximum 0, and the earlier piece [1, 2)
+# is bounded by exactly 0: only a non-strict test keeps it, and with it
+# the first maximizer 1.5
+@example(inputs=(np.array([[1.0, 2.0]]), np.array([[-1.0, 2.0]]),
+                 np.array([0.75, 0.75]), np.array([0.5, 1.5, 2.5])))
+def test_interp_cdf_row_lies_within_its_knot_count_bounds(inputs):
+    """The premise of ``interp_cdf_argopt``'s piece bounds, without
+    tolerance, and the kernel's result on the same inputs."""
+    q1, q0, taus, t = inputs
+    for q in np.concatenate([q1, q0]):
+        out = kernels.interp_cdf_row(q, taus, t)
+        lower, upper = _knot_count_bounds(q, taus, t)
+        assert np.all(lower <= out) and np.all(out <= upper)
+    s_lo, s_hi = kernels.interp_cdf_argopt(*inputs)
+    ref_lo, ref_hi = _dense_interp_argopt(*inputs)
+    assert s_lo.tobytes() == ref_lo.tobytes()
+    assert s_hi.tobytes() == ref_hi.tobytes()
 
 
 def test_shift_argopt_matches_reference():

@@ -4,7 +4,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from dtebounds import kernels, splitfit
-from dtebounds.condcdf import GridSpec
+from dtebounds.condcdf import GridSpec, fit_adjusters
 from dtebounds.crossfit import crossfit_adjusters, estimate, estimate_crossfit
 from dtebounds.data import (
     DegenerateDesignError,
@@ -315,6 +315,17 @@ def arm_counts(sample, s, t):
     return int(hit[sample.d == 1].sum()), int(hit[sample.d == 0].sum())
 
 
+def assert_count_identities(est, sample, lo, hi, m, below, at_or_below):
+    """The strict and non-strict count identities of
+    ``TestValidityForAnyAdjuster`` for an estimate over m units."""
+    c1, c0 = arm_counts(sample, lo, est.t_l)
+    assert est.theta_l == c1 / m - c0 / m
+    assert c1 - c0 <= below
+    c1, c0 = arm_counts(sample, hi, est.t_u)
+    assert est.theta_u == 1.0 + (c1 / m - c0 / m)
+    assert at_or_below <= m + c1 - c0
+
+
 class TestValidityForAnyAdjuster:
     """The bounds are valid for any adjuster, pinned as exact counts.
 
@@ -427,3 +438,40 @@ class TestValidityForAnyAdjuster:
             c1, c0 = arm_counts(half, hi, est.t_u)
             assert est.theta_u == 1.0 + (c1 / m - c0 / m)
             assert at_or_below <= m + c1 - c0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 59), seed=st.integers(0, 2**32 - 1),
+           decimals=st.integers(0, 1),
+           delta=st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5, 8.0]),
+           spec=st.sampled_from(["constant", "knn_loc_shift:k=5",
+                                 "ridge_loc_shift", "knn_quantile:k=5"]),
+           grid=st.sampled_from([GridSpec("normal", 300),
+                                 GridSpec("linear", 301)]))
+    def test_counts_for_fitted_learners(self, n, seed, decimals, delta,
+                                        spec, grid):
+        """Adjusters that each built-in learner fits on an independent draw,
+        through ``fit_adjusters``: a unit's two copies share its covariates,
+        so they get one value, and the counts hold as for any adjuster."""
+        rng = np.random.default_rng(seed)
+        try:
+            observed, hidden = draw_dgp(DgpSpec(), n, rng=rng)
+            train, _ = draw_dgp(DgpSpec(), 40, rng=rng)
+        except DegenerateDesignError:
+            reject()
+        y0, y1 = np.round(hidden.y0, decimals), np.round(hidden.y1, decimals)
+        both = shift_for_delta(Sample(np.concatenate([y1, y0]),
+                                      np.repeat([1, 0], n),
+                                      np.tile(observed.x, (2, 1))), delta)
+        [(s_lo, s_hi)] = fit_adjusters(
+            train, spec, spec, both, [np.arange(2 * n)],
+            grid.build(both.y.min(), both.y.max(), rng))
+        np.testing.assert_array_equal(s_lo[:n], s_lo[n:])
+        np.testing.assert_array_equal(s_hi[:n], s_hi[n:])
+        below = int(np.sum(y1 < both.y[n:]))
+        at_or_below = int(np.sum(y1 <= both.y[n:]))
+        scanned = BoundsEstimate.from_scan(both, scan_bounds(both, s_lo, s_hi))
+        crossfit = estimate(both, "cross-fit", [], k_folds=2,
+                            adjusters=(s_lo, s_hi), h_rules=()).estimate
+        for est in (scanned, crossfit):
+            assert_count_identities(est, both, s_lo, s_hi, n, below,
+                                    at_or_below)
